@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -43,7 +44,7 @@ from .network import (
     save_network,
     unitarity_deviation,
 )
-from .paths import enumerate_paths, validity_check
+from .paths import default_tau_min, enumerate_paths, validity_check
 from .transfer import (
     dark_state_residual,
     random_imperfect_network,
@@ -169,7 +170,7 @@ def cmd_validate(args) -> int:
         print(f"  {seq}  n={r.n_traversals}  |w|={abs(r.weight):.6g}  "
               f"tau={r.delay:.6g}")
 
-    if report.spectral_radius_SW >= 1.0 - 1e-6:
+    if not report.converged:
         print("FAIL NonConvergentLoop")
         return EXIT_PHYSICS
     if not report.valid:
@@ -252,13 +253,7 @@ def cmd_paths(args) -> int:
         [out.name],
         input_file=args.net,
     )
-    tau_min = args.tau_min
-    if tau_min is None:
-        kappas = [
-            c.kappa for s in net.systems for c in s.couplings.values()
-        ]
-        kappa_ref = max(kappas) if kappas else net.geometry.kappa0
-        tau_min = 1.0 / kappa_ref if kappa_ref > 0 else float("inf")
+    tau_min = args.tau_min if args.tau_min is not None else default_tau_min(net)
     n_viol = sum(
         1
         for r in records
@@ -454,7 +449,7 @@ def _cmd_transfer_sweep(args) -> int:
             net = _transfer_network(local)
             coeffs, _, result, swapped = _run_transfer(net, local)
             return (
-                seed,
+                float(seed),
                 result.success,
                 dark_state_residual(coeffs),
                 float(np.cos(coeffs.delta_plus - coeffs.delta_minus)),
@@ -462,7 +457,8 @@ def _cmd_transfer_sweep(args) -> int:
                 "",
             )
         except LoopnetError as exc:
-            return (seed, np.nan, np.nan, np.nan, np.nan, type(exc).__name__)
+            return (float(seed), np.nan, np.nan, np.nan, np.nan,
+                    type(exc).__name__)
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         rows = list(pool.map(one, seeds))
@@ -472,14 +468,7 @@ def _cmd_transfer_sweep(args) -> int:
     write_csv(
         out,
         ["seed", "success", "dark_residual", "cos_delta", "swapped", "error"],
-        [
-            [float(r[0]) for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-            [r[3] for r in rows],
-            [r[4] for r in rows],
-            [r[5] for r in rows],
-        ],
+        list(zip(*rows)),
     )
     write_manifest(
         outdir,
@@ -504,6 +493,21 @@ def _cmd_transfer_sweep(args) -> int:
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def _positive(convert):
+    """argparse type: a finite number > 0, parsed by convert."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number > 0, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = f"positive {convert.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="integrate the effective master equation")
     p.add_argument("net")
-    p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--t-final", type=_positive(float), required=True)
+    p.add_argument("--dt", type=_positive(float), default=1e-3)
     p.add_argument("--observables", default="")
     p.add_argument("--initial", default="ground")
     p.set_defaults(func=cmd_simulate)
@@ -555,21 +559,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--kappa0", type=float, default=1.0)
+    p.add_argument("--kappa0", type=_positive(float), default=1.0)
     p.add_argument("--ratio-db", type=float, default=25.0)
-    p.add_argument("--T", type=float, default=20.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--T", type=_positive(float), default=20.0)
+    p.add_argument("--dt", type=_positive(float), default=1e-3)
     p.add_argument("--swap-roles", action="store_true")
     p.add_argument("--sweep", type=int, default=0,
                    help="run this many consecutive seeds in worker threads")
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--threads", type=_positive(int), default=4)
     p.set_defaults(func=cmd_transfer)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+        return EXIT_SCHEMA if exc.code else EXIT_OK
     try:
         return args.func(args)
     except SCHEMA_ERRORS as exc:

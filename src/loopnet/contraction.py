@@ -10,6 +10,7 @@ network-induced Hamiltonian comes from the anti-Hermitian part of G.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,24 +22,38 @@ from .network import (
     assemble_S,
     assemble_W,
     dag,
+    external_ports,
     internal_projectors,
-    partition_ports,
 )
 
-TOL_SOLVE = 1e-10
 DELTA_CONV = 1e-6
 COND_MAX = 1e12
 
 
 @dataclass(frozen=True)
 class RoutingMatrices:
-    """Matrices derived from the loop inversion, in global port order."""
+    """Matrices derived from the loop inversion, in global port order.
 
+    For a stack of (S, W) pairs every field carries the leading batch axis;
+    G, M and T are NaN where `accepted` is False.  sigma_max_SW and cond
+    (one SVD per entry each) are computed on first use.
+    """
+
+    SW: np.ndarray
     G: np.ndarray  # (1 - SW)^{-1}
     M: np.ndarray  # X_o G, external-output routing of emissions
     T: np.ndarray  # SW G = G - 1, pure network contribution
     spectral_radius_SW: float
-    sigma_max_SW: float
+    converged: bool  # spectral_radius_SW < 1 - delta_conv
+    accepted: bool  # converged and cond <= cond_max
+
+    @cached_property
+    def sigma_max_SW(self) -> float:
+        return np.linalg.svd(self.SW, compute_uv=False).max(-1, initial=0.0)
+
+    @cached_property
+    def cond(self) -> float:  # of 1 - SW
+        return np.linalg.cond(np.eye(self.SW.shape[-1]) - self.SW)
 
 
 @dataclass(frozen=True)
@@ -62,26 +77,36 @@ def routing_matrices(
     delta_conv: float = DELTA_CONV,
     cond_max: float = COND_MAX,
 ) -> RoutingMatrices:
-    n = S.shape[0]
+    """Invert 1 - SW and judge the loop; the only place either is done.
+
+    S and W are (N, N) or stacks (B, N, N).  An entry is accepted when
+    rho(SW) < 1 - delta_conv and cond(1 - SW) <= cond_max; only entries
+    that pass the rho test are solved.  Rejection does not raise here: the
+    verdict is returned in `converged` and `accepted`.
+    """
     sw = S @ W
-    eigvals = np.linalg.eigvals(sw)
-    rho = float(np.abs(eigvals).max()) if n else 0.0
-    sigma = float(np.linalg.svd(sw, compute_uv=False).max()) if n else 0.0
-    if rho >= 1.0 - delta_conv:
-        raise NonConvergentLoop(rho)
-    one = np.eye(n, dtype=complex)
+    one = np.eye(sw.shape[-1], dtype=complex)
     a = one - sw
-    cond = float(np.linalg.cond(a))
-    if cond > cond_max:
-        raise SingularMatrix(cond)
-    g = np.linalg.solve(a, one)
+    rho = np.abs(np.linalg.eigvals(sw)).max(axis=-1, initial=0.0)
+    converged = rho < 1.0 - delta_conv
+    g = np.full_like(a, np.nan)
+    g[converged] = np.linalg.solve(a[converged], one)
+    # ||1 - SW||_F ||G||_F >= cond(1 - SW): the SVD only where that fails
+    bound = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(g, axis=(-2, -1))
+    cond_ok = bound <= cond_max
+    if np.any(converged & ~cond_ok):
+        cond_ok = np.linalg.cond(a) <= cond_max
+    accepted = converged & cond_ok
+    g[~accepted] = np.nan
     _, _, _, x_o = internal_projectors(W)
     return RoutingMatrices(
+        SW=sw,
         G=g,
         M=x_o @ g,
         T=sw @ g,
         spectral_radius_SW=rho,
-        sigma_max_SW=sigma,
+        converged=converged,
+        accepted=accepted,
     )
 
 
@@ -95,10 +120,12 @@ def contract(
 ) -> EffectiveModel:
     """Effective (S_eff, L_eff, H_eff, H_loss) for the connected network."""
     routing = routing_matrices(S, W, delta_conv=delta_conv, cond_max=cond_max)
-    i_i, x_i, i_o, x_o = internal_projectors(W)
-    n = S.shape[0]
-    ext_in = [k for k in range(n) if x_i[k, k].real > 0.5]
-    ext_out = [k for k in range(n) if x_o[k, k].real > 0.5]
+    if not routing.converged:
+        raise NonConvergentLoop(routing.spectral_radius_SW)
+    if not routing.accepted:
+        raise SingularMatrix(routing.cond)
+    _, x_i, _, x_o = internal_projectors(W)
+    ext_in, ext_out = external_ports(W)
 
     s_eff_full = x_o @ routing.G @ S @ x_i
     s_eff = s_eff_full[np.ix_(ext_out, ext_in)]
@@ -151,20 +178,17 @@ def verify_inversion_identities(S: np.ndarray, W: np.ndarray) -> dict:
     """Max-abs residuals of the two inversion identities used in derivations.
 
     Both reduce to rearrangements of X_o = 1 - W^dag W under unitarity of S;
-    they hold exactly whenever 1 - SW is invertible.  Report-only.
+    they hold whenever 1 - SW is invertible.  NaN for a rejected loop.
     """
-    n = S.shape[0]
-    one = np.eye(n, dtype=complex)
-    sw = S @ W
+    routing = routing_matrices(S, W)
+    sw, g, g_dag = routing.SW, routing.G, dag(routing.G)
     _, _, _, x_o = internal_projectors(W)
-    g = np.linalg.solve(one - sw, one)
-    g_dag = np.linalg.solve(one - dag(sw), one)
 
     lhs1 = g_dag @ x_o @ g
     rhs1 = g + dag(sw) @ g_dag
     res1 = float(np.abs(lhs1 - rhs1).max())
 
-    lhs2 = 0.5 * one + sw @ g
+    lhs2 = 0.5 * np.eye(len(sw)) + sw @ g
     rhs2 = 0.5 * (g_dag @ x_o @ g + g - g_dag)
     res2 = float(np.abs(lhs2 - rhs2).max())
 

@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import polar
 
 from .errors import (
     DimensionMismatch,
@@ -65,9 +64,10 @@ def hermiticity_deviation(matrix: np.ndarray) -> float:
 
 
 def nearest_unitary(matrix: np.ndarray) -> np.ndarray:
-    """Closest unitary in Frobenius norm, via the polar decomposition."""
-    u, _ = polar(np.asarray(matrix, dtype=complex))
-    return u
+    """Closest unitary in Frobenius norm (the polar factor U Vh of the SVD);
+    broadcasts over a leading stack axis."""
+    u, _, vh = np.linalg.svd(np.asarray(matrix, dtype=complex))
+    return u @ vh
 
 
 def unitary_with_magnitudes(
@@ -80,25 +80,20 @@ def unitary_with_magnitudes(
 
     Alternating projections between the unitary group and the set of
     matrices with the prescribed entry magnitudes, restarted from several
-    random phase patterns.  Only magnitude patterns with unit row and
-    column norms can be matched closely; other patterns return the best
-    unitary found.  Deterministic for a fixed seed.
+    random phase patterns (all restarts run as one stack).  Only magnitude
+    patterns with unit row and column norms can be matched closely; other
+    patterns return the best unitary found.  Deterministic for a fixed seed.
     """
     target = np.asarray(magnitudes, dtype=float)
     rng = np.random.default_rng(seed)
-    best_err = np.inf
-    best = None
-    for _ in range(n_restarts):
-        u = target * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, target.shape))
-        for _ in range(n_sweeps):
-            u = nearest_unitary(u)
-            u = target * np.exp(1j * np.angle(u))
+    phases = rng.uniform(0.0, 2.0 * np.pi, (n_restarts,) + target.shape)
+    u = target * np.exp(1j * phases)
+    for _ in range(n_sweeps):
         u = nearest_unitary(u)
-        err = float(np.abs(np.abs(u) - target).max())
-        if err < best_err:
-            best_err = err
-            best = u
-    return best
+        u = target * np.exp(1j * np.angle(u))
+    u = nearest_unitary(u)
+    err = np.abs(np.abs(u) - target).max(axis=(-2, -1))
+    return u[np.argmin(err)]
 
 
 @dataclass(frozen=True)
@@ -310,23 +305,18 @@ def assemble_W(network: Network) -> np.ndarray:
 
 
 def internal_projectors(w: np.ndarray):
-    """(I_i, X_i, I_o, X_o) as exact 0/1 diagonal matrices."""
-    n = w.shape[0]
-    in_internal = np.abs(w).sum(axis=1) > 0.5
-    out_internal = np.abs(w).sum(axis=0) > 0.5
-    i_i = np.diag(in_internal.astype(float)).astype(complex)
-    i_o = np.diag(out_internal.astype(float)).astype(complex)
-    return i_i, np.eye(n) - i_i, i_o, np.eye(n) - i_o
+    """(I_i, X_i, I_o, X_o) as exact 0/1 diagonal matrices (w may be a stack)."""
+    eye = np.eye(w.shape[-1], dtype=complex)
+    mag = np.abs(w)
+    i_i = np.where((mag.sum(axis=-1) > 0.5)[..., :, None], eye, 0.0)
+    i_o = np.where((mag.sum(axis=-2) > 0.5)[..., None, :], eye, 0.0)
+    return i_i, eye - i_i, i_o, eye - i_o
 
 
-def partition_ports(network: Network):
-    """(internal_inputs, internal_outputs, external_inputs, external_outputs)."""
-    internal_inputs = sorted(c.to_port for c in network.connections)
-    internal_outputs = sorted(c.from_port for c in network.connections)
-    all_ports = set(range(network.n_ports))
-    external_inputs = sorted(all_ports - set(internal_inputs))
-    external_outputs = sorted(all_ports - set(internal_outputs))
-    return internal_inputs, internal_outputs, external_inputs, external_outputs
+def external_ports(w: np.ndarray):
+    """(external inputs, external outputs): ports W leaves unconnected."""
+    _, x_i, _, x_o = internal_projectors(w)
+    return [np.flatnonzero(x.diagonal().real > 0.5).tolist() for x in (x_i, x_o)]
 
 
 def embed_operator(network: Network, element_id: str, op: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contraction import routing_matrices
 from .errors import MissingGeometry, PathExplosion
 from .network import Network, assemble_S, assemble_W, internal_projectors
 
@@ -39,6 +40,7 @@ class ValidityReport:
     max_violating_weight: float = 0.0
     sigma_max_SW: float = 0.0
     spectral_radius_SW: float = 0.0
+    converged: bool = True  # the loop passes the contraction's rho test
     n_cut: int = 0
 
     @property
@@ -157,6 +159,17 @@ def truncated_series_oracle(S: np.ndarray, W: np.ndarray, L, n_terms: int):
     return s_approx, list(np.einsum("jk,kab->jab", coeffs, l_arr))
 
 
+def _kappa_ref(network: Network) -> float:
+    couplings = (c for sys in network.systems for c in sys.couplings.values())
+    return max((c.kappa for c in couplings), default=network.geometry.kappa0)
+
+
+def default_tau_min(network: Network) -> float:
+    """1 / max coupling kappa (geometry.kappa0 without couplings)."""
+    kappa_ref = _kappa_ref(network)
+    return 1.0 / kappa_ref if kappa_ref > 0 else math.inf
+
+
 def validity_check(
     network: Network,
     tau_min: float | None = None,
@@ -170,26 +183,18 @@ def validity_check(
     of order the system timescale carries negligible weight.  Thresholds
     are configuration; the report carries the raw numbers.
     """
-    if network.connections:
-        for conn in network.connections:
-            if network.connection_distance(conn) is None:
-                raise MissingGeometry(
-                    f"connection {conn.from_port}->{conn.to_port} has no "
-                    "distance and its ports lack z coordinates"
-                )
+    for conn in network.connections:
+        if network.connection_distance(conn) is None:
+            raise MissingGeometry(
+                f"connection {conn.from_port}->{conn.to_port} has no "
+                "distance and its ports lack z coordinates"
+            )
 
-    s = assemble_S(network)
-    w = assemble_W(network)
-    sw = s @ w
-    sigma = float(np.linalg.svd(sw, compute_uv=False).max()) if sw.size else 0.0
-    rho = float(np.abs(np.linalg.eigvals(sw)).max()) if sw.size else 0.0
-
-    kappas = [
-        c.kappa for sys in network.systems for c in sys.couplings.values()
-    ]
-    kappa_ref = max(kappas) if kappas else network.geometry.kappa0
+    routing = routing_matrices(assemble_S(network), assemble_W(network))
+    rho = routing.spectral_radius_SW
+    kappa_ref = _kappa_ref(network)
     if tau_min is None:
-        tau_min = 1.0 / kappa_ref if kappa_ref > 0 else math.inf
+        tau_min = default_tau_min(network)
 
     if rho < 1.0 and rho > 0.0:
         order = math.ceil(math.log(weight_threshold) / math.log(rho))
@@ -230,7 +235,8 @@ def validity_check(
         max_violating_weight=max(
             (abs(r.weight) for r in violating), default=0.0
         ),
-        sigma_max_SW=sigma,
+        sigma_max_SW=routing.sigma_max_SW,
         spectral_radius_SW=rho,
+        converged=routing.converged,
         n_cut=n_cut,
     )

@@ -14,12 +14,13 @@ Bloch sphere uses |0> = |ud> and |1> = |du>.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
-from .contraction import EffectiveModel, contract_network
+from .contraction import EffectiveModel, contract_network, routing_matrices
 from .errors import (
     BoundViolated,
     DegenerateBeta,
@@ -31,8 +32,6 @@ from .errors import (
 )
 from .network import (
     SIGMA_MINUS,
-    assemble_S,
-    assemble_W,
     Connection,
     Coupling,
     Geometry,
@@ -40,6 +39,9 @@ from .network import (
     Network,
     Port,
     ScatteringBlock,
+    assemble_S,
+    assemble_W,
+    external_ports,
     unitary_with_magnitudes,
 )
 
@@ -232,34 +234,45 @@ class TransferCoefficients:
     delta_plus: float
     delta_minus: float
 
+    @classmethod
+    def from_t(cls, t_aa, t_ab, t_ba, t_bb, t_ext) -> TransferCoefficients:
+        """Purcell factors, cross couplings and phases from the T entries."""
+        plus = t_ab.conjugate() + t_ba
+        minus = t_ab.conjugate() - t_ba
+        return cls(
+            t_aa=t_aa,
+            t_ab=t_ab,
+            t_ba=t_ba,
+            t_bb=t_bb,
+            t_ext=t_ext,
+            eta_a=1.0 + 2.0 * t_aa.real,
+            eta_b=1.0 + 2.0 * t_bb.real,
+            beta_plus=abs(plus),
+            beta_minus=abs(minus),
+            delta_plus=float(np.arctan2(plus.imag, plus.real)),
+            delta_minus=float(np.arctan2(minus.imag, minus.real)),
+        )
+
+
+def _coefficients_from_T(t, qubit_ports, external_outputs):
+    if len(qubit_ports) != 2:
+        raise NotTwoQubitNetwork(f"expected 2 qubit ports, got {qubit_ports}")
+    pa, pb = qubit_ports
+    return TransferCoefficients.from_t(
+        complex(t[pa, pa]),
+        complex(t[pa, pb]),
+        complex(t[pb, pa]),
+        complex(t[pb, pb]),
+        {j: (complex(t[j, pa]), complex(t[j, pb])) for j in external_outputs},
+    )
+
 
 def extract_coefficients(
     model: EffectiveModel, qubit_ports: tuple
 ) -> TransferCoefficients:
     """Read the network contribution at the two qubit ports off T."""
-    if len(qubit_ports) != 2:
-        raise NotTwoQubitNetwork(f"expected 2 qubit ports, got {qubit_ports}")
-    pa, pb = qubit_ports
-    t = model.routing.T
-    t_aa, t_ab = complex(t[pa, pa]), complex(t[pa, pb])
-    t_ba, t_bb = complex(t[pb, pa]), complex(t[pb, pb])
-    plus = np.conj(t_ab) + t_ba
-    minus = np.conj(t_ab) - t_ba
-    return TransferCoefficients(
-        t_aa=t_aa,
-        t_ab=t_ab,
-        t_ba=t_ba,
-        t_bb=t_bb,
-        t_ext={
-            j: (complex(t[j, pa]), complex(t[j, pb]))
-            for j in model.external_outputs
-        },
-        eta_a=1.0 + 2.0 * t_aa.real,
-        eta_b=1.0 + 2.0 * t_bb.real,
-        beta_plus=abs(plus),
-        beta_minus=abs(minus),
-        delta_plus=float(np.angle(plus)),
-        delta_minus=float(np.angle(minus)),
+    return _coefficients_from_T(
+        model.routing.T, qubit_ports, model.external_outputs
     )
 
 
@@ -286,20 +299,12 @@ def swap_roles(coeffs: TransferCoefficients) -> TransferCoefficients:
     Flips the sign of cos(delta_+ - delta_-), so a network with the wrong
     directionality for a -> b transfer works in the other direction.
     """
-    plus = np.conj(coeffs.t_ba) + coeffs.t_ab
-    minus = np.conj(coeffs.t_ba) - coeffs.t_ab
-    return TransferCoefficients(
-        t_aa=coeffs.t_bb,
-        t_ab=coeffs.t_ba,
-        t_ba=coeffs.t_ab,
-        t_bb=coeffs.t_aa,
-        t_ext={j: (tb, ta) for j, (ta, tb) in coeffs.t_ext.items()},
-        eta_a=coeffs.eta_b,
-        eta_b=coeffs.eta_a,
-        beta_plus=abs(plus),
-        beta_minus=abs(minus),
-        delta_plus=float(np.angle(plus)),
-        delta_minus=float(np.angle(minus)),
+    return TransferCoefficients.from_t(
+        coeffs.t_bb,
+        coeffs.t_ba,
+        coeffs.t_ab,
+        coeffs.t_aa,
+        {j: (tb, ta) for j, (ta, tb) in coeffs.t_ext.items()},
     )
 
 
@@ -492,6 +497,8 @@ def synthesize_controls(
         k4 = f(x + h * k3)
         kb[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    if not np.all(np.isfinite(kb)):
+        raise StepUnstable("kappa_b flow diverged; reduce dt or ratio_db")
     terminal_db = 10.0 * np.log10(kb[-1] / kappa0)
     if terminal_db > -15.0:
         warnings.warn(
@@ -665,8 +672,10 @@ def simulate_transfer(
     )
     dark_bound = np.exp(-int_gd)
 
+    if not (np.all(np.isfinite(b0_traj)) and np.all(np.isfinite(bvec_traj))):
+        raise StepUnstable("Bloch integration diverged; reduce dt")
     excess = float((b0_traj - dark_bound).max())
-    if excess > bound_slack:
+    if not excess <= bound_slack:
         raise BoundViolated(
             f"b0 exceeds the subradiant bound by {excess:.3e}"
         )
@@ -843,58 +852,23 @@ def phase_scan_coefficients(
     **kwargs,
 ) -> list:
     """TransferCoefficients of the two-circulator network for a whole grid
-    of interconnect phases, via one batched linear solve.
-
-    Only the two W entries of the circulator-to-circulator line depend on
-    the phase, so (1 - SW)^{-1} SW is solved for all phases at once.
-    Entries are None where the loop series does not converge.  Matches
-    transfer_coefficients(two_qubit_network(...)) exactly.
+    of interconnect phases: W stacked over the grid, S shared, one batched
+    routing_matrices call.  Entries are None where the loop is rejected.
+    Matches transfer_coefficients(two_qubit_network(...)) exactly.
     """
-    base = two_qubit_network(
-        circulator_a, circulator_b, interconnect_phase=0.0, **kwargs
-    )
-    s = assemble_S(base)
+    network = partial(two_qubit_network, circulator_a, circulator_b, **kwargs)
+    base = network(interconnect_phase=0.0)
     w0 = assemble_W(base)
-    w0[4, 2] = 0.0
-    w0[2, 4] = 0.0
-    phases = np.asarray(phases, dtype=float)
-    w = np.broadcast_to(w0, (len(phases), 8, 8)).copy()
-    e = np.exp(1j * phases)
-    w[:, 4, 2] = e
-    w[:, 2, 4] = e
-    sw = s @ w
-    eye = np.eye(8, dtype=complex)
-    rho = np.abs(np.linalg.eigvals(sw)).max(axis=1)
-    ok = rho < 1.0 - 1e-6
-    t = np.full_like(sw, np.nan)
-    if ok.any():
-        t[ok] = np.linalg.solve(eye - sw[ok], sw[ok])
-    out = []
-    for i in range(len(phases)):
-        if not ok[i]:
-            out.append(None)
-            continue
-        ti = t[i]
-        plus = np.conj(ti[0, 7]) + ti[7, 0]
-        minus = np.conj(ti[0, 7]) - ti[7, 0]
-        out.append(
-            TransferCoefficients(
-                t_aa=complex(ti[0, 0]),
-                t_ab=complex(ti[0, 7]),
-                t_ba=complex(ti[7, 0]),
-                t_bb=complex(ti[7, 7]),
-                t_ext={
-                    j: (complex(ti[j, 0]), complex(ti[j, 7])) for j in (3, 6)
-                },
-                eta_a=1.0 + 2.0 * ti[0, 0].real,
-                eta_b=1.0 + 2.0 * ti[7, 7].real,
-                beta_plus=abs(plus),
-                beta_minus=abs(minus),
-                delta_plus=float(np.angle(plus)),
-                delta_minus=float(np.angle(minus)),
-            )
-        )
-    return out
+    # the W entries of the interconnect are the ones that move with its phase
+    line = assemble_W(network(interconnect_phase=np.pi)) != w0
+    w = np.where(line, np.exp(1j * np.asarray(phases, float))[:, None, None], w0)
+    routing = routing_matrices(assemble_S(base), w)
+    qubits = coupled_qubit_ports(base)
+    _, ext_out = external_ports(w0)
+    return [
+        _coefficients_from_T(t, qubits, ext_out) if ok else None
+        for t, ok in zip(routing.T, routing.accepted)
+    ]
 
 
 def phase_tuned_network(
@@ -922,9 +896,7 @@ def phase_tuned_network(
         eps = rng.uniform(eps_lo, eps_hi)
         circ_a = perturbed_circulator(eps, random_hermitian(rng, 3))
         circ_b = perturbed_circulator(eps, random_hermitian(rng, 3))
-        r2 = np.concatenate(
-            [np.abs(np.diag(circ_a)) ** 2, np.abs(np.diag(circ_b)) ** 2]
-        )
+        r2 = np.abs([np.diag(circ_a), np.diag(circ_b)]) ** 2
         if r2.min() < r2_min or r2.max() > r2_max:
             continue
         best = None

@@ -218,6 +218,32 @@ def test_transfer_wrong_direction_suggests_swap(tmp_path, capsys):
     assert code == 0
 
 
+def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
+    # kappa_b(0) = 1e8 kappa0 at dt = 1e-3: the RK4 control flow diverges
+    code = main(["transfer", "--random", "--swap-roles", "--ratio-db", "80",
+                 "--T", "2", "-o", str(tmp_path)])
+    assert code == 2
+    assert "StepUnstable" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--random", "--dt", "0"],
+    ["transfer", "--random", "--T", "nan"],
+    ["transfer", "--random", "--kappa0", "-1"],
+    ["transfer", "--random", "--sweep", "2", "--threads", "0"],
+    ["simulate", "net.json", "--t-final", "1", "--dt", "0"],
+    ["simulate", "net.json", "--t-final", "inf"],
+    ["transfer", "--random", "--dt", "fast"],
+])
+def test_bad_numeric_argument_is_usage_error(argv, tmp_path, capsys):
+    assert main(argv + ["-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_transfer_sweep(tmp_path, capsys):
     code = main([
         "transfer", "--random", "--sweep", "3", "--threads", "2",

@@ -136,15 +136,34 @@ def test_relabel_invariance(rng):
         assert np.abs(op - ops_p[ext_out_order[j]]).max() < 1e-10
 
 
-def test_non_convergent_loop_raises():
-    # two swap blocks in a closed unitary loop: rho(SW) = 1
+def closed_swap_loop() -> Network:
+    """Two swap blocks in a closed unitary loop: rho(SW) = 1."""
     ports = [Port(0, "a"), Port(1, "a"), Port(2, "b"), Port(3, "b")]
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     blocks = [ScatteringBlock("a", swap), ScatteringBlock("b", swap)]
     conns = [Connection(1, 2, phase=0.0), Connection(3, 0, phase=0.0)]
-    net = Network(ports, blocks, connections=conns)
+    return Network(ports, blocks, connections=conns)
+
+
+def test_non_convergent_loop_raises():
     with pytest.raises(NonConvergentLoop):
-        contract_network(net)
+        contract_network(closed_swap_loop())
+
+
+def test_routing_batch_masks_rejected_entries(rng):
+    s, w = random_sw_pair(rng, 4)
+    loop = closed_swap_loop()
+    batch = routing_matrices(
+        np.stack([s, assemble_S(loop)]), np.stack([w, assemble_W(loop)])
+    )
+    assert batch.accepted.tolist() == [True, False]
+    assert batch.converged.tolist() == [True, False]
+    single = routing_matrices(s, w)
+    for name in ("G", "M", "T"):
+        assert np.array_equal(getattr(batch, name)[0], getattr(single, name))
+        assert np.isnan(getattr(batch, name)[1]).all()
+    assert batch.spectral_radius_SW[0] == single.spectral_radius_SW
+    assert batch.sigma_max_SW[0] == single.sigma_max_SW
 
 
 def test_singular_rejection(rng):
@@ -161,6 +180,8 @@ def test_routing_diagnostics(rng):
                       np.abs(np.linalg.eigvals(sw)).max())
     assert np.isclose(routing.sigma_max_SW,
                       np.linalg.svd(sw, compute_uv=False).max())
+    assert np.isclose(routing.cond, np.linalg.cond(np.eye(5) - sw))
+    assert routing.converged and routing.accepted
     assert np.abs(routing.T - (routing.G - np.eye(5))).max() < 1e-12
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from loopnet import (
     Schedule,
+    TransferCoefficients,
     b0_closed_form,
     basis_state,
     bloch_rhs,
@@ -91,9 +92,15 @@ def test_phase_scan_matches_direct_contraction():
         direct = transfer_coefficients(
             two_qubit_network(circ_a, circ_b, interconnect_phase=phase)
         )
-        assert abs(c.t_ab - direct.t_ab) < 1e-13
-        assert abs(c.t_ba - direct.t_ba) < 1e-13
-        assert abs(c.eta_a - direct.eta_a) < 1e-13
+        for f in dataclasses.fields(TransferCoefficients):
+            if f.name == "t_ext":
+                continue
+            got, want = getattr(c, f.name), getattr(direct, f.name)
+            assert abs(got - want) < 1e-13, f.name
+        assert c.t_ext.keys() == direct.t_ext.keys()
+        for port, (t_ja, t_jb) in direct.t_ext.items():
+            assert abs(c.t_ext[port][0] - t_ja) < 1e-13
+            assert abs(c.t_ext[port][1] - t_jb) < 1e-13
 
 
 # -- coefficients and collective rates ----------------------------------------
