@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -71,18 +70,16 @@ EXIT_PHYSICS = 2
 # -- output plumbing -------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % value
-
-
 def write_csv(path: Path, header: list, columns: list) -> None:
-    """CSV with 17 significant digits and LF line endings."""
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(
-            ",".join(v if isinstance(v, str) else _fmt(v) for v in row)
-        )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    """CSV with 17 significant digits and LF line endings; each column holds
+    strings or numbers, and every row goes through one %-format string."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row_format = ",".join(
+        "%s" if len(c) and isinstance(c[0], str) else "%.17g" for c in columns
+    ) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row_format % row for row in zip(*columns))
 
 
 def sha256_of(path) -> str:
@@ -323,13 +320,10 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     out = outdir / "trajectory.csv"
     header = ["t"]
-    columns = [list(traj.times)]
+    columns = [traj.times]
     for name in names:
         header += [f"re_{name}", f"im_{name}"]
-        columns += [
-            list(traj.observables[name].real),
-            list(traj.observables[name].imag),
-        ]
+        columns += [traj.observables[name].real, traj.observables[name].imag]
     write_csv(out, header, columns)
     write_manifest(
         outdir,
@@ -395,19 +389,17 @@ def cmd_transfer(args) -> int:
     write_csv(
         outdir / "controls.csv",
         ["t", "kappa_b", "h_bz"],
-        [list(protocol.times), list(protocol.kappa_b), list(protocol.h_bz)],
+        [protocol.times, protocol.kappa_b, protocol.h_bz],
     )
     write_csv(
         outdir / "trajectory.csv",
         ["t", "b0", "bx", "by", "bz", "success", "dark_bound"],
         [
-            list(result.times),
-            list(result.b0),
-            list(result.bvec[:, 0]),
-            list(result.bvec[:, 1]),
-            list(result.bvec[:, 2]),
-            list(result.success_traj),
-            list(result.dark_bound),
+            result.times,
+            result.b0,
+            *result.bvec.T,
+            result.success_traj,
+            result.dark_bound,
         ],
     )
     outputs += ["controls.csv", "trajectory.csv"]
@@ -460,8 +452,8 @@ def _cmd_transfer_sweep(args) -> int:
             return (float(seed), np.nan, np.nan, np.nan, np.nan,
                     type(exc).__name__)
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(one, seeds))
+    # in order: the seeds are CPU-bound, and threads only add lock contention
+    rows = [one(seed) for seed in seeds]
 
     outdir = _outdir(args)
     out = outdir / "sweep.csv"
@@ -565,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_positive(float), default=1e-3)
     p.add_argument("--swap-roles", action="store_true")
     p.add_argument("--sweep", type=int, default=0,
-                   help="run this many consecutive seeds in worker threads")
-    p.add_argument("--threads", type=_positive(int), default=4)
+                   help="run this many consecutive seeds, one after another")
+    p.add_argument("--threads", type=_positive(int), default=4,
+                   help="no effect; kept for compatibility and the manifest")
     p.set_defaults(func=cmd_transfer)
 
     return parser

@@ -84,6 +84,10 @@ class NotTwoQubitNetwork(LoopnetError):
     """The network does not contain exactly two coupled qubit ports."""
 
 
+class NetworkNotFound(LoopnetError, RuntimeError):
+    """Rejection sampling drew no network inside the requested class."""
+
+
 class WrongDirectionality(LoopnetError):
     """The channel favours the reverse direction; swap sender and receiver."""
 

@@ -13,8 +13,9 @@ Bloch sphere uses |0> = |ud> and |1> = |du>.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     DegenerateBeta,
     InitialConditionMismatch,
     MismatchWithGenericGenerator,
+    NetworkNotFound,
     NotTwoQubitNetwork,
     StepUnstable,
     WrongDirectionality,
@@ -161,6 +163,13 @@ def two_qubit_network(
     return Network(ports, blocks, systems, connections, geometry)
 
 
+def _random_circulators(eps: float, rng: np.random.Generator):
+    """Two circulators with independent random imperfections of size eps."""
+    circ_a = perturbed_circulator(eps, random_hermitian(rng, 3))
+    circ_b = perturbed_circulator(eps, random_hermitian(rng, 3))
+    return circ_a, circ_b
+
+
 def random_imperfect_network(
     eps: float,
     interconnect_phase: float,
@@ -168,9 +177,7 @@ def random_imperfect_network(
     **kwargs,
 ) -> Network:
     """Two-qubit network with seeded random circulator imperfections."""
-    rng = np.random.default_rng(seed)
-    circ_a = perturbed_circulator(eps, random_hermitian(rng, 3))
-    circ_b = perturbed_circulator(eps, random_hermitian(rng, 3))
+    circ_a, circ_b = _random_circulators(eps, np.random.default_rng(seed))
     return two_qubit_network(
         circ_a, circ_b, interconnect_phase=interconnect_phase, **kwargs
     )
@@ -193,8 +200,8 @@ def find_network_in_class(
     max_tries: int = 2000,
     **kwargs,
 ) -> Network:
-    """Rejection-sample an imperfect network whose retro-reflections all
-    fall inside [r2_min, r2_max].  Deterministic for a fixed seed."""
+    """Rejection-sample an imperfect network whose retro-reflections all fall
+    inside [r2_min, r2_max]; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     # |r_ii| grows roughly linearly with eps; bracket generously
     eps_lo = 0.5 * np.sqrt(r2_min)
@@ -207,11 +214,15 @@ def find_network_in_class(
             else rng.uniform(0.0, 2.0 * np.pi)
         )
         sub_seed = int(rng.integers(0, 2**63 - 1))
-        net = random_imperfect_network(eps, phase, sub_seed, **kwargs)
-        r2 = circulator_reflectances(net)
+        circ_a, circ_b = _random_circulators(
+            eps, np.random.default_rng(sub_seed)
+        )
+        r2 = np.abs([np.diag(circ_a), np.diag(circ_b)]) ** 2
         if r2.min() >= r2_min and r2.max() <= r2_max:
-            return net
-    raise RuntimeError(
+            return two_qubit_network(
+                circ_a, circ_b, interconnect_phase=phase, **kwargs
+            )
+    raise NetworkNotFound(
         f"no network with reflectances in [{r2_min}, {r2_max}] "
         f"after {max_tries} tries"
     )
@@ -355,6 +366,22 @@ class RJComponents:
         return np.array([self.jx, self.jy, self.jz])
 
 
+def _rj_arrays(coeffs, kappa0, phase_diff, h_az, kb, hbz):
+    """R and J components along a schedule (general phi_a - phi_b); with
+    array-valued coefficients and (samples, networks) kb, hbz, for many."""
+    chi_p = phase_diff + coeffs.delta_plus
+    chi_m = phase_diff + coeffs.delta_minus
+    root = np.sqrt(kappa0 * kb)
+    r0 = kappa0 * coeffs.eta_a + kb * coeffs.eta_b
+    rx = 2.0 * root * coeffs.beta_plus * np.cos(chi_p)
+    ry = 2.0 * root * coeffs.beta_plus * np.sin(chi_p)
+    rz = kappa0 * coeffs.eta_a - kb * coeffs.eta_b
+    jx = -root * coeffs.beta_minus * np.sin(chi_m)
+    jy = root * coeffs.beta_minus * np.cos(chi_m)
+    jz = kappa0 * coeffs.t_aa.imag - kb * coeffs.t_bb.imag + h_az - hbz
+    return r0, rx, ry, rz, jx, jy, jz
+
+
 def rj_components(
     coeffs: TransferCoefficients,
     kappa_a: float,
@@ -364,22 +391,11 @@ def rj_components(
     h_az: float = 0.0,
     h_bz: float = 0.0,
 ) -> RJComponents:
-    root = np.sqrt(kappa_a * kappa_b)
-    chi_p = phi_a - phi_b + coeffs.delta_plus
-    chi_m = phi_a - phi_b + coeffs.delta_minus
-    return RJComponents(
-        r0=kappa_a * coeffs.eta_a + kappa_b * coeffs.eta_b,
-        rx=2.0 * root * coeffs.beta_plus * np.cos(chi_p),
-        ry=2.0 * root * coeffs.beta_plus * np.sin(chi_p),
-        rz=kappa_a * coeffs.eta_a - kappa_b * coeffs.eta_b,
-        j0=kappa_a * coeffs.t_aa.imag + kappa_b * coeffs.t_bb.imag,
-        jx=-root * coeffs.beta_minus * np.sin(chi_m),
-        jy=root * coeffs.beta_minus * np.cos(chi_m),
-        jz=kappa_a * coeffs.t_aa.imag
-        - kappa_b * coeffs.t_bb.imag
-        + h_az
-        - h_bz,
+    r0, rx, ry, rz, jx, jy, jz = _rj_arrays(
+        coeffs, kappa_a, phi_a - phi_b, h_az, kappa_b, h_bz
     )
+    j0 = kappa_a * coeffs.t_aa.imag + kappa_b * coeffs.t_bb.imag
+    return RJComponents(r0, rx, ry, rz, j0, jx, jy, jz)
 
 
 def bloch_rhs(b0: float, bvec: np.ndarray, rj: RJComponents):
@@ -436,7 +452,7 @@ class ControlProtocol:
         return float(self.times[-1])
 
 
-def _protocol_constants(coeffs: TransferCoefficients, kappa0: float, h_az: float):
+def _protocol_constants(coeffs: TransferCoefficients):
     if coeffs.beta_plus <= 1e-15:
         raise DegenerateBeta("beta_+ = 0: the qubits are not cross-coupled")
     ddelta = coeffs.delta_plus - coeffs.delta_minus
@@ -451,7 +467,7 @@ def _protocol_constants(coeffs: TransferCoefficients, kappa0: float, h_az: float
 
 
 def _kappa_b_dot(kb, coeffs: TransferCoefficients, kappa0, cos_d, ratio):
-    rx = 2.0 * np.sqrt(kappa0 * kb) * coeffs.beta_plus
+    rx = 2.0 * math.sqrt(kappa0 * kb) * coeffs.beta_plus
     rz = kappa0 * coeffs.eta_a - kb * coeffs.eta_b
     r0 = kappa0 * coeffs.eta_a + kb * coeffs.eta_b
     return cos_d * kb * ratio * (rx * rx + rz * rz) / r0
@@ -463,6 +479,31 @@ def _h_bz_of_kappa_b(kb, coeffs: TransferCoefficients, kappa0, slope, h_az):
         - kappa0 * (coeffs.eta_a * slope - coeffs.t_aa.imag)
         + h_az
     )
+
+
+def _kappa_b_flow(coeffs: TransferCoefficients, kappa0, ratio_db, T, dt):
+    """kappa_b at the 2 round(T/dt) + 1 half-step samples of [0, T]: RK4 on
+    Python floats from kappa0 * 10^(dB/10).  A stage value below zero
+    (math.sqrt raises) or a non-finite or negative result is divergence."""
+    cos_d, ratio, _ = _protocol_constants(coeffs)
+    n_steps = 2 * max(1, int(round(T / dt)))
+    h = T / n_steps
+    x = kappa0 * 10.0 ** (ratio_db / 10.0)
+    kb = [x]
+    try:
+        for _ in range(n_steps):
+            k1 = _kappa_b_dot(x, coeffs, kappa0, cos_d, ratio)
+            k2 = _kappa_b_dot(x + 0.5 * h * k1, coeffs, kappa0, cos_d, ratio)
+            k3 = _kappa_b_dot(x + 0.5 * h * k2, coeffs, kappa0, cos_d, ratio)
+            k4 = _kappa_b_dot(x + h * k3, coeffs, kappa0, cos_d, ratio)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            kb.append(x)
+    except (ValueError, ZeroDivisionError):  # sqrt of a negative stage, R0 = 0
+        kb.append(math.nan)
+    kb = np.array(kb)
+    if not (np.all(np.isfinite(kb)) and kb[-1] >= 0.0):
+        raise StepUnstable("kappa_b flow diverged; reduce dt or ratio_db")
+    return kb
 
 
 def synthesize_controls(
@@ -480,25 +521,8 @@ def synthesize_controls(
     The schedule is sampled at half the requested step so that downstream
     RK4 integration of the Bloch equations finds exact midpoint values.
     """
-    cos_d, ratio, slope = _protocol_constants(coeffs, kappa0, h_az)
-    n_steps = 2 * max(1, int(round(T / dt)))
-    h = T / n_steps
-    kb = np.empty(n_steps + 1)
-    kb[0] = kappa0 * 10.0 ** (ratio_db / 10.0)
-
-    def f(x):
-        return _kappa_b_dot(x, coeffs, kappa0, cos_d, ratio)
-
-    for i in range(n_steps):
-        x = kb[i]
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        kb[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    if not np.all(np.isfinite(kb)):
-        raise StepUnstable("kappa_b flow diverged; reduce dt or ratio_db")
+    _, _, slope = _protocol_constants(coeffs)
+    kb = _kappa_b_flow(coeffs, kappa0, ratio_db, T, dt)
     terminal_db = 10.0 * np.log10(kb[-1] / kappa0)
     if terminal_db > -15.0:
         warnings.warn(
@@ -507,7 +531,7 @@ def synthesize_controls(
             stacklevel=2,
         )
 
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = np.linspace(0.0, T, len(kb))
     h_bz = _h_bz_of_kappa_b(kb, coeffs, kappa0, slope, h_az)
     return ControlProtocol(
         times=times,
@@ -591,25 +615,46 @@ class TransferResult:
     rvec_traj: np.ndarray
 
 
-def _rj_arrays(coeffs, protocol, kb, hbz):
-    """R and J components along the protocol (general phi_a - phi_b)."""
-    kappa0 = protocol.kappa_a
-    chi_p = protocol.phase_diff + coeffs.delta_plus
-    chi_m = protocol.phase_diff + coeffs.delta_minus
-    root = np.sqrt(kappa0 * kb)
-    r0 = kappa0 * coeffs.eta_a + kb * coeffs.eta_b
-    rx = 2.0 * root * coeffs.beta_plus * np.cos(chi_p)
-    ry = 2.0 * root * coeffs.beta_plus * np.sin(chi_p)
-    rz = kappa0 * coeffs.eta_a - kb * coeffs.eta_b
-    jx = -root * coeffs.beta_minus * np.sin(chi_m)
-    jy = root * coeffs.beta_minus * np.cos(chi_m)
-    jz = (
-        kappa0 * coeffs.t_aa.imag
-        - kb * coeffs.t_bb.imag
-        + protocol.h_az
-        - hbz
-    )
-    return r0, rx, ry, rz, jx, jy, jz
+def _bloch_generator(r0, rx, ry, rz, jx, jy, jz):
+    """A of the Bloch equations d/dt (b0, bx, by, bz) = A (b0, bx, by, bz)
+    (the linear map of bloch_rhs), stacked over the components' shape."""
+    d, x, y, z = (-0.5 * c for c in (r0, rx, ry, rz))
+    return np.stack(
+        [d, x, y, z, x, d, -jz, jy, y, jz, d, -jx, z, -jy, jx, d], axis=-1
+    ).reshape(np.shape(r0) + (4, 4))
+
+
+_BLOCK = 1024  # propagators (steps x networks) formed at once: bounds memory
+
+
+def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
+    """RK4 for the linear Bloch equations y' = A(t) y of B networks at once.
+
+    components(lo, hi): R/J components at half-step samples lo..hi, each
+    (hi - lo + 1, B).  Step n is P_n = I + h/6 (K1 + 2K2 + 2K3 + K4), K1 =
+    A(t_n), K2 = A(t_n + h/2) S1, K3 = A(t_n + h/2) S2, K4 = A(t_n + h) S3,
+    with stage maps S1 = I + h/2 K1, S2 = I + h/2 K2, S3 = I + h K3.  Yields
+    per block of m steps: components, y_n..y_n+m (m + 1, B, 4), (S1, S2, S3)."""
+    eye = np.eye(4)
+    y = np.asarray(y0, dtype=float)[..., None]  # (B, 4, 1)
+    block = max(1, _BLOCK // len(y))
+    for start in range(0, n_steps, block):
+        m = min(block, n_steps - start)
+        comps = components(2 * start, 2 * (start + m))
+        a = _bloch_generator(*comps)
+        k1, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
+        s1 = eye + (0.5 * h) * k1
+        k2 = a_mid @ s1
+        s2 = eye + (0.5 * h) * k2
+        k3 = a_mid @ s2
+        s3 = eye + h * k3
+        p = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + a_end @ s3)
+        states = np.empty((m + 1,) + y.shape)
+        states[0] = y
+        for i in range(m):
+            np.matmul(p[i], states[i], out=states[i + 1])
+        y = states[-1]
+        yield comps, states[..., 0], (s1, s2, s3)
 
 
 def simulate_transfer(
@@ -620,59 +665,33 @@ def simulate_transfer(
     """Integrate the Bloch equations from |ud> under a synthesized protocol.
 
     RK4 steps over pairs of protocol samples (midpoints are exact protocol
-    values, no interpolation).  Checks the subradiant bound
-    b0(t) <= exp(-int Gamma_d) + slack at every sample.
+    values, no interpolation), applied as precomputed step propagators.
+    Checks the subradiant bound b0(t) <= exp(-int Gamma_d) + slack at every
+    sample.
     """
     times = protocol.times
     if (len(times) - 1) % 2 != 0:
         raise ValueError("protocol must have an even number of intervals")
-    kb, hbz = protocol.kappa_b, protocol.h_bz
-    r0_all, rx_all, ry_all, rz_all, jx_all, jy_all, jz_all = _rj_arrays(
-        coeffs, protocol, kb, hbz
+    comps = _rj_arrays(
+        coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
+        protocol.kappa_b, protocol.h_bz,
     )
-
-    n_half = len(times) - 1
-    n_steps = n_half // 2
-    h = times[2] - times[0]
-
-    state = np.array([1.0, 0.0, 0.0, 1.0])  # (b0, bx, by, bz) for |ud>
-    out_idx = np.arange(0, n_half + 1, 2)
-
-    def rhs(state4, k):
-        b0, bx, by, bz = state4
-        r0, rx, ry, rz = r0_all[k], rx_all[k], ry_all[k], rz_all[k]
-        jx, jy, jz = jx_all[k], jy_all[k], jz_all[k]
-        db0 = -0.5 * r0 * b0 - 0.5 * (rx * bx + ry * by + rz * bz)
-        dbx = jy * bz - jz * by - 0.5 * r0 * bx - 0.5 * b0 * rx
-        dby = jz * bx - jx * bz - 0.5 * r0 * by - 0.5 * b0 * ry
-        dbz = jx * by - jy * bx - 0.5 * r0 * bz - 0.5 * b0 * rz
-        return np.array([db0, dbx, dby, dbz])
-
-    b0_traj = np.empty(n_steps + 1)
-    bvec_traj = np.empty((n_steps + 1, 3))
-    b0_traj[0], bvec_traj[0] = state[0], state[1:]
-    for i in range(n_steps):
-        k0i, k1i, k2i = 2 * i, 2 * i + 1, 2 * i + 2
-        k1 = rhs(state, k0i)
-        k2 = rhs(state + 0.5 * h * k1, k1i)
-        k3 = rhs(state + 0.5 * h * k2, k1i)
-        k4 = rhs(state + h * k3, k2i)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        b0_traj[i + 1], bvec_traj[i + 1] = state[0], state[1:]
-
-    sample_times = times[out_idx]
-    r0_s = r0_all[out_idx]
-    rnorm_s = np.sqrt(
-        rx_all[out_idx] ** 2 + ry_all[out_idx] ** 2 + rz_all[out_idx] ** 2
+    y0 = np.array([[1.0, 0.0, 0.0, 1.0]])  # (b0, bx, by, bz) for |ud>
+    blocks = _propagate(
+        lambda lo, hi: [c[lo:hi + 1, None] for c in comps],
+        (len(times) - 1) // 2, times[2] - times[0], y0,
     )
-    gamma_d = 0.5 * (r0_s - rnorm_s)
+    traj = np.concatenate([y0] + [y[1:, 0] for _, y, _ in blocks])
+    b0_traj, bvec_traj = traj[:, 0], traj[:, 1:]
+
+    sample_times = times[::2]
+    r0_s, rx_s, ry_s, rz_s = (c[::2] for c in comps[:4])
+    gamma_d = 0.5 * (r0_s - np.sqrt(rx_s**2 + ry_s**2 + rz_s**2))
     dts = np.diff(sample_times)
-    int_gd = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (gamma_d[1:] + gamma_d[:-1]) * dts)]
-    )
-    dark_bound = np.exp(-int_gd)
+    int_gd = np.cumsum(0.5 * (gamma_d[1:] + gamma_d[:-1]) * dts)
+    dark_bound = np.exp(-np.concatenate([[0.0], int_gd]))
 
-    if not (np.all(np.isfinite(b0_traj)) and np.all(np.isfinite(bvec_traj))):
+    if not np.all(np.isfinite(traj)):
         raise StepUnstable("Bloch integration diverged; reduce dt")
     excess = float((b0_traj - dark_bound).max())
     if not excess <= bound_slack:
@@ -681,9 +700,6 @@ def simulate_transfer(
         )
 
     success_traj = 0.5 * (b0_traj - bvec_traj[:, 2])
-    rvec_traj = np.stack(
-        [rx_all[out_idx], ry_all[out_idx], rz_all[out_idx]], axis=1
-    )
     return TransferResult(
         times=sample_times,
         b0=b0_traj,
@@ -692,7 +708,7 @@ def simulate_transfer(
         dark_bound=dark_bound,
         success=float(success_traj[-1]),
         r0_traj=r0_s,
-        rvec_traj=rvec_traj,
+        rvec_traj=np.stack([rx_s, ry_s, rz_s], axis=1),
     )
 
 
@@ -708,6 +724,14 @@ class SweepSummary:
     b0_final: float
 
 
+def _closed_form_integrand(r0, rx, ry, rz, state):
+    """R0 + R.e_b at Bloch states shaped (..., 4); e_b = 0 where b = 0."""
+    b = state[..., 1:]
+    bn = np.sqrt(np.sum(b * b, axis=-1))
+    safe = np.where(bn > 0, bn, 1.0)
+    return r0 + (rx * b[..., 0] + ry * b[..., 1] + rz * b[..., 2]) / safe
+
+
 def transfer_sweep(
     coeffs_list,
     kappa0: float,
@@ -716,87 +740,67 @@ def transfer_sweep(
     dt: float = 2e-4,
     h_az: float = 0.0,
 ) -> list:
-    """Synthesize-and-simulate many networks in one vectorized pass.
+    """Synthesize-and-simulate many networks in one batched pass.
 
-    Integrates the coupled (kappa_b, Bloch) system for every coefficient
-    set simultaneously with a shared RK4 grid; the subradiant-bound and
-    closed-form quadratures ride along as extra ODE states, so those
-    comparisons carry RK4 accuracy rather than trapezoid accuracy.
-    Results match the scalar pipeline to integrator accuracy.
+    kappa_b comes from the flow of synthesize_controls and the Bloch states
+    go through the step propagators of simulate_transfer, so results match
+    the scalar pipeline to roundoff.  The bound's int Gamma_d (Simpson on
+    the half-step samples) and the closed form's int (R0 + R.e_b) (over the
+    RK4 stage states) are what RK4 gives for them as extra ODE states.
     """
     n_net = len(coeffs_list)
-    eta_a = np.array([c.eta_a for c in coeffs_list])
-    eta_b = np.array([c.eta_b for c in coeffs_list])
-    beta_p = np.array([c.beta_plus for c in coeffs_list])
-    beta_m = np.array([c.beta_minus for c in coeffs_list])
-    ddelta = np.array(
-        [c.delta_plus - c.delta_minus for c in coeffs_list]
-    )
-    for c in coeffs_list:
-        _protocol_constants(c, kappa0, h_az)
-    cos_d = np.cos(ddelta)
-    sin_d = np.sin(ddelta)
-    ratio = beta_m / beta_p
+    slope = np.array([_protocol_constants(c)[2] for c in coeffs_list])
+    n_half = 2 * max(1, int(round(T / dt)))
+    kb = np.empty((n_half + 1, n_net))
+    for i, c in enumerate(coeffs_list):
+        kb[:, i] = _kappa_b_flow(c, kappa0, ratio_db, T, dt)
+    # fields as arrays over the networks, so one-network formulas broadcast
+    coeffs = TransferCoefficients(t_ext={}, **{
+        f.name: np.array([getattr(c, f.name) for c in coeffs_list])
+        for f in fields(TransferCoefficients) if f.name != "t_ext"
+    })
 
-    n_steps = max(1, int(round(T / dt)))
-    h = T / n_steps
+    def components(lo, hi):
+        kb_block = kb[lo:hi + 1]
+        hbz = _h_bz_of_kappa_b(kb_block, coeffs, kappa0, slope, h_az)
+        return _rj_arrays(
+            coeffs, kappa0, -coeffs.delta_plus, h_az, kb_block, hbz
+        )
 
-    kb = np.full(n_net, kappa0 * 10.0 ** (ratio_db / 10.0))
-    b0 = np.ones(n_net)
-    bx = np.zeros(n_net)
-    by = np.zeros(n_net)
-    bz = np.ones(n_net)
-    # quadrature states: int Gamma_d dt and int (R0 + R.e_b) dt
-    q_gd = np.zeros(n_net)
-    q_f = np.zeros(n_net)
-
-    def derivs(kb, b0, bx, by, bz, q_gd, q_f):
-        root = np.sqrt(kappa0 * kb)
-        r0 = kappa0 * eta_a + kb * eta_b
-        rx = 2.0 * root * beta_p
-        rz = kappa0 * eta_a - kb * eta_b
-        dkb = cos_d * kb * ratio * (rx * rx + rz * rz) / r0
-        jx = root * beta_m * sin_d
-        jy = root * beta_m * cos_d
-        # jz with the constraint-satisfying h_bz reduces to the J/R slope
-        jz = 0.5 * ratio * sin_d * rz
-        db0 = -0.5 * r0 * b0 - 0.5 * (rx * bx + rz * bz)
-        dbx = jy * bz - jz * by - 0.5 * r0 * bx - 0.5 * b0 * rx
-        dby = jz * bx - jx * bz - 0.5 * r0 * by
-        dbz = jx * by - jy * bx - 0.5 * r0 * bz - 0.5 * b0 * rz
-        rnorm = np.sqrt(rx * rx + rz * rz)
-        dq_gd = 0.5 * (r0 - rnorm)
-        bn = np.sqrt(bx * bx + by * by + bz * bz)
-        safe = np.where(bn > 0, bn, 1.0)
-        dq_f = r0 + (rx * bx + rz * bz) / safe
-        return dkb, db0, dbx, dby, dbz, dq_gd, dq_f
-
+    h = 2.0 * T / n_half
+    y0 = np.tile([1.0, 0.0, 0.0, 1.0], (n_net, 1))
+    # quadratures int Gamma_d dt and int (R0 + R.e_b) dt up to the block start
+    q_gd = q_f = 0.0
     max_excess = np.full(n_net, -np.inf)
     max_mismatch = np.zeros(n_net)
-
-    for _ in range(n_steps):
-        s = (kb, b0, bx, by, bz, q_gd, q_f)
-        k1 = derivs(*s)
-        k2 = derivs(*(x + 0.5 * h * d for x, d in zip(s, k1)))
-        k3 = derivs(*(x + 0.5 * h * d for x, d in zip(s, k2)))
-        k4 = derivs(*(x + h * d for x, d in zip(s, k3)))
-        kb, b0, bx, by, bz, q_gd, q_f = (
-            x + (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
-            for x, d1, d2, d3, d4 in zip(s, k1, k2, k3, k4)
+    for comps, y, stage_maps in _propagate(components, n_half // 2, h, y0):
+        r0, rx, ry, rz = comps[:4]
+        gamma_d = 0.5 * (r0 - np.sqrt(rx * rx + ry * ry + rz * rz))
+        q_gd = q_gd + np.cumsum(
+            (h / 6.0)
+            * (gamma_d[:-1:2] + 4.0 * gamma_d[1::2] + gamma_d[2::2]),
+            axis=0,
         )
-        np.maximum(max_excess, b0 - np.exp(-q_gd), out=max_excess)
-        np.maximum(
-            max_mismatch, np.abs(b0 - np.exp(-0.5 * q_f)), out=max_mismatch
+        y_n = y[:-1]
+        stages = (y_n, *((s @ y_n[..., None])[..., 0] for s in stage_maps))
+        f1, f2, f3, f4 = (
+            _closed_form_integrand(r0[k], rx[k], ry[k], rz[k], state)
+            for k, state in zip(np.s_[:-1:2, 1::2, 1::2, 2::2], stages)
         )
-
-    if not (np.all(np.isfinite(kb)) and np.all(np.isfinite(b0))):
-        raise StepUnstable(
-            "transfer sweep diverged; reduce dt (RK4 stability needs "
-            "dt * kappa_b(0) * eta_b small)"
+        q_f = q_f + np.cumsum(
+            (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4), axis=0
         )
+        b0 = y[1:, :, 0]
+        max_excess = np.maximum(max_excess, (b0 - np.exp(-q_gd)).max(axis=0))
+        max_mismatch = np.maximum(
+            max_mismatch, np.abs(b0 - np.exp(-0.5 * q_f)).max(axis=0)
+        )
+        q_gd, q_f = q_gd[-1], q_f[-1]
 
-    success = 0.5 * (b0 - bz)
-    kb_db = 10.0 * np.log10(kb / kappa0)
+    if not np.all(np.isfinite(y[-1])):
+        raise StepUnstable("transfer sweep diverged; reduce dt")
+    b0, success = y[-1, :, 0], 0.5 * (y[-1, :, 0] - y[-1, :, 3])
+    kb_db = 10.0 * np.log10(kb[-1] / kappa0)
     return [
         SweepSummary(
             success=float(success[i]),
@@ -825,12 +829,10 @@ def predict_transfer(
     db_floor level plus the analytic tail (the integrand tends to a constant
     as kappa_b -> 0).  Returns (exp(-int Gamma_d), time to reach db_floor).
     """
-    cos_d, ratio, _ = _protocol_constants(coeffs, kappa0, 0.0)
+    cos_d, ratio, _ = _protocol_constants(coeffs)
     kb = kappa0 * np.logspace(ratio_db / 10.0, db_floor / 10.0, n_grid)
-    root = np.sqrt(kappa0 * kb)
-    r0 = kappa0 * coeffs.eta_a + kb * coeffs.eta_b
-    rx = 2.0 * root * coeffs.beta_plus
-    rz = kappa0 * coeffs.eta_a - kb * coeffs.eta_b
+    # R along the protocol's phase reference, where it is planar (ry = 0)
+    r0, rx, _, rz, *_ = _rj_arrays(coeffs, kappa0, -coeffs.delta_plus, 0, kb, 0)
     rnorm = np.sqrt(rx * rx + rz * rz)
     speed = -cos_d * ratio * kb * (rx * rx + rz * rz) / r0  # |dkappa_b/dt|
     gamma_d = 0.5 * (r0 - rnorm)
@@ -894,8 +896,7 @@ def phase_tuned_network(
     phases = np.linspace(0.0, 2.0 * np.pi, n_phase, endpoint=False)
     for _ in range(max_tries):
         eps = rng.uniform(eps_lo, eps_hi)
-        circ_a = perturbed_circulator(eps, random_hermitian(rng, 3))
-        circ_b = perturbed_circulator(eps, random_hermitian(rng, 3))
+        circ_a, circ_b = _random_circulators(eps, rng)
         r2 = np.abs([np.diag(circ_a), np.diag(circ_b)]) ** 2
         if r2.min() < r2_min or r2.max() > r2_max:
             continue

@@ -13,7 +13,7 @@ from loopnet import (
     save_network,
     two_qubit_network,
 )
-from loopnet.cli import main
+from loopnet.cli import main, write_csv
 
 from conftest import single_qubit_network
 
@@ -218,8 +218,10 @@ def test_transfer_wrong_direction_suggests_swap(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
-    # kappa_b(0) = 1e8 kappa0 at dt = 1e-3: the RK4 control flow diverges
+    # kappa_b(0) = 1e8 kappa0 at dt = 1e-3: the RK4 control flow diverges,
+    # and is reported without a stray numpy warning on the way
     code = main(["transfer", "--random", "--swap-roles", "--ratio-db", "80",
                  "--T", "2", "-o", str(tmp_path)])
     assert code == 2
@@ -242,6 +244,27 @@ def test_bad_numeric_argument_is_usage_error(argv, tmp_path, capsys):
     assert "error: argument" in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    """Row-format streaming writes the bytes of a per-value "%.17g" join."""
+    header = ["path", "x", "y", "error"]
+    columns = [
+        ["0>1", "2>3>4", "", "5"],
+        [0.1, np.nan, -1e-300, 2.0 / 3.0],
+        np.array([1.0, np.inf, 0.0, -0.0]),
+        ["", "StepUnstable", "", ""],
+    ]
+    lines = [",".join(header)] + [
+        ",".join(v if isinstance(v, str) else "%.17g" % v for v in row)
+        for row in zip(*columns)
+    ]
+    write_csv(tmp_path / "mixed.csv", header, columns)
+    assert (tmp_path / "mixed.csv").read_bytes() == (
+        "\n".join(lines) + "\n"
+    ).encode()
+    write_csv(tmp_path / "empty.csv", header, [[], [], np.array([]), []])
+    assert (tmp_path / "empty.csv").read_bytes() == b"path,x,y,error\n"
 
 
 def test_transfer_sweep(tmp_path, capsys):

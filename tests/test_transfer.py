@@ -38,10 +38,12 @@ from loopnet import (
 from loopnet.errors import (
     DegenerateBeta,
     InitialConditionMismatch,
+    LoopnetError,
+    NetworkNotFound,
     WrongDirectionality,
 )
 from loopnet.network import SIGMA_Z, embed_operator, unitarity_deviation
-from loopnet.transfer import _rj_arrays
+from loopnet.transfer import _kappa_b_dot, _protocol_constants, _rj_arrays
 
 
 def perfect_coeffs():
@@ -80,6 +82,11 @@ def test_find_network_in_class_reflectances():
     net = find_network_in_class(0.04, 0.15, seed=11)
     r2 = circulator_reflectances(net)
     assert r2.min() >= 0.04 and r2.max() <= 0.15
+    # an unreachable class is a typed error that old RuntimeError callers catch
+    with pytest.raises(NetworkNotFound) as info:
+        find_network_in_class(0.9, 0.95, seed=11, max_tries=5)
+    assert isinstance(info.value, LoopnetError)
+    assert isinstance(info.value, RuntimeError)
 
 
 def test_phase_scan_matches_direct_contraction():
@@ -280,6 +287,30 @@ def test_perfect_channel_kappa_b_ode_closed_form():
     assert protocol.kappa_b[-1] < 10.0 ** (-15.0 / 10.0)
 
 
+def test_kappa_b_flow_matches_rk4_loop():
+    """synthesize_controls' kappa_b is, bit for bit, RK4 over _kappa_b_dot
+    on the half-step grid."""
+    coeffs = forward_coefficients(find_network_in_class(0.04, 0.15, 4))
+    protocol = synthesize_controls(coeffs, 1.0, ratio_db=25.0, T=20.0, dt=1e-3)
+    cos_d, ratio, _ = _protocol_constants(coeffs)
+
+    def f(x):
+        return _kappa_b_dot(x, coeffs, 1.0, cos_d, ratio)
+
+    n = len(protocol.times) - 1
+    h = 20.0 / n
+    x = 1.0 * 10.0 ** (25.0 / 10.0)
+    expect = [x]
+    for _ in range(n):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expect.append(x)
+    assert np.array_equal(protocol.kappa_b, expect)
+
+
 def test_kappa_b_monotone_decreasing():
     for seed in (1, 2, 3):
         coeffs = forward_coefficients(find_network_in_class(0.04, 0.15, seed))
@@ -314,7 +345,8 @@ def test_constraint_ratio_preserved():
         coeffs = forward_coefficients(find_network_in_class(0.04, 0.15, seed))
         protocol = synthesize_controls(coeffs, 1.0, T=20.0, dt=1e-3)
         r0, rx, ry, rz, jx, jy, jz = _rj_arrays(
-            coeffs, protocol, protocol.kappa_b, protocol.h_bz)
+            coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
+            protocol.kappa_b, protocol.h_bz)
         mask = (np.abs(rx) > 1e-12) & (np.abs(rz) > 1e-12)
         assert np.abs(jz[mask] / rz[mask] - jx[mask] / rx[mask]).max() < 1e-9
         assert np.abs(ry).max() < 1e-12  # phase reference makes R planar
@@ -332,6 +364,38 @@ def test_perfect_transfer_success():
     # purity: ||b|| tracks b0 exactly for a pure start
     norms = np.linalg.norm(result.bvec, axis=1)
     assert np.abs(norms - result.b0).max() < 1e-6
+
+
+def test_simulate_transfer_matches_stepwise_rk4():
+    """The step propagators reproduce RK4 on bloch_rhs, one step at a time."""
+    coeffs = forward_coefficients(find_network_in_class(0.04, 0.15, 3))
+    protocol = synthesize_controls(coeffs, 1.0, ratio_db=15.0, T=12.0,
+                                   dt=5e-3, h_az=0.3)
+    # a shifted phase reference makes R non-planar: every entry of A is live
+    protocol = dataclasses.replace(protocol,
+                                   phase_diff=protocol.phase_diff + 0.7)
+    result = simulate_transfer(coeffs, protocol)
+
+    def rhs(state, k):
+        rj = rj_components(coeffs, protocol.kappa_a, protocol.kappa_b[k],
+                           phi_a=protocol.phase_diff, h_az=protocol.h_az,
+                           h_bz=protocol.h_bz[k])
+        db0, dbvec = bloch_rhs(state[0], state[1:], rj)
+        return np.concatenate([[db0], dbvec])
+
+    h = protocol.times[2] - protocol.times[0]
+    state = np.array([1.0, 0.0, 0.0, 1.0])
+    expect = [state]
+    for i in range((len(protocol.times) - 1) // 2):
+        k1 = rhs(state, 2 * i)
+        k2 = rhs(state + 0.5 * h * k1, 2 * i + 1)
+        k3 = rhs(state + 0.5 * h * k2, 2 * i + 1)
+        k4 = rhs(state + h * k3, 2 * i + 2)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expect.append(state)
+    expect = np.array(expect)
+    assert np.abs(result.b0 - expect[:, 0]).max() <= 1e-12
+    assert np.abs(result.bvec - expect[:, 1:]).max() <= 1e-12
 
 
 def test_receiver_off_decay():
@@ -385,7 +449,8 @@ def test_transfer_sweep_matches_scalar_pipeline():
     for c, summary in zip(coeffs, summaries):
         protocol = synthesize_controls(c, 1.0, ratio_db=25.0, T=20.0, dt=2e-4)
         result = simulate_transfer(c, protocol)
-        assert summary.success == pytest.approx(result.success, abs=1e-7)
+        # same kappa_b flow and step propagators: agreement to roundoff
+        assert summary.success == pytest.approx(result.success, abs=1e-13)
         assert summary.max_bound_excess <= 1e-6
         assert summary.max_closed_form_mismatch < 1e-6
 
