@@ -23,6 +23,7 @@ from .contraction import contract_network
 from .errors import (
     DimensionMismatch,
     DuplicateConnection,
+    InvalidParameter,
     LoopnetError,
     PhaseAndDistanceBothGiven,
     PortCoverageGap,
@@ -60,6 +61,7 @@ SCHEMA_ERRORS = (
     PhaseAndDistanceBothGiven,
     SelfLoopConnection,
     DimensionMismatch,
+    InvalidParameter,
 )
 
 EXIT_OK = 0

@@ -5,6 +5,10 @@ class LoopnetError(Exception):
     """Base class for all loopnet errors."""
 
 
+class InvalidParameter(LoopnetError, ValueError):
+    """A numeric argument is outside its valid range or shape."""
+
+
 class SchemaError(LoopnetError):
     """A network description file does not match the expected schema."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contraction import EffectiveModel
-from .errors import ScheduleMissing, StepUnstable
+from .errors import InvalidParameter, ScheduleMissing, StepUnstable
 from .network import Network, dag, embed_operator
 
 TOL_TRACE = 1e-8
@@ -25,25 +25,38 @@ TOL_HERM_STEP = 1e-10
 
 
 class Schedule:
-    """Deterministic time function on [0, T]: constant, sampled or callable."""
+    """Deterministic time function on [0, T]: constant, sampled or callable.
 
-    def __init__(self, fn):
+    on(times) evaluates a 1d array of times at once: one fill for a
+    constant, one np.interp for samples, one call per element otherwise.
+    """
+
+    def __init__(self, fn, on=None):
         self._fn = fn
+        self._on = on
 
     def __call__(self, t: float) -> float:
         return float(self._fn(t))
 
+    def on(self, times: np.ndarray) -> np.ndarray:
+        if self._on is not None:
+            return self._on(times)
+        return np.fromiter(map(self, times), dtype=float, count=len(times))
+
     @classmethod
     def constant(cls, value: float) -> "Schedule":
-        return cls(lambda t: value)
+        return cls(lambda t: value, lambda ts: np.full(len(ts), float(value)))
 
     @classmethod
     def sampled(cls, times: np.ndarray, values: np.ndarray) -> "Schedule":
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be equal-length 1d arrays")
-        return cls(lambda t: np.interp(t, times, values))
+            raise InvalidParameter(
+                "times and values must be equal-length 1d arrays"
+            )
+        return cls(lambda t: np.interp(t, times, values),
+                   lambda ts: np.interp(ts, times, values))
 
 
 @dataclass
@@ -99,12 +112,16 @@ def controls_from_network(
     return Controls(ports=ports, hamiltonian=list(hamiltonian_terms or []))
 
 
+def _negative_kappa(port, t) -> StepUnstable:
+    return StepUnstable(f"negative kappa schedule on port {port} at t={t}")
+
+
 def _coupling_ops_at(model: EffectiveModel, controls: Controls, t: float):
     ops = list(model.base_L)
     for port, ctl in controls.ports.items():
         kappa = ctl.kappa(t)
-        if kappa < 0:
-            raise StepUnstable(f"negative kappa schedule on port {port} at t={t}")
+        if not kappa >= 0:
+            raise _negative_kappa(port, t)
         ops[port] = np.sqrt(kappa) * np.exp(1j * ctl.phi(t)) * ctl.bare_op
     return np.array(ops)
 
@@ -151,44 +168,37 @@ def build_generator(
 
 
 class _GeneratorAssembler:
-    """Fast exact generator assembly.
+    """Fast exact generator assembly, at one time or at many at once.
 
     The generator is bilinear in the per-port scalars
     c_k(t) = sqrt(kappa_k(t)) e^{i phi_k(t)}: writing L_k = c_k Ltilde_k,
     both the network Hamiltonian (1/2i) sum K_jk L_j^dag L_k and the
     dissipator sum [M^dag M]_jk (L_k rho L_j^dag - ...) decompose into
-    fixed superoperators weighted by c_j^* c_k.  Precomputing those makes
-    each time step a handful of scalar-times-matrix additions, numerically
-    identical to build_generator.
+    fixed superoperators T_jk weighted by w_jk = c_j^* c_k.  As w_kj is
+    w_jk^*, a pair j < k contributes Re w_jk (T_jk + T_kj) + Im w_jk
+    i (T_jk - T_kj), so every term has a real weight.  The terms are the
+    rows of `terms` (terms, D^4), stored as real numbers; the row of weight
+    1 holds every term without a scheduled factor, the scheduled Hamiltonian
+    terms follow.  The generators at n times are then one real
+    (n, terms) @ (terms, 2 D^4) product, equal to build_generator up to
+    roundoff.
     """
 
     def __init__(self, model: EffectiveModel, controls: Controls):
-        self.model = model
         self.controls = controls
         d = model.h_sys.shape[0]
         eye = np.eye(d, dtype=complex)
-        self._eye = eye
-        self._d = d
+        self._dd = d * d
 
-        # bare ops and static scalars per coupled port
-        self.ports = [
-            k for k, op in enumerate(model.base_L) if np.any(op != 0)
-        ]
-        bare, static_c = {}, {}
-        for k in self.ports:
-            if k in controls.ports:
-                bare[k] = controls.ports[k].bare_op
-                static_c[k] = None  # scheduled
-            else:
-                bare[k] = model.base_L[k]
-                static_c[k] = 1.0 + 0.0j
-        for k, ctl in controls.ports.items():
-            if k not in bare:  # controlled port whose base op is zero
-                self.ports.append(k)
-                bare[k] = ctl.bare_op
-                static_c[k] = None
-        self.bare = bare
-        self.static_c = static_c
+        # coupled ports: bare operator without the rate or phase prefactor
+        ports = [k for k, op in enumerate(model.base_L) if np.any(op != 0)]
+        ports += [k for k in controls.ports if k not in ports]
+        bare = {
+            k: controls.ports[k].bare_op if k in controls.ports
+            else model.base_L[k]
+            for k in ports
+        }
+        self.scheduled = [k for k in ports if k in controls.ports]
 
         g = model.routing.G
         k_mat = g - dag(g)
@@ -197,49 +207,84 @@ class _GeneratorAssembler:
         def h_super(h):
             return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
-        self.pair_terms = {}
-        for j in self.ports:
-            for k in self.ports:
-                lj, lk = bare[j], bare[k]
-                anti = dag(lj) @ lk
-                term = h_super(anti / 2j * k_mat[j, k]) if k_mat[j, k] else 0
-                diss = mdm[j, k] * (
-                    np.kron(lj.conj(), lk)
-                    - 0.5 * np.kron(eye, anti)
-                    - 0.5 * np.kron(anti.T, eye)
-                )
-                total = term + diss
-                if np.any(total != 0):
-                    self.pair_terms[(j, k)] = total
+        def pair_term(j, k):
+            lj, lk = bare[j], bare[k]
+            anti = dag(lj) @ lk
+            term = h_super(anti / 2j * k_mat[j, k]) if k_mat[j, k] else 0
+            return term + mdm[j, k] * (
+                np.kron(lj.conj(), lk)
+                - 0.5 * np.kron(eye, anti)
+                - 0.5 * np.kron(anti.T, eye)
+            )
 
-        self.h_sys_super = h_super(model.h_sys)
-        self.h_ctl_supers = [
-            (h_super(op), schedule) for op, schedule in controls.hamiltonian
-        ]
+        static = h_super(model.h_sys)
+        rows = [h_super(op) for op, _ in controls.hamiltonian]
+        self.pairs = []  # (j, k), j <= k in port order, with a scheduled port
+        for a, j in enumerate(ports):
+            for k in ports[a:]:
+                t_jk = pair_term(j, k)
+                t_kj = pair_term(k, j) if k != j else 0
+                if not (np.any(t_jk != 0) or np.any(t_kj != 0)):
+                    continue
+                if j not in controls.ports and k not in controls.ports:
+                    static = static + t_jk + t_kj
+                    continue
+                self.pairs.append((j, k))
+                rows += [t_jk] if k == j else [t_jk + t_kj, 1j * (t_jk - t_kj)]
+        self.terms = np.array([static, *rows]).reshape(1 + len(rows), -1)
+        self.terms = self.terms.view(float)
 
-    def _scalars(self, t: float) -> dict:
-        c = {}
-        for k in self.ports:
-            if self.static_c[k] is not None:
-                c[k] = self.static_c[k]
-            else:
-                ctl = self.controls.ports[k]
-                kappa = ctl.kappa(t)
-                if kappa < 0:
-                    raise StepUnstable(
-                        f"negative kappa schedule on port {k} at t={t}"
-                    )
-                c[k] = np.sqrt(kappa) * np.exp(1j * ctl.phi(t))
-        return c
+    def weights(self, times: np.ndarray):
+        """Real weights (len(times), terms) of the rows of `terms` at each
+        time, and (index, port) of the first time whose kappa is negative or
+        NaN (None if there is none; weights from that time on are invalid)."""
+        c, first_bad = {}, None
+        for k in self.scheduled:
+            ctl = self.controls.ports[k]
+            kappa = ctl.kappa.on(times)
+            bad = np.flatnonzero(~(kappa >= 0))
+            if bad.size and (first_bad is None or bad[0] < first_bad[0]):
+                first_bad = (int(bad[0]), k)
+            with np.errstate(invalid="ignore"):
+                c[k] = np.sqrt(kappa) * np.exp(1j * ctl.phi.on(times))
+        columns = [np.ones(len(times))]
+        columns += [s.on(times) for _, s in self.controls.hamiltonian]
+        for j, k in self.pairs:
+            w = np.conj(c.get(j, 1.0)) * c.get(k, 1.0)
+            columns += [w.real] if k == j else [w.real, w.imag]
+        return np.stack(columns, axis=1), first_bad
+
+    def generators(self, weights: np.ndarray) -> np.ndarray:
+        """(n, D^2, D^2) generators for n rows of weights."""
+        gens = (weights @ self.terms).view(complex)
+        return gens.reshape(len(weights), self._dd, self._dd)
 
     def __call__(self, t: float) -> np.ndarray:
-        c = self._scalars(t)
-        gen = self.h_sys_super.copy()
-        for super_op, schedule in self.h_ctl_supers:
-            gen += schedule(t) * super_op
-        for (j, k), term in self.pair_terms.items():
-            gen += (np.conj(c[j]) * c[k]) * term
-        return gen
+        """The (D^2, D^2) generator at time t."""
+        weights, bad = self.weights(np.array([t], dtype=float))
+        if bad is not None:
+            raise _negative_kappa(bad[1], t)
+        return self.generators(weights)[0]
+
+
+def rk4_step_matrix(a_start, a_mid, a_end, h: float):
+    """One classical RK4 step of y' = A(t) y as a matrix, over leading axes.
+
+    a_start, a_mid, a_end: A at t, t + h/2 and t + h.  Returns the step
+    matrix P = I + h/6 (K1 + 2K2 + 2K3 + K4), K1 = A(t), K2 = A(t + h/2) S1,
+    K3 = A(t + h/2) S2, K4 = A(t + h) S3, and the stage maps (S1, S2, S3),
+    S1 = I + h/2 K1, S2 = I + h/2 K2, S3 = I + h K3, which take y_n to the
+    RK4 stage states.  For a constant A, P = sum_{k<=4} (hA)^k / k!.
+    """
+    eye = np.eye(a_start.shape[-1])
+    k1 = a_start
+    s1 = eye + (0.5 * h) * k1
+    k2 = a_mid @ s1
+    s2 = eye + (0.5 * h) * k2
+    k3 = a_mid @ s2
+    s3 = eye + h * k3
+    p = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + a_end @ s3)
+    return p, (s1, s2, s3)
 
 
 @dataclass
@@ -254,6 +299,9 @@ class Trajectory:
         return np.einsum("tij,ji->t", self.rhos, op)
 
 
+_BLOCK = 2**16  # complex elements of a block's states or generators
+
+
 def integrate(
     model: EffectiveModel,
     controls: Controls,
@@ -266,70 +314,119 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 propagation of the vectorized master equation.
 
-    rho is re-Hermitized after every step (drift is monitored before the
-    symmetrization and the run aborts if it exceeds 100x tolerance).  The
-    step count is rounded so the grid lands exactly on t_final; trajectories
-    are bit-for-bit reproducible.
+    The steps run in blocks of about _BLOCK complex elements.  Without
+    controls the generator G is constant and every step applies one step
+    matrix, P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24.  With controls
+    the schedules are evaluated on the half-step grid of a whole block at
+    once, the generators there are one matrix product, and each step
+    applies the four RK4 stages.
+
+    Symmetrization happens once per block.  After a block, the trace and
+    Hermiticity drift of every step in it are checked: the run raises
+    StepUnstable at the first step whose drift exceeds 100x tolerance or is
+    not finite.  Then the stored states are re-Hermitized, and the next
+    block starts from the re-Hermitized last state.  The first block is one
+    step, so rho0 is checked and re-Hermitized after one step.  Within a
+    block the states are not re-Hermitized, so a step's Hermiticity drift
+    includes that of the earlier steps in its block.  The stored states
+    agree with RK4 re-Hermitized after every step to 1e-12.  The step count
+    is rounded so the grid lands exactly on t_final; trajectories are
+    bit-for-bit reproducible.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    rho = np.asarray(rho0, dtype=complex).copy()
+    if not (0 < dt < np.inf and 0 <= t_final < np.inf):
+        raise InvalidParameter(
+            f"dt must be positive and t_final non-negative, both finite "
+            f"(dt={dt}, t_final={t_final})"
+        )
+    if not sample_stride >= 1:
+        raise InvalidParameter("sample_stride must be a positive integer")
+    rho = np.array(rho0, dtype=complex)
     d = rho.shape[0]
+    dd = d * d
     n_steps = max(1, int(round(t_final / dt)))
     h = t_final / n_steps
 
-    time_dependent = bool(controls.ports) or bool(controls.hamiltonian)
-    if time_dependent:
-        generator = _GeneratorAssembler(model, controls)
-    else:
-        gen_static = build_generator(model, controls, 0.0)
-
-        def generator(t):
-            return gen_static
-
-    observables = observables or {}
-    times = [0.0]
-    rhos = [rho.copy()]
+    n_samples = 1 + n_steps // sample_stride + (n_steps % sample_stride != 0)
+    times = np.empty(n_samples)
+    rhos = np.empty((n_samples, d, d), dtype=complex)
+    times[0], rhos[0] = 0.0, rho
+    n_kept = 1
     max_trace_drift = abs(np.trace(rho).real - 1.0)
     max_herm_drift = 0.0
 
+    if controls.ports or controls.hamiltonian:
+        assembler = _GeneratorAssembler(model, controls)
+        step_matrix = None
+        block = max(1, _BLOCK // (2 * dd * dd))
+    else:
+        gen = build_generator(model, controls, 0.0)
+        step_matrix = rk4_step_matrix(gen, gen, gen, h)[0]
+        block = max(1, _BLOCK // dd)
+
     v = rho.reshape(-1, order="F")
-    for step in range(n_steps):
-        t = step * h
-        g1 = generator(t)
-        g2 = generator(t + 0.5 * h)
-        g3 = g2 if time_dependent else g1
-        g4 = generator(t + h)
-        k1 = g1 @ v
-        k2 = g2 @ (v + 0.5 * h * k1)
-        k3 = g3 @ (v + 0.5 * h * k2)
-        k4 = g4 @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    start = 0
+    while start < n_steps:
+        m = min(block if start else 1, n_steps - start)
+        states = np.empty((m + 1, dd), dtype=complex)
+        states[0] = v
+        kappa_error = None
+        if step_matrix is None:
+            # generators at the half steps t_n, t_n + h/2, ..., t_n+m
+            grid = np.empty(2 * m + 1)
+            grid[::2] = np.arange(start, start + m + 1) * h
+            grid[1::2] = grid[:-1:2] + 0.5 * h
+            weights, bad = assembler.weights(grid)
+            if bad is not None:  # run the steps before it, then raise
+                m = max(0, (bad[0] - 1) // 2)
+                kappa_error = _negative_kappa(bad[1], grid[bad[0]])
+            gens = assembler.generators(weights[:2 * m + 1])
+            for i in range(m):
+                y = states[i]
+                g_mid = gens[2 * i + 1]
+                k1 = gens[2 * i] @ y
+                k2 = g_mid @ (y + 0.5 * h * k1)
+                k3 = g_mid @ (y + 0.5 * h * k2)
+                k4 = gens[2 * i + 2] @ (y + h * k3)
+                states[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            for i in range(m):
+                np.matmul(step_matrix, states[i], out=states[i + 1])
 
-        rho = v.reshape(d, d, order="F")
-        herm_drift = float(np.abs(rho - dag(rho)).max())
-        trace_drift = float(abs(np.trace(rho).real - 1.0))
-        max_herm_drift = max(max_herm_drift, herm_drift)
-        max_trace_drift = max(max_trace_drift, trace_drift)
-        if herm_drift > 100 * TOL_HERM_STEP or trace_drift > 100 * tol_trace:
+        # rho of each step: the column-major vec read row-major, transposed
+        rho_n = states[1:m + 1].reshape(m, d, d).transpose(0, 2, 1)
+        adj = rho_n.conj().transpose(0, 2, 1)
+        herm = np.abs(rho_n - adj).max(axis=(1, 2))
+        trace = np.abs(np.trace(rho_n, axis1=1, axis2=2).real - 1.0)
+        bad = ~((herm <= 100 * TOL_HERM_STEP) & (trace <= 100 * tol_trace))
+        if bad.any():
+            i = int(bad.argmax())
             raise StepUnstable(
-                f"drift at step {step}: herm {herm_drift:.3e}, "
-                f"trace {trace_drift:.3e}; reduce dt"
+                f"drift at step {start + i}: herm {herm[i]:.3e}, "
+                f"trace {trace[i]:.3e}; reduce dt"
             )
-        rho = 0.5 * (rho + dag(rho))
-        v = rho.reshape(-1, order="F")
+        if kappa_error is not None:
+            raise kappa_error
+        max_herm_drift = max(max_herm_drift, float(herm.max()))
+        max_trace_drift = max(max_trace_drift, float(trace.max()))
 
-        if (step + 1) % sample_stride == 0 or step == n_steps - 1:
-            times.append((step + 1) * h)
-            rhos.append(rho.copy())
+        adj += rho_n  # re-Hermitized in place: 0.5 (rho + rho^dag)
+        adj *= 0.5
+        rho_n = adj
+        v = rho_n[-1].reshape(-1, order="F")
+        steps = np.arange(start + 1, start + m + 1)
+        keep = (steps % sample_stride == 0) | (steps == n_steps)
+        n_new = int(keep.sum())
+        times[n_kept:n_kept + n_new] = steps[keep] * h
+        np.compress(keep, rho_n, axis=0, out=rhos[n_kept:n_kept + n_new])
+        n_kept += n_new
+        start += m
 
-    rhos = np.array(rhos)
     obs = {
         name: np.einsum("tij,ji->t", rhos, np.asarray(op, dtype=complex))
-        for name, op in observables.items()
+        for name, op in (observables or {}).items()
     }
     return Trajectory(
-        times=np.array(times),
+        times=times,
         rhos=rhos,
         observables=obs,
         max_trace_drift=max_trace_drift,

@@ -26,12 +26,14 @@ from .errors import (
     BoundViolated,
     DegenerateBeta,
     InitialConditionMismatch,
+    InvalidParameter,
     MismatchWithGenericGenerator,
     NetworkNotFound,
     NotTwoQubitNetwork,
     StepUnstable,
     WrongDirectionality,
 )
+from .lindblad import Controls, build_generator, rk4_step_matrix
 from .network import (
     SIGMA_MINUS,
     Connection,
@@ -573,18 +575,18 @@ def rescale_protocol(
     kappa_a_of_t is any callable of physical time (a Schedule works);
     schedules are sampled on a uniform grid of n_samples intervals over
     [0, t_final] (default: the protocol's own sample count).  Raises
-    ValueError if the rescaled clock runs past the protocol's horizon,
-    i.e. s(t_final) > protocol.T.
+    InvalidParameter (a ValueError) if the rescaled clock runs past the
+    protocol's horizon, i.e. s(t_final) > protocol.T.
     """
     n_samples = n_samples if n_samples is not None else len(protocol.times) - 1
     times = np.linspace(0.0, t_final, n_samples + 1)
     lam = np.array([kappa_a_of_t(t) for t in times]) / protocol.kappa_a
-    if np.any(lam < 0):
-        raise ValueError("kappa_a(t) must be non-negative")
+    if not np.all(lam >= 0):
+        raise InvalidParameter("kappa_a(t) must be non-negative")
     dts = np.diff(times)
     s = np.concatenate([[0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * dts)])
     if s[-1] > protocol.T * (1.0 + 1e-12):
-        raise ValueError(
+        raise InvalidParameter(
             f"rescaled clock reaches {s[-1]:.6g} but the protocol ends at "
             f"{protocol.T:.6g}; shorten t_final or slow kappa_a(t)"
         )
@@ -631,30 +633,22 @@ def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
     """RK4 for the linear Bloch equations y' = A(t) y of B networks at once.
 
     components(lo, hi): R/J components at half-step samples lo..hi, each
-    (hi - lo + 1, B).  Step n is P_n = I + h/6 (K1 + 2K2 + 2K3 + K4), K1 =
-    A(t_n), K2 = A(t_n + h/2) S1, K3 = A(t_n + h/2) S2, K4 = A(t_n + h) S3,
-    with stage maps S1 = I + h/2 K1, S2 = I + h/2 K2, S3 = I + h K3.  Yields
-    per block of m steps: components, y_n..y_n+m (m + 1, B, 4), (S1, S2, S3)."""
-    eye = np.eye(4)
+    (hi - lo + 1, B).  Step n applies the step matrix P_n of
+    rk4_step_matrix.  Yields per block of m steps: components, y_n..y_n+m
+    (m + 1, B, 4) and the stage maps (S1, S2, S3), each (m, B, 4, 4)."""
     y = np.asarray(y0, dtype=float)[..., None]  # (B, 4, 1)
     block = max(1, _BLOCK // len(y))
     for start in range(0, n_steps, block):
         m = min(block, n_steps - start)
         comps = components(2 * start, 2 * (start + m))
         a = _bloch_generator(*comps)
-        k1, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
-        s1 = eye + (0.5 * h) * k1
-        k2 = a_mid @ s1
-        s2 = eye + (0.5 * h) * k2
-        k3 = a_mid @ s2
-        s3 = eye + h * k3
-        p = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + a_end @ s3)
+        p, stage_maps = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)
         states = np.empty((m + 1,) + y.shape)
         states[0] = y
         for i in range(m):
             np.matmul(p[i], states[i], out=states[i + 1])
         y = states[-1]
-        yield comps, states[..., 0], (s1, s2, s3)
+        yield comps, states[..., 0], stage_maps
 
 
 def simulate_transfer(
@@ -671,7 +665,9 @@ def simulate_transfer(
     """
     times = protocol.times
     if (len(times) - 1) % 2 != 0:
-        raise ValueError("protocol must have an even number of intervals")
+        raise InvalidParameter(
+            "protocol must have an even number of intervals"
+        )
     comps = _rj_arrays(
         coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
         protocol.kappa_b, protocol.h_bz,
@@ -1115,8 +1111,6 @@ def verify_specialized_generator(
     (as built by two_qubit_network).  Returns the max-abs residual; raises
     if it exceeds tol relative to the generator scale.
     """
-    from .lindblad import Controls, build_generator
-
     model = contract_network(network)
     generic = build_generator(model, Controls(), 0.0)
 

@@ -1,10 +1,19 @@
 """Master-equation generator construction and RK4 propagation."""
 
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
 from loopnet import (
+    Connection,
     Controls,
+    Coupling,
+    LocalSystem,
+    Network,
+    Port,
+    ScatteringBlock,
     Schedule,
     basis_state,
     build_generator,
@@ -14,11 +23,21 @@ from loopnet import (
     ideal_circulator,
     integrate,
     liouvillian,
+    perturbed_circulator,
+    random_imperfect_network,
+    synthesize_controls,
+    transfer_coefficients,
     two_qubit_network,
 )
-from loopnet.errors import ScheduleMissing, StepUnstable
+from loopnet import lindblad
+from loopnet.errors import (
+    InvalidParameter,
+    LoopnetError,
+    ScheduleMissing,
+    StepUnstable,
+)
 from loopnet.lindblad import _GeneratorAssembler
-from loopnet.network import SIGMA_Z, dag, embed_operator
+from loopnet.network import SIGMA_MINUS, SIGMA_Z, dag, embed_operator
 
 from conftest import single_qubit_network
 
@@ -137,3 +156,211 @@ def test_time_dependent_rabi_oscillation():
                      dt=1e-3, observables={"p_up": basis_state(2, 0)})
     expected = np.sin(0.5 * omega * traj.times) ** 2
     assert np.abs(traj.observables["p_up"].real - expected).max() < 1e-8
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def three_qubit_chain() -> Network:
+    """Three imperfect circulators in a line, one qubit on each (D = 8).
+
+    Circulator k owns ports 3k..3k+2; its port 3k+1 is linked both ways to
+    port 3k+3 of the next one and its port 3k+2 to qubit k (port 9 + k).
+    Ports 0 and 7 are external.
+    """
+    herm = np.array([[0.3, 0.2 - 0.1j, 0.1], [0.2 + 0.1j, -0.4, 0.3j],
+                     [0.1, -0.3j, 0.2]])
+    ports, blocks, systems, connections = [], [], [], []
+    for k in range(3):
+        circ, qubit = f"circ{k}", f"qubit{k}"
+        ports += [Port(3 * k + j, circ, float(k)) for j in range(3)]
+        ports.append(Port(9 + k, qubit, float(k)))
+        blocks += [
+            ScatteringBlock(circ, perturbed_circulator(0.1 * (k + 1), herm)),
+            ScatteringBlock(qubit, np.array([[1.0 + 0.0j]])),
+        ]
+        connections += [Connection(3 * k + 2, 9 + k),
+                        Connection(9 + k, 3 * k + 2)]
+        if k < 2:
+            connections += [Connection(3 * k + 1, 3 * k + 3),
+                            Connection(3 * k + 3, 3 * k + 1)]
+        systems.append(LocalSystem(
+            qubit, 2, 0.3 * (k - 1) * SIGMA_Z.astype(complex),
+            {9 + k: Coupling(SIGMA_MINUS, 1.0 + 0.25 * k)},
+        ))
+    return Network(ports, blocks, systems, connections)
+
+
+def stepwise_rk4(model, controls, rho0, t_final, dt):
+    """Independent oracle: RK4 over build_generator, one step at a time,
+    re-Hermitized after every step.  Returns (times, rhos) of every step,
+    or the index of the first step whose drift exceeds the integrate
+    bounds."""
+    n_steps = max(1, int(round(t_final / dt)))
+    h = t_final / n_steps
+    d = rho0.shape[0]
+    v = rho0.reshape(-1, order="F")
+    times, rhos = [0.0], [rho0]
+    for step in range(n_steps):
+        t = step * h
+        g1, g2, g4 = (build_generator(model, controls, s)
+                      for s in (t, t + 0.5 * h, t + h))
+        k1 = g1 @ v
+        k2 = g2 @ (v + 0.5 * h * k1)
+        k3 = g2 @ (v + 0.5 * h * k2)
+        k4 = g4 @ (v + h * k3)
+        rho = (v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(
+            d, d, order="F")
+        herm = np.abs(rho - dag(rho)).max()
+        trace = abs(np.trace(rho).real - 1.0)
+        if not (herm <= 100 * lindblad.TOL_HERM_STEP
+                and trace <= 100 * lindblad.TOL_TRACE):
+            return step
+        rho = 0.5 * (rho + dag(rho))
+        v = rho.reshape(-1, order="F")
+        times.append((step + 1) * h)
+        rhos.append(rho)
+    return np.array(times), np.array(rhos)
+
+
+def random_state(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ dag(a)
+    return rho / np.trace(rho)
+
+
+def _static_case(net):
+    def case():
+        model = contract_network(net())
+        d = model.h_sys.shape[0]
+        return model, Controls(), random_state(d, d), 2.0, 1e-2
+    return case
+
+
+def _criterion_08_case():
+    net = two_qubit_network(ideal_circulator(), ideal_circulator())
+    with warnings.catch_warnings():  # T = 2 cuts the transfer pulse short
+        warnings.simplefilter("ignore", UserWarning)
+        protocol = synthesize_controls(transfer_coefficients(net), 1.0,
+                                       ratio_db=25.0, T=2.0, dt=5e-3)
+    controls = controls_from_network(
+        net,
+        kappa_schedules={
+            0: Schedule.constant(1.0),
+            7: Schedule.sampled(protocol.times, protocol.kappa_b),
+        },
+        phi_schedules={
+            0: Schedule.constant(protocol.phase_diff),
+            7: Schedule.constant(0.0),
+        },
+        hamiltonian_terms=[
+            (0.5 * embed_operator(net, "qubit_b", SIGMA_Z),
+             Schedule.sampled(protocol.times, protocol.h_bz)),
+        ],
+    )
+    return contract_network(net), controls, basis_state(4, 1), 2.0, 5e-3
+
+
+def _step_schedule_case():
+    net = random_imperfect_network(0.1, 1.0, 3)
+    controls = controls_from_network(
+        net,
+        kappa_schedules={7: Schedule(lambda t: 1.0 if t < 1 else 0.5)},
+        hamiltonian_terms=[(0.4 * embed_operator(net, "qubit_a", SIGMA_X),
+                            Schedule(lambda t: np.cos(3.0 * t)))],
+    )
+    return contract_network(net), controls, random_state(4, 5), 2.0, 1e-2
+
+
+ORACLE_CASES = {
+    "static-d2": _static_case(lambda: single_qubit_network(kappa=1.3)),
+    "static-d4": _static_case(lambda: random_imperfect_network(0.1, 2.0, 7)),
+    "static-d8": _static_case(three_qubit_chain),
+    "criterion-08": _criterion_08_case,
+    "step-schedule": _step_schedule_case,
+}
+
+
+@functools.cache
+def oracle_run(case):
+    model, controls, rho0, t_final, dt = ORACLE_CASES[case]()
+    return (model, controls, rho0, t_final, dt,
+            stepwise_rk4(model, controls, rho0, t_final, dt))
+
+
+@pytest.mark.parametrize("block_steps", [None, 5])
+@pytest.mark.parametrize("sample_stride", [1, 7, 10**9])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_integrate_matches_stepwise_rk4(case, sample_stride, block_steps,
+                                        monkeypatch):
+    """Block-wise integrate against the step-by-step RK4 oracle: <= 1e-12
+    on every stored rho and identical sample times, with the default
+    blocks and with 5-step blocks (restarts from re-Hermitized states)."""
+    model, controls, rho0, t_final, dt, (times, rhos) = oracle_run(case)
+    if block_steps is not None:
+        dd = rho0.size
+        per_step = 2 * dd * dd if controls.ports else dd
+        monkeypatch.setattr(lindblad, "_BLOCK", block_steps * per_step)
+    n_steps = len(times) - 1
+    kept = [0] + [k for k in range(1, n_steps + 1)
+                  if k % sample_stride == 0 or k == n_steps]
+    traj = integrate(model, controls, rho0, t_final, dt,
+                     sample_stride=sample_stride)
+    assert np.array_equal(traj.times, times[kept])
+    assert traj.rhos.shape == rhos[kept].shape
+    assert np.abs(traj.rhos - rhos[kept]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_integrate_unstable_step_matches_stepwise_rk4(case):
+    """A strongly unstable dt raises StepUnstable at the step where the
+    oracle's drift first exceeds its bounds.  That drift is roundoff grown
+    by the instability, so the two step orders cross the bound at the same
+    step only where the growth per step dwarfs their roundoff difference;
+    at dt near the stability edge they may differ by a few steps."""
+    model, controls, rho0, _, _ = ORACLE_CASES[case]()
+    step = stepwise_rk4(model, controls, rho0, 120.0, 12.0)
+    assert isinstance(step, int)
+    with pytest.raises(StepUnstable, match=f"drift at step {step}:"):
+        integrate(model, controls, rho0, 120.0, 12.0)
+
+
+@pytest.mark.parametrize("schedules", [
+    {"kappa_schedules": {0: Schedule(lambda t: np.nan if t > .5 else 1.)}},
+    {"kappa_schedules": {0: Schedule(lambda t: np.inf if t > .5 else 1.)}},
+    {"phi_schedules": {0: Schedule(lambda t: np.nan if t > .5 else 0.)}},
+    {"hamiltonian_terms": [(SIGMA_X, Schedule(
+        lambda t: np.nan if t > .5 else 1.))]},
+])
+def test_non_finite_schedule_raises(schedules):
+    """A NaN or infinite schedule value raises instead of returning a NaN
+    trajectory with small reported drift."""
+    net = single_qubit_network()
+    model = contract_network(net)
+    controls = controls_from_network(net, **schedules)
+    with pytest.raises(StepUnstable):
+        integrate(model, controls, basis_state(2, 0), t_final=1.0, dt=1e-2)
+
+
+def test_invalid_parameters_raise_typed_error():
+    model = contract_network(single_qubit_network())
+    for bad in ({"dt": 0.0}, {"dt": -1e-3}, {"dt": np.nan},
+                {"t_final": np.inf}, {"t_final": -1.0},
+                {"sample_stride": 0}):
+        kwargs = {"t_final": 1.0, "dt": 1e-2, **bad}
+        with pytest.raises(InvalidParameter) as info:
+            integrate(model, Controls(), basis_state(2, 0), **kwargs)
+        assert isinstance(info.value, LoopnetError)
+        assert isinstance(info.value, ValueError)
+    with pytest.raises(InvalidParameter):
+        Schedule.sampled(np.linspace(0.0, 1.0, 5), np.zeros(4))
+
+
+def test_schedule_on_matches_pointwise_calls():
+    times = np.linspace(-0.5, 3.0, 37)
+    for schedule in (Schedule.constant(0.7),
+                     Schedule.sampled([0.0, 1.0, 2.5], [1.0, -2.0, 0.5]),
+                     Schedule(lambda t: 1.0 if t < 1 else 0.5)):
+        assert np.array_equal(schedule.on(times),
+                              [schedule(t) for t in times])

@@ -38,6 +38,7 @@ from loopnet import (
 from loopnet.errors import (
     DegenerateBeta,
     InitialConditionMismatch,
+    InvalidParameter,
     LoopnetError,
     NetworkNotFound,
     WrongDirectionality,
@@ -510,6 +511,9 @@ def test_rescale_protocol_rejects_overrun():
     protocol = synthesize_controls(c, 1.0, ratio_db=15.0, T=10.0, dt=1e-3)
     with pytest.raises(ValueError):
         rescale_protocol(protocol, lambda t: 2.0, 10.0)
+    for kappa_a in (lambda t: 2.0, lambda t: -1.0, lambda t: np.nan):
+        with pytest.raises(InvalidParameter):
+            rescale_protocol(protocol, kappa_a, 10.0)
 
 
 # -- specialized master equation -------------------------------------------------
