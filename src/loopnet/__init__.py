@@ -75,6 +75,7 @@ from .transfer import (
     extract_coefficients,
     feeding_operator,
     find_network_in_class,
+    oriented,
     ideal_circulator,
     perturbed_circulator,
     phase_scan_coefficients,

@@ -21,14 +21,9 @@ import numpy as np
 from . import __version__
 from .contraction import contract_network
 from .errors import (
-    DimensionMismatch,
-    DuplicateConnection,
     InvalidParameter,
     LoopnetError,
-    PhaseAndDistanceBothGiven,
-    PortCoverageGap,
     SchemaError,
-    SelfLoopConnection,
     WrongDirectionality,
 )
 from .lindblad import Controls, basis_state, integrate
@@ -44,24 +39,14 @@ from .network import (
     save_network,
     unitarity_deviation,
 )
-from .paths import default_tau_min, enumerate_paths, validity_check
+from .paths import default_tau_min, enumerate_paths, validity_check, violates
 from .transfer import (
     dark_state_residual,
+    oriented,
     random_imperfect_network,
     simulate_transfer,
-    swap_roles,
     synthesize_controls,
     transfer_coefficients,
-)
-
-SCHEMA_ERRORS = (
-    SchemaError,
-    DuplicateConnection,
-    PortCoverageGap,
-    PhaseAndDistanceBothGiven,
-    SelfLoopConnection,
-    DimensionMismatch,
-    InvalidParameter,
 )
 
 EXIT_OK = 0
@@ -159,11 +144,9 @@ def cmd_validate(args) -> int:
     print(f"weight_threshold   = {report.weight_threshold:.6g}")
     print(f"n_cut              = {report.n_cut}")
 
-    records = enumerate_paths(
-        net, max_order=6, min_weight=max(1e-3, args.weight_threshold / 100)
-    )
-    top = sorted(records, key=lambda r: -abs(r.weight))[:10]
-    print("heaviest paths (port sequence, traversals, |w|, tau):")
+    top = sorted(report.records, key=lambda r: -abs(r.weight))[:10]
+    print("heaviest paths with |w| >= weight_threshold "
+          "(port sequence, traversals, |w|, tau):")
     for r in top:
         seq = ">".join(str(p) for p in r.port_sequence)
         print(f"  {seq}  n={r.n_traversals}  |w|={abs(r.weight):.6g}  "
@@ -208,7 +191,7 @@ def cmd_contract(args) -> int:
     write_manifest(
         outdir,
         "contract",
-        {"net": str(args.net), "tol_unitary": args.tol_unitary},
+        {"net": str(args.net)},
         [out.name],
         input_file=args.net,
     )
@@ -253,11 +236,7 @@ def cmd_paths(args) -> int:
         input_file=args.net,
     )
     tau_min = args.tau_min if args.tau_min is not None else default_tau_min(net)
-    n_viol = sum(
-        1
-        for r in records
-        if r.delay >= tau_min and abs(r.weight) >= args.weight_threshold
-    )
+    n_viol = sum(violates(r, tau_min, args.weight_threshold) for r in records)
     print(
         f"wrote {out} ({len(records)} paths, {n_viol} with delay >= "
         f"{tau_min:.6g} and |w| >= {args.weight_threshold:.6g})"
@@ -268,6 +247,12 @@ def cmd_paths(args) -> int:
 # -- simulate -----------------------------------------------------------------
 
 
+def _basis_index(text: str, d: int, what: str) -> int:
+    if text.isdecimal() and int(text) < d:
+        return int(text)
+    raise SchemaError(f"{what} {text!r} is not an index in 0..{d - 1}")
+
+
 def _initial_state(net: Network, spec: str) -> np.ndarray:
     d = net.joint_dimension()
     named = {"ground": d - 1, "excited": 0}
@@ -276,7 +261,7 @@ def _initial_state(net: Network, spec: str) -> np.ndarray:
     if spec in named:
         return basis_state(d, named[spec])
     if spec.startswith("basis:"):
-        return basis_state(d, int(spec.split(":", 1)[1]))
+        return basis_state(d, _basis_index(spec[6:], d, "basis state"))
     path = Path(spec)
     if path.exists():
         rho = _pairs_to_matrix(json.loads(path.read_text()))
@@ -290,8 +275,8 @@ def _initial_state(net: Network, spec: str) -> np.ndarray:
 
 def _observable(net: Network, token: str) -> np.ndarray:
     d = net.joint_dimension()
-    if token.startswith("P") and token[1:].isdigit():
-        return basis_state(d, int(token[1:]))
+    if token.startswith("P") and token[1:].isdecimal():
+        return basis_state(d, _basis_index(token[1:], d, "projector"))
     if all(ch in "IXYZ" for ch in token) and len(token) == len(net.systems):
         op = np.eye(d, dtype=complex)
         for ch, sysm in zip(token, net.systems):
@@ -358,15 +343,13 @@ def _transfer_network(args) -> Network:
 
 def _run_transfer(net: Network, args):
     """(coeffs, protocol, result, swapped) for one network."""
-    coeffs = transfer_coefficients(net)
-    swapped = False
-    if np.cos(coeffs.delta_plus - coeffs.delta_minus) >= 0:
-        if not args.swap_roles:
-            raise WrongDirectionality(
-                "channel favours b -> a transfer; rerun with --swap-roles"
-            )
-        coeffs = swap_roles(coeffs)
-        swapped = True
+    measured = transfer_coefficients(net)
+    coeffs = oriented(measured)
+    swapped = coeffs is not measured
+    if swapped and not args.swap_roles:
+        raise WrongDirectionality(
+            "channel favours b -> a transfer; rerun with --swap-roles"
+        )
     protocol = synthesize_controls(
         coeffs, args.kappa0, ratio_db=args.ratio_db, T=args.T, dt=args.dt
     )
@@ -489,19 +472,23 @@ def _cmd_transfer_sweep(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _positive(convert):
-    """argparse type: a finite number > 0, parsed by convert."""
+def _number(convert, ok, expected: str):
+    """argparse type: text parsed by convert and accepted if ok(value)."""
 
     def parse(text: str):
         value = convert(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite number > 0, got {text!r}"
-            )
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
-    parse.__name__ = f"positive {convert.__name__}"
+    parse.__name__ = convert.__name__
     return parse
+
+
+_finite = _number(float, math.isfinite, "a finite number")
+_positive = _number(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_non_negative = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_count = _number(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,16 +500,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-unitary", type=float, default=1e-10)
-    common.add_argument("--weight-threshold", type=float, default=0.05)
-    common.add_argument("--tau-min", type=float, default=None)
     common.add_argument("-o", "--output-dir", default=".")
+    # the weak-loop test that validate applies and paths reports
+    weak_loop = argparse.ArgumentParser(add_help=False)
+    weak_loop.add_argument("--weight-threshold", type=_positive, default=0.05)
+    weak_loop.add_argument("--tau-min", type=_non_negative, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[common, weak_loop],
                        help="check a network file and its weak-loop validity")
     p.add_argument("net")
+    p.add_argument("--tol-unitary", type=_positive, default=1e-10)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("contract", parents=[common],
@@ -530,18 +519,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("net")
     p.set_defaults(func=cmd_contract)
 
-    p = sub.add_parser("paths", parents=[common],
+    p = sub.add_parser("paths", parents=[common, weak_loop],
                        help="enumerate weighted scattering paths")
     p.add_argument("net")
-    p.add_argument("--max-order", type=int, default=6)
-    p.add_argument("--min-weight", type=float, default=1e-3)
+    p.add_argument("--max-order", type=_count, default=6)
+    p.add_argument("--min-weight", type=_non_negative, default=1e-3)
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="integrate the effective master equation")
     p.add_argument("net")
-    p.add_argument("--t-final", type=_positive(float), required=True)
-    p.add_argument("--dt", type=_positive(float), default=1e-3)
+    p.add_argument("--t-final", type=_positive, required=True)
+    p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--observables", default="")
     p.add_argument("--initial", default="ground")
     p.set_defaults(func=cmd_simulate)
@@ -550,17 +539,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthesize and simulate a dark-state transfer")
     p.add_argument("--net", default=None)
     p.add_argument("--random", action="store_true")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--kappa0", type=_positive(float), default=1.0)
-    p.add_argument("--ratio-db", type=float, default=25.0)
-    p.add_argument("--T", type=_positive(float), default=20.0)
-    p.add_argument("--dt", type=_positive(float), default=1e-3)
+    p.add_argument("--eps", type=_finite, default=0.1)
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--phase", type=_finite, default=0.0)
+    p.add_argument("--kappa0", type=_positive, default=1.0)
+    p.add_argument("--ratio-db", type=_finite, default=25.0)
+    p.add_argument("--T", type=_positive, default=20.0)
+    p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--swap-roles", action="store_true")
-    p.add_argument("--sweep", type=int, default=0,
+    p.add_argument("--sweep", type=_count, default=0,
                    help="run this many consecutive seeds, one after another")
-    p.add_argument("--threads", type=_positive(int), default=4,
+    p.add_argument("--threads", default=4,
+                   type=_number(int, lambda v: v > 0, "an integer > 0"),
                    help="no effect; kept for compatibility and the manifest")
     p.set_defaults(func=cmd_transfer)
 
@@ -574,7 +564,7 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except SCHEMA_ERRORS as exc:
+    except (SchemaError, InvalidParameter) as exc:
         print(f"schema error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (FileNotFoundError, json.JSONDecodeError) as exc:

@@ -44,7 +44,7 @@ class RoutingMatrices:
     M: np.ndarray  # X_o G, external-output routing of emissions
     T: np.ndarray  # SW G = G - 1, pure network contribution
     spectral_radius_SW: float
-    converged: bool  # spectral_radius_SW < 1 - delta_conv
+    converged: bool  # spectral_radius_SW < 1 - DELTA_CONV
     accepted: bool  # converged and cond <= cond_max
 
     @cached_property
@@ -74,13 +74,12 @@ class EffectiveModel:
 def routing_matrices(
     S: np.ndarray,
     W: np.ndarray,
-    delta_conv: float = DELTA_CONV,
     cond_max: float = COND_MAX,
 ) -> RoutingMatrices:
     """Invert 1 - SW and judge the loop; the only place either is done.
 
     S and W are (N, N) or stacks (B, N, N).  An entry is accepted when
-    rho(SW) < 1 - delta_conv and cond(1 - SW) <= cond_max; only entries
+    rho(SW) < 1 - DELTA_CONV and cond(1 - SW) <= cond_max; only entries
     that pass the rho test are solved.  Rejection does not raise here: the
     verdict is returned in `converged` and `accepted`.
     """
@@ -88,7 +87,7 @@ def routing_matrices(
     one = np.eye(sw.shape[-1], dtype=complex)
     a = one - sw
     rho = np.abs(np.linalg.eigvals(sw)).max(axis=-1, initial=0.0)
-    converged = rho < 1.0 - delta_conv
+    converged = rho < 1.0 - DELTA_CONV
     g = np.full_like(a, np.nan)
     g[converged] = np.linalg.solve(a[converged], one)
     # ||1 - SW||_F ||G||_F >= cond(1 - SW): the SVD only where that fails
@@ -115,11 +114,10 @@ def contract(
     W: np.ndarray,
     L: list,
     H_sys: np.ndarray,
-    delta_conv: float = DELTA_CONV,
     cond_max: float = COND_MAX,
 ) -> EffectiveModel:
     """Effective (S_eff, L_eff, H_eff, H_loss) for the connected network."""
-    routing = routing_matrices(S, W, delta_conv=delta_conv, cond_max=cond_max)
+    routing = routing_matrices(S, W, cond_max=cond_max)
     if not routing.converged:
         raise NonConvergentLoop(routing.spectral_radius_SW)
     if not routing.accepted:
@@ -155,17 +153,13 @@ def contract(
     )
 
 
-def contract_network(
-    network: Network,
-    delta_conv: float = DELTA_CONV,
-    cond_max: float = COND_MAX,
-) -> EffectiveModel:
+def contract_network(network: Network) -> EffectiveModel:
     """Assemble a Network's global matrices and contract them."""
     s = assemble_S(network)
     w = assemble_W(network)
     ell = assemble_L(network)
     h_sys = assemble_H_sys(network) if network.systems else np.zeros((1, 1), complex)
-    return contract(s, w, ell, h_sys, delta_conv=delta_conv, cond_max=cond_max)
+    return contract(s, w, ell, h_sys)
 
 
 def effective_L_operators(model: EffectiveModel) -> list:
@@ -195,11 +189,12 @@ def verify_inversion_identities(S: np.ndarray, W: np.ndarray) -> dict:
     return {"projector_identity": res1, "half_sum_identity": res2}
 
 
-def dissipative_hamiltonian(model: EffectiveModel, tol: float = 1e-9) -> np.ndarray:
+def dissipative_hamiltonian(model: EffectiveModel) -> np.ndarray:
     """Non-Hermitian generator H_sys - (i/2) L^dag L - i L^dag T L.
 
-    Asserts agreement with h_eff - (i/2) L_eff^dag L_eff; a violation
-    indicates an implementation bug, never bad input.
+    Asserts agreement with h_eff - (i/2) L_eff^dag L_eff to 1e-9 relative
+    to the generator scale; a violation indicates an implementation bug,
+    never bad input.
     """
     l_arr = np.array(model.base_L)
     l_dag = l_arr.conj().transpose(0, 2, 1)
@@ -209,6 +204,6 @@ def dissipative_hamiltonian(model: EffectiveModel, tol: float = 1e-9) -> np.ndar
 
     scale = max(1.0, float(np.abs(h).max()))
     residual = float(np.abs(h - model.h_loss).max())
-    if residual > tol * scale:
+    if residual > 1e-9 * scale:
         raise IdentityViolation(residual)
     return h

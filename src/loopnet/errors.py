@@ -10,7 +10,7 @@ class InvalidParameter(LoopnetError, ValueError):
 
 
 class SchemaError(LoopnetError):
-    """A network description file does not match the expected schema."""
+    """A network description is malformed; the subclasses name the fault."""
 
 
 class NonUnitaryBlock(LoopnetError):
@@ -23,23 +23,23 @@ class NonUnitaryBlock(LoopnetError):
         )
 
 
-class PortCoverageGap(LoopnetError):
+class PortCoverageGap(SchemaError):
     """Scattering blocks do not cover every port exactly once."""
 
 
-class DuplicateConnection(LoopnetError):
+class DuplicateConnection(SchemaError):
     """An output or input port appears in more than one connection."""
 
 
-class PhaseAndDistanceBothGiven(LoopnetError):
+class PhaseAndDistanceBothGiven(SchemaError):
     """A connection specifies both an explicit phase and a distance."""
 
 
-class SelfLoopConnection(LoopnetError):
+class SelfLoopConnection(SchemaError):
     """A connection routes an element back to itself without the opt-in flag."""
 
 
-class DimensionMismatch(LoopnetError):
+class DimensionMismatch(SchemaError):
     """Operator dimensions are inconsistent with the declared local space."""
 
 

@@ -295,9 +295,6 @@ class Trajectory:
     max_trace_drift: float
     max_herm_drift: float
 
-    def expectation(self, op: np.ndarray) -> np.ndarray:
-        return np.einsum("tij,ji->t", self.rhos, op)
-
 
 _BLOCK = 2**16  # complex elements of a block's states or generators
 
@@ -310,7 +307,6 @@ def integrate(
     dt: float,
     observables: dict | None = None,
     sample_stride: int = 1,
-    tol_trace: float = TOL_TRACE,
 ) -> Trajectory:
     """Fixed-step RK4 propagation of the vectorized master equation.
 
@@ -397,7 +393,7 @@ def integrate(
         adj = rho_n.conj().transpose(0, 2, 1)
         herm = np.abs(rho_n - adj).max(axis=(1, 2))
         trace = np.abs(np.trace(rho_n, axis1=1, axis2=2).real - 1.0)
-        bad = ~((herm <= 100 * TOL_HERM_STEP) & (trace <= 100 * tol_trace))
+        bad = ~((herm <= 100 * TOL_HERM_STEP) & (trace <= 100 * TOL_TRACE))
         if bad.any():
             i = int(bad.argmax())
             raise StepUnstable(

@@ -101,7 +101,6 @@ class Port:
     id: int
     element_id: str
     position_z: float | None = None
-    direction_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,7 @@ class Network:
         ids = sorted(p.id for p in self.ports)
         if ids != list(range(len(self.ports))):
             raise SchemaError("port ids must be 0..N-1, contiguous and unique")
+        self._validate_numbers()
         self._validate_blocks()
         self._validate_connections()
         self._validate_systems()
@@ -234,10 +234,37 @@ class Network:
                         f"coupling operator on port {port_id} has shape "
                         f"{op.shape}, expected square dim {sys.hilbert_dim}"
                     )
-                if coupling.kappa < 0:
+                if not coupling.kappa >= 0:
                     raise DimensionMismatch(
                         f"negative decay rate on port {port_id}"
                     )
+
+    def _validate_numbers(self):
+        g = self.geometry
+        if not (0 < g.v_p < np.inf and 0 < g.kappa0 < np.inf):
+            raise SchemaError("geometry v_p and kappa0 must be finite and > 0")
+        numbers = [(f"z of port {p.id}", p.position_z or 0.0) for p in self.ports]
+        numbers += [(f"block {b.element_id!r}", b.matrix) for b in self.blocks]
+        numbers += [
+            (f"connection {c.from_port}->{c.to_port}",
+             [self.connection_phase(c), c.distance or 0.0])
+            for c in self.connections
+        ]
+        for sys in self.systems:
+            numbers.append((f"hamiltonian of {sys.element_id!r}",
+                            sys.hamiltonian))
+            numbers += [
+                (f"coupling on port {port}",
+                 [c.kappa, c.phi, *np.ravel(c.operator)])
+                for port, c in sys.couplings.items()
+            ]
+        for what, value in numbers:
+            try:
+                finite = np.isfinite(value).all()
+            except TypeError:  # not a number at all
+                finite = False
+            if not finite:
+                raise SchemaError(f"{what} is not finite")
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -477,7 +504,7 @@ def network_from_dict(data: dict) -> Network:
             v_p=float(geo.get("v_p", 1.0)),
             kappa0=float(geo.get("kappa0", 1.0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"missing or malformed field: {exc}") from exc
     return Network(
         ports=ports,

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contraction import routing_matrices
-from .errors import MissingGeometry, PathExplosion
+from .errors import InvalidParameter, MissingGeometry, PathExplosion
 from .network import Network, assemble_S, assemble_W, internal_projectors
 
 DEFAULT_RECORD_CAP = 1_000_000
 DEFAULT_WEIGHT_THRESHOLD = 0.05
+MAX_ORDER = 200  # validity_check walks at most this many traversals
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class ValidityReport:
     spectral_radius_SW: float = 0.0
     converged: bool = True  # the loop passes the contraction's rho test
     n_cut: int = 0
+    records: list = field(default_factory=list)  # every path walked
 
     @property
     def valid(self) -> bool:
@@ -88,23 +90,32 @@ class _Enumerator:
             self.extend(new_seq, w, tau, n + 1, from_source)
 
 
+def violates(record: PathRecord, tau_min: float, weight_threshold: float) -> bool:
+    """The weak-loop test of one path: slow (delay >= tau_min) and heavy
+    (|w| >= weight_threshold)."""
+    return record.delay >= tau_min and abs(record.weight) >= weight_threshold
+
+
 def enumerate_paths(
     network: Network,
     max_order: int,
     min_weight: float,
-    sources: list | None = None,
-    include_scattering: bool = True,
     record_cap: int = DEFAULT_RECORD_CAP,
 ) -> list:
     """All weighted paths up to max_order traversals of the network.
 
     Two families are walked with the same machinery: paths entering at an
     external input (first factor an S matrix element, zero traversals) and
-    paths emitted by a source port (entry weight 1, hops are S W matrix
-    elements).  Every prefix of a longer path is itself recorded, so
+    paths emitted by a coupled source port (entry weight 1, hops are S W
+    matrix elements).  Every prefix of a longer path is itself recorded, so
     consumers filter on the terminal port.  Depth-first with weight pruning;
     deterministic.
     """
+    if not (max_order >= 0 and 0 <= min_weight < math.inf):
+        raise InvalidParameter(
+            f"need max_order >= 0 and a finite min_weight >= 0, got "
+            f"{max_order!r} and {min_weight!r}"
+        )
     s = assemble_S(network)
     w = assemble_W(network)
     z = _port_positions(network)
@@ -114,23 +125,18 @@ def enumerate_paths(
 
     enum = _Enumerator(s @ w, z, v_p, max_order, min_weight, record_cap)
 
-    if sources is None:
-        sources = sorted(
-            {port for sys in network.systems for port in sys.couplings}
-        )
-    for p in sources:
+    for p in sorted({port for sys in network.systems for port in sys.couplings}):
         enum.extend((p,), 1.0 + 0.0j, 0.0, 0, from_source=True)
 
-    if include_scattering:
-        ext_inputs = [k for k in range(n) if x_i[k, k].real > 0.5]
-        for k in ext_inputs:
-            for j in range(n):
-                amp = s[j, k]
-                if abs(amp) < min_weight or abs(amp) == 0.0:
-                    continue
-                tau = abs(z[j] - z[k]) / v_p
-                enum._emit(PathRecord((k, j), 0, amp, tau, False))
-                enum.extend((k, j), amp, tau, 0, from_source=False)
+    ext_inputs = [k for k in range(n) if x_i[k, k].real > 0.5]
+    for k in ext_inputs:
+        for j in range(n):
+            amp = s[j, k]
+            if abs(amp) < min_weight or abs(amp) == 0.0:
+                continue
+            tau = abs(z[j] - z[k]) / v_p
+            enum._emit(PathRecord((k, j), 0, amp, tau, False))
+            enum.extend((k, j), amp, tau, 0, from_source=False)
 
     return enum.records
 
@@ -174,15 +180,20 @@ def validity_check(
     network: Network,
     tau_min: float | None = None,
     weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-    max_order_cap: int = 200,
-    record_cap: int = DEFAULT_RECORD_CAP,
 ) -> ValidityReport:
     """Flag every path whose delay is significant but whose weight is not.
 
     The zero-delay contraction is trustworthy only if each path with delay
     of order the system timescale carries negligible weight.  Thresholds
-    are configuration; the report carries the raw numbers.
+    are configuration; the report carries the raw numbers and every path
+    walked (weight >= weight_threshold, order from rho(SW)).
     """
+    if not (0 < weight_threshold < math.inf
+            and (tau_min is None or 0 <= tau_min < math.inf)):
+        raise InvalidParameter(
+            f"need a finite weight_threshold > 0 and a finite tau_min >= 0, "
+            f"got {weight_threshold!r} and {tau_min!r}"
+        )
     for conn in network.connections:
         if network.connection_distance(conn) is None:
             raise MissingGeometry(
@@ -198,22 +209,14 @@ def validity_check(
 
     if rho < 1.0 and rho > 0.0:
         order = math.ceil(math.log(weight_threshold) / math.log(rho))
-        max_order = int(min(max(order, 1), max_order_cap))
+        max_order = int(min(max(order, 1), MAX_ORDER))
     else:
-        max_order = max_order_cap
+        max_order = MAX_ORDER
 
     records = enumerate_paths(
-        network,
-        max_order=max_order,
-        min_weight=weight_threshold,
-        record_cap=record_cap,
+        network, max_order=max_order, min_weight=weight_threshold
     )
-
-    violating = [
-        r
-        for r in records
-        if r.delay >= tau_min and abs(r.weight) >= weight_threshold
-    ]
+    violating = [r for r in records if violates(r, tau_min, weight_threshold)]
 
     # traversal count at which the accumulated path length reaches the
     # coherence length v_p / kappa_ref
@@ -239,4 +242,5 @@ def validity_check(
         spectral_radius_SW=rho,
         converged=routing.converged,
         n_cut=n_cut,
+        records=records,
     )

@@ -194,36 +194,34 @@ def circulator_reflectances(network: Network) -> np.ndarray:
     return np.array(refl)
 
 
+def _draw_eps(rng: np.random.Generator, r2_min: float, r2_max: float) -> float:
+    # |r_ii| grows roughly linearly with eps; bracket generously
+    return rng.uniform(0.5 * math.sqrt(r2_min), 3.0 * math.sqrt(r2_max))
+
+
+def _in_class(circulators, r2_min: float, r2_max: float) -> bool:
+    """Every retro-reflectance |r_ii|^2 of the circulators in [r2_min, r2_max]."""
+    r2 = np.abs([np.diag(c) for c in circulators]) ** 2
+    return r2.min() >= r2_min and r2.max() <= r2_max
+
+
 def find_network_in_class(
     r2_min: float,
     r2_max: float,
     seed: int,
-    interconnect_phase: float | None = None,
     max_tries: int = 2000,
-    **kwargs,
 ) -> Network:
     """Rejection-sample an imperfect network whose retro-reflections all fall
-    inside [r2_min, r2_max]; deterministic for a fixed seed."""
+    inside [r2_min, r2_max], with a random interconnect phase;
+    deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
-    # |r_ii| grows roughly linearly with eps; bracket generously
-    eps_lo = 0.5 * np.sqrt(r2_min)
-    eps_hi = 3.0 * np.sqrt(r2_max)
     for _ in range(max_tries):
-        eps = rng.uniform(eps_lo, eps_hi)
-        phase = (
-            interconnect_phase
-            if interconnect_phase is not None
-            else rng.uniform(0.0, 2.0 * np.pi)
-        )
+        eps = _draw_eps(rng, r2_min, r2_max)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
         sub_seed = int(rng.integers(0, 2**63 - 1))
-        circ_a, circ_b = _random_circulators(
-            eps, np.random.default_rng(sub_seed)
-        )
-        r2 = np.abs([np.diag(circ_a), np.diag(circ_b)]) ** 2
-        if r2.min() >= r2_min and r2.max() <= r2_max:
-            return two_qubit_network(
-                circ_a, circ_b, interconnect_phase=phase, **kwargs
-            )
+        circs = _random_circulators(eps, np.random.default_rng(sub_seed))
+        if _in_class(circs, r2_min, r2_max):
+            return two_qubit_network(*circs, interconnect_phase=phase)
     raise NetworkNotFound(
         f"no network with reflectances in [{r2_min}, {r2_max}] "
         f"after {max_tries} tries"
@@ -321,6 +319,14 @@ def swap_roles(coeffs: TransferCoefficients) -> TransferCoefficients:
     )
 
 
+def oriented(coeffs: TransferCoefficients) -> TransferCoefficients:
+    """The coefficients for a -> b transfer: swap_roles(coeffs) when
+    cos(delta_+ - delta_-) >= 0 (the channel favours b -> a), else coeffs."""
+    if np.cos(coeffs.delta_plus - coeffs.delta_minus) >= 0:
+        return swap_roles(coeffs)
+    return coeffs
+
+
 def dark_state_residual(coeffs: TransferCoefficients) -> float:
     """eta_a eta_b - beta_+^2; zero iff a perfectly dark state exists."""
     return coeffs.eta_a * coeffs.eta_b - coeffs.beta_plus**2
@@ -414,15 +420,14 @@ def b0_closed_form(
     r0_traj: np.ndarray,
     rvec_traj: np.ndarray,
     b0_initial: float,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Quadrature solution b0(t) = b0(0) exp[-1/2 int (R0 + R.e_b)].
 
-    Valid only on pure-state trajectories where ||b(0)|| = b0(0); uses
-    trapezoidal quadrature on the sampled trajectory.
+    Valid only on pure-state trajectories where ||b(0)|| = b0(0) (to
+    1e-12); uses trapezoidal quadrature on the sampled trajectory.
     """
     norms = np.linalg.norm(bvec_traj, axis=1)
-    if abs(norms[0] - b0_initial) > tol:
+    if abs(norms[0] - b0_initial) > 1e-12:
         raise InitialConditionMismatch(
             f"||b(0)|| = {norms[0]!r} but b0(0) = {b0_initial!r}"
         )
@@ -486,13 +491,15 @@ def _h_bz_of_kappa_b(kb, coeffs: TransferCoefficients, kappa0, slope, h_az):
 def _kappa_b_flow(coeffs: TransferCoefficients, kappa0, ratio_db, T, dt):
     """kappa_b at the 2 round(T/dt) + 1 half-step samples of [0, T]: RK4 on
     Python floats from kappa0 * 10^(dB/10).  A stage value below zero
-    (math.sqrt raises) or a non-finite or negative result is divergence."""
+    (math.sqrt raises), an overflow or a non-finite or negative result is
+    divergence."""
     cos_d, ratio, _ = _protocol_constants(coeffs)
     n_steps = 2 * max(1, int(round(T / dt)))
     h = T / n_steps
-    x = kappa0 * 10.0 ** (ratio_db / 10.0)
-    kb = [x]
+    kb = []
     try:
+        x = kappa0 * 10.0 ** (ratio_db / 10.0)
+        kb.append(x)
         for _ in range(n_steps):
             k1 = _kappa_b_dot(x, coeffs, kappa0, cos_d, ratio)
             k2 = _kappa_b_dot(x + 0.5 * h * k1, coeffs, kappa0, cos_d, ratio)
@@ -500,7 +507,8 @@ def _kappa_b_flow(coeffs: TransferCoefficients, kappa0, ratio_db, T, dt):
             k4 = _kappa_b_dot(x + h * k3, coeffs, kappa0, cos_d, ratio)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             kb.append(x)
-    except (ValueError, ZeroDivisionError):  # sqrt of a negative stage, R0 = 0
+    # sqrt of a negative stage, R0 = 0, 10^(dB/10) out of range
+    except (ValueError, ZeroDivisionError, OverflowError):
         kb.append(math.nan)
     kb = np.array(kb)
     if not (np.all(np.isfinite(kb)) and kb[-1] >= 0.0):
@@ -562,7 +570,6 @@ def rescale_protocol(
     protocol: ControlProtocol,
     kappa_a_of_t,
     t_final: float,
-    n_samples: int | None = None,
 ) -> RescaledProtocol:
     """Remap a constant-kappa_a protocol onto a user-supplied kappa_a(t).
 
@@ -573,13 +580,12 @@ def rescale_protocol(
     the remapped times -- a pure compression/expansion of the time axis.
 
     kappa_a_of_t is any callable of physical time (a Schedule works);
-    schedules are sampled on a uniform grid of n_samples intervals over
-    [0, t_final] (default: the protocol's own sample count).  Raises
+    schedules are sampled on a uniform grid over [0, t_final] with the
+    protocol's own sample count.  Raises
     InvalidParameter (a ValueError) if the rescaled clock runs past the
     protocol's horizon, i.e. s(t_final) > protocol.T.
     """
-    n_samples = n_samples if n_samples is not None else len(protocol.times) - 1
-    times = np.linspace(0.0, t_final, n_samples + 1)
+    times = np.linspace(0.0, t_final, len(protocol.times))
     lam = np.array([kappa_a_of_t(t) for t in times]) / protocol.kappa_a
     if not np.all(lam >= 0):
         raise InvalidParameter("kappa_a(t) must be non-negative")
@@ -654,13 +660,12 @@ def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
 def simulate_transfer(
     coeffs: TransferCoefficients,
     protocol: ControlProtocol,
-    bound_slack: float = 1e-6,
 ) -> TransferResult:
     """Integrate the Bloch equations from |ud> under a synthesized protocol.
 
     RK4 steps over pairs of protocol samples (midpoints are exact protocol
     values, no interpolation), applied as precomputed step propagators.
-    Checks the subradiant bound b0(t) <= exp(-int Gamma_d) + slack at every
+    Checks the subradiant bound b0(t) <= exp(-int Gamma_d) + 1e-6 at every
     sample.
     """
     times = protocol.times
@@ -690,7 +695,7 @@ def simulate_transfer(
     if not np.all(np.isfinite(traj)):
         raise StepUnstable("Bloch integration diverged; reduce dt")
     excess = float((b0_traj - dark_bound).max())
-    if not excess <= bound_slack:
+    if not excess <= 1e-6:
         raise BoundViolated(
             f"b0 exceeds the subradiant bound by {excess:.3e}"
         )
@@ -813,20 +818,19 @@ def predict_transfer(
     coeffs: TransferCoefficients,
     kappa0: float,
     ratio_db: float = 25.0,
-    db_floor: float = -40.0,
-    n_grid: int = 4000,
 ):
     """Closed-form estimate of (success upper bound, pulse duration).
 
     Along the synthesized protocol, kappa_b is monotone, so time and the
     accumulated dark decay are 1-d quadratures over kappa_b:
     dt = d(kappa_b)/kappadot_b and int Gamma_d dt = int Gamma_d/|kappadot_b|
-    d(kappa_b).  Integrates on a log grid from kappa_b(0) down to the
-    db_floor level plus the analytic tail (the integrand tends to a constant
-    as kappa_b -> 0).  Returns (exp(-int Gamma_d), time to reach db_floor).
+    d(kappa_b).  Integrates on a 4000-point log grid from kappa_b(0) down
+    to kappa0 at -40 dB plus the analytic tail (the integrand tends to a
+    constant as kappa_b -> 0).  Returns (exp(-int Gamma_d), time to reach
+    -40 dB).
     """
     cos_d, ratio, _ = _protocol_constants(coeffs)
-    kb = kappa0 * np.logspace(ratio_db / 10.0, db_floor / 10.0, n_grid)
+    kb = kappa0 * np.logspace(ratio_db / 10.0, -4.0, 4000)
     # R along the protocol's phase reference, where it is planar (ry = 0)
     r0, rx, _, rz, *_ = _rj_arrays(coeffs, kappa0, -coeffs.delta_plus, 0, kb, 0)
     rnorm = np.sqrt(rx * rx + rz * rz)
@@ -847,14 +851,13 @@ def phase_scan_coefficients(
     circulator_a: np.ndarray,
     circulator_b: np.ndarray,
     phases: np.ndarray,
-    **kwargs,
 ) -> list:
     """TransferCoefficients of the two-circulator network for a whole grid
     of interconnect phases: W stacked over the grid, S shared, one batched
     routing_matrices call.  Entries are None where the loop is rejected.
     Matches transfer_coefficients(two_qubit_network(...)) exactly.
     """
-    network = partial(two_qubit_network, circulator_a, circulator_b, **kwargs)
+    network = partial(two_qubit_network, circulator_a, circulator_b)
     base = network(interconnect_phase=0.0)
     w0 = assemble_W(base)
     # the W entries of the interconnect are the ones that move with its phase
@@ -869,124 +872,100 @@ def phase_scan_coefficients(
     ]
 
 
-def phase_tuned_network(
-    seed: int,
-    r2_min: float,
-    r2_max: float,
-    resid_max: float,
-    n_phase: int = 256,
-    max_tries: int = 200,
-    **kwargs,
-):
+TUNING_PHASES = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+
+
+def _tune_phase(circ_a, circ_b, score):
+    """Scan TUNING_PHASES for the interconnect phase with the lowest
+    score(oriented coefficients), the first one on ties; score returns None
+    for an inadmissible phase.  Returns (lowest score, (coefficients,
+    network, phase)), or None if no phase is admissible."""
+    best = None
+    scan = phase_scan_coefficients(circ_a, circ_b, TUNING_PHASES)
+    for phase, c in zip(TUNING_PHASES, scan):
+        if c is None:
+            continue
+        c = oriented(c)
+        value = score(c)
+        if value is not None and (best is None or value < best[0]):
+            best = (value, c, float(phase))
+    if best is None:
+        return None
+    net = two_qubit_network(circ_a, circ_b, interconnect_phase=best[2])
+    return best[0], (best[1], net, best[2])
+
+
+def phase_tuned_network(seed: int, r2_min: float, r2_max: float, resid_max: float):
     """Imperfect network whose interconnect phase minimizes the dark residual.
 
     Draws seeded random circulators with all retro-reflectances inside
     [r2_min, r2_max], then scans the interconnect phase for the smallest
     |eta_a eta_b - beta_+^2| (sender/receiver swapped when the
     directionality is wrong).  Accepts when that minimum is below resid_max.
-    Returns (coefficients, network, phase) or None.  Deterministic.
+    Returns (coefficients, network, phase) or None after 200 draws.
+    Deterministic.
     """
     rng = np.random.default_rng(seed)
-    eps_lo = 0.5 * np.sqrt(r2_min)
-    eps_hi = 3.0 * np.sqrt(r2_max)
-    phases = np.linspace(0.0, 2.0 * np.pi, n_phase, endpoint=False)
-    for _ in range(max_tries):
-        eps = rng.uniform(eps_lo, eps_hi)
-        circ_a, circ_b = _random_circulators(eps, rng)
-        r2 = np.abs([np.diag(circ_a), np.diag(circ_b)]) ** 2
-        if r2.min() < r2_min or r2.max() > r2_max:
+    for _ in range(200):
+        circs = _random_circulators(_draw_eps(rng, r2_min, r2_max), rng)
+        if not _in_class(circs, r2_min, r2_max):
             continue
-        best = None
-        for phase, c in zip(phases, phase_scan_coefficients(circ_a, circ_b, phases, **kwargs)):
-            if c is None:
-                continue
-            if np.cos(c.delta_plus - c.delta_minus) >= 0:
-                c = swap_roles(c)
-            resid = abs(dark_state_residual(c))
-            if best is None or resid < best[0]:
-                best = (resid, c, float(phase))
-        if best is not None and best[0] < resid_max:
-            net = two_qubit_network(
-                circ_a, circ_b, interconnect_phase=best[2], **kwargs
-            )
-            return best[1], net, best[2]
+        tuned = _tune_phase(*circs, lambda c: abs(dark_state_residual(c)))
+        if tuned is not None and tuned[0] < resid_max:
+            return tuned[1]
     return None
+
+
+ADVERSE_R2 = (0.42, 0.84)  # retro-reflectance class of the adverse networks
 
 
 def phase_tuned_adverse_network(
     seed: int,
-    r2_min: float = 0.42,
-    r2_max: float = 0.84,
-    cos_window: tuple = (-0.20, -0.10),
-    success_window: tuple = (0.45, 0.65),
     kappa0: float = 1.0,
     ratio_db: float = 25.0,
-    max_time: float = 18.0,
-    eta_window: tuple = (0.05, 5.0),
-    n_phase: int = 256,
     max_tries: int = 400,
-    **kwargs,
 ):
     """Strongly reflective network tuned to a mid-range predicted success.
 
-    Same seeded construction as phase_tuned_network, but the interconnect
-    phase is chosen so that cos(delta_+ - delta_-) falls inside cos_window
-    and the predicted success (predict_transfer) is closest to the center
-    of success_window while staying inside it, with the pulse completing
-    within max_time.  Returns (coefficients, network, phase) or None.
+    Circulators with every retro-reflectance in ADVERSE_R2, interconnect
+    phase chosen so that cos(delta_+ - delta_-) falls inside [-0.20, -0.10],
+    both Purcell factors lie in [0.05, 5] and the predicted success
+    (predict_transfer, with kappa0 and ratio_db) is closest to 0.55 while
+    staying inside [0.45, 0.65], with the pulse completing within 18.
+    Returns (coefficients, network, phase) or None.
     """
     rng = np.random.default_rng(seed)
-    phases = np.linspace(0.0, 2.0 * np.pi, n_phase, endpoint=False)
-    target = 0.5 * (success_window[0] + success_window[1])
+    eps_grid = np.linspace(0.8, 3.0, 23)
 
     def reflective_circulator():
         # strong reflections are rare for a random (eps, H) pair, so scan
         # eps per draw and keep the first admissible value
-        eps_grid = np.linspace(0.8, 3.0, 23)
         for _ in range(200):
             h = random_hermitian(rng, 3)
             for eps in eps_grid:
                 circ = perturbed_circulator(eps, h)
-                r2 = np.abs(np.diag(circ)) ** 2
-                if r2.min() >= r2_min and r2.max() <= r2_max:
+                if _in_class([circ], *ADVERSE_R2):
                     return circ
         return None
+
+    def score(c):
+        cos_d = np.cos(c.delta_plus - c.delta_minus)
+        if not (-0.20 <= cos_d <= -0.10 and c.beta_plus >= 1e-6
+                and 0.05 <= c.eta_a <= 5.0 and 0.05 <= c.eta_b <= 5.0):
+            return None
+        est, t_total = predict_transfer(c, kappa0, ratio_db)
+        if t_total > 18.0 or not (0.45 <= est <= 0.65):
+            return None
+        return abs(est - 0.55)
 
     for _ in range(max_tries):
         circ_a = reflective_circulator()
         circ_b = reflective_circulator()
         if circ_a is None or circ_b is None:
             return None
-        best = None
-        for phase, c in zip(phases, phase_scan_coefficients(circ_a, circ_b, phases, **kwargs)):
-            if c is None:
-                continue
-            cos_d = np.cos(c.delta_plus - c.delta_minus)
-            if cos_d >= 0:
-                c = swap_roles(c)
-                cos_d = -cos_d
-            if not (cos_window[0] <= cos_d <= cos_window[1]):
-                continue
-            if not (
-                eta_window[0] <= c.eta_a <= eta_window[1]
-                and eta_window[0] <= c.eta_b <= eta_window[1]
-            ):
-                continue
-            if c.beta_plus < 1e-6:
-                continue
-            est, t_total = predict_transfer(c, kappa0, ratio_db)
-            if t_total > max_time:
-                continue
-            if not (success_window[0] <= est <= success_window[1]):
-                continue
-            score = abs(est - target)
-            if best is None or score < best[0]:
-                best = (score, c, float(phase))
-        if best is not None:
-            net = two_qubit_network(
-                circ_a, circ_b, interconnect_phase=best[2], **kwargs
-            )
-            return best[1], net, best[2]
+        tuned = _tune_phase(circ_a, circ_b, score)
+        if tuned is not None:
+            return tuned[1]
     return None
 
 
@@ -1103,13 +1082,12 @@ def verify_specialized_generator(
     network: Network,
     h_az: float = 0.0,
     h_bz: float = 0.0,
-    tol: float = 1e-12,
 ) -> float:
     """Compare the specialized generator against the generic Lindblad one.
 
     The network's local Hamiltonians must be the matching sigma_z controls
     (as built by two_qubit_network).  Returns the max-abs residual; raises
-    if it exceeds tol relative to the generator scale.
+    if it exceeds 1e-12 relative to the generator scale.
     """
     model = contract_network(network)
     generic = build_generator(model, Controls(), 0.0)
@@ -1132,6 +1110,6 @@ def verify_specialized_generator(
     )
     residual = float(np.abs(generic - special).max())
     scale = max(1.0, float(np.abs(generic).max()))
-    if residual > tol * scale:
+    if residual > 1e-12 * scale:
         raise MismatchWithGenericGenerator(residual)
     return residual

@@ -14,6 +14,7 @@ from loopnet import (
     two_qubit_network,
 )
 from loopnet.cli import main, write_csv
+from loopnet.paths import enumerate_paths
 
 from conftest import single_qubit_network
 
@@ -94,6 +95,45 @@ def test_missing_file_is_schema_error(capsys):
     assert main(["validate", "/nonexistent/net.json"]) == 1
 
 
+def test_non_finite_coupling_is_schema_error(ideal_net_file, tmp_path, capsys):
+    data = json.loads(ideal_net_file.read_text())
+    data["systems"][0]["couplings"][0]["kappa"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    for command in ("validate", "contract"):
+        assert main([command, str(bad), "-o", str(out)]) == 1
+        assert "schema error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_prints_the_paths_it_checked(fast_net_file, monkeypatch,
+                                              capsys):
+    """One path walk per validate, and the printout lists its heaviest
+    paths, all at or above the weight threshold."""
+    import loopnet.cli
+    import loopnet.paths
+
+    walks = []
+
+    def counting(*args, **kwargs):
+        walks.append(kwargs.get("min_weight"))
+        return enumerate_paths(*args, **kwargs)
+
+    monkeypatch.setattr(loopnet.paths, "enumerate_paths", counting)
+    monkeypatch.setattr(loopnet.cli, "enumerate_paths", counting)
+    code = main(["validate", str(fast_net_file), "--weight-threshold",
+                 "0.01"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert walks == [0.01]
+    weights = [float(line.split("|w|=")[1].split()[0])
+               for line in out.splitlines() if "|w|=" in line]
+    assert len(weights) == 10
+    assert min(weights) >= 0.01
+    assert weights == sorted(weights, reverse=True)
+
+
 # -- contract -----------------------------------------------------------------
 
 
@@ -160,6 +200,20 @@ def test_simulate_bad_observable(ideal_net_file, capsys):
         "simulate", str(ideal_net_file), "--t-final", "1.0",
         "--observables", "Q9",
     ]) == 1
+
+
+@pytest.mark.parametrize("option", [
+    ["--initial", "basis:4"],
+    ["--initial", "basis:-1"],
+    ["--observables", "P4"],
+])
+def test_simulate_index_out_of_range_is_schema_error(ideal_net_file, option,
+                                                     tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", str(ideal_net_file), "--t-final", "0.1",
+                 *option, "-o", str(out)]) == 1
+    assert "schema error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- transfer -----------------------------------------------------------------
@@ -229,6 +283,14 @@ def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_transfer_overflowing_ratio_db_is_physics_error(tmp_path, capsys):
+    # kappa0 * 10^(dB/10) overflows a float: the flow diverges at once
+    code = main(["transfer", "--random", "--ratio-db", "1e300", "--T", "1",
+                 "-o", str(tmp_path)])
+    assert code == 2
+    assert "StepUnstable" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["transfer", "--random", "--dt", "0"],
     ["transfer", "--random", "--T", "nan"],
@@ -237,6 +299,19 @@ def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
     ["simulate", "net.json", "--t-final", "1", "--dt", "0"],
     ["simulate", "net.json", "--t-final", "inf"],
     ["transfer", "--random", "--dt", "fast"],
+    ["transfer", "--random", "--eps", "nan"],
+    ["transfer", "--random", "--eps", "inf"],
+    ["transfer", "--random", "--phase", "nan"],
+    ["transfer", "--random", "--ratio-db", "nan"],
+    ["transfer", "--random", "--seed", "-1"],
+    ["transfer", "--random", "--sweep", "-2"],
+    ["validate", "net.json", "--weight-threshold", "0"],
+    ["validate", "net.json", "--weight-threshold", "nan"],
+    ["validate", "net.json", "--tol-unitary", "inf"],
+    ["validate", "net.json", "--tau-min", "nan"],
+    ["paths", "net.json", "--min-weight", "nan"],
+    ["paths", "net.json", "--tau-min", "-1"],
+    ["paths", "net.json", "--max-order", "-1"],
 ])
 def test_bad_numeric_argument_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path)]) == 1
@@ -244,6 +319,18 @@ def test_bad_numeric_argument_is_usage_error(argv, tmp_path, capsys):
     assert "error: argument" in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--tol-unitary", "--weight-threshold",
+                                  "--tau-min"])
+@pytest.mark.parametrize("argv", [
+    ["contract", "net.json"],
+    ["simulate", "net.json", "--t-final", "1"],
+    ["transfer", "--random"],
+])
+def test_flags_without_effect_are_rejected(argv, flag, tmp_path, capsys):
+    assert main(argv + [flag, "0.1", "-o", str(tmp_path)]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -281,6 +368,21 @@ def test_transfer_sweep(tmp_path, capsys):
     for r in rows:
         if not r[5]:  # no error recorded
             assert 0.0 <= float(r[1]) <= 1.0
+
+
+@pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")
+def test_transfer_sweep_records_failed_seeds(tmp_path, capsys):
+    # at eps = 2.5 seeds 1 and 2 favour b -> a; without --swap-roles their
+    # rows carry the error and NaN values, and the sweep still exits 0
+    code = main(["transfer", "--random", "--sweep", "3", "--seed", "0",
+                 "--eps", "2.5", "--phase", "1.0", "--T", "2", "--dt", "5e-3",
+                 "-o", str(tmp_path)])
+    assert code == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [r[0] for r in rows] == ["0", "1", "2"]
+    for r in rows[1:]:
+        assert r[1:] == ["nan"] * 4 + ["WrongDirectionality"]
+    assert "(1/3 seeds succeeded)" in capsys.readouterr().out
 
 
 def test_network_round_trips_through_cli_output(tmp_path, capsys):

@@ -214,3 +214,34 @@ def test_embed_operator_unknown_element():
     net = two_qubit_network(ideal_circulator(), ideal_circulator())
     with pytest.raises(DimensionMismatch):
         embed_operator(net, "nope", SIGMA_MINUS)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, value", [
+    (("blocks", 1, "matrix", 0, 0), [NAN, 0.0]),
+    (("systems", 0, "hamiltonian", 1, 1), [INF, 0.0]),
+    (("systems", 0, "couplings", 0, "op", 1, 0), [NAN, 0.0]),
+    (("systems", 0, "couplings", 0, "kappa"), NAN),
+    (("systems", 0, "couplings", 0, "kappa"), INF),
+    (("systems", 1, "couplings", 0, "phi"), NAN),
+    (("connections", 2, "phase"), NAN),
+    (("connections", 2), {"from": 2, "to": 4, "distance": INF}),
+    (("ports", 3, "z"), NAN),
+    (("geometry", "v_p"), 0.0),
+    (("geometry", "v_p"), INF),
+    (("geometry", "kappa0"), NAN),
+    (("geometry", "kappa0"), -1.0),
+], ids=["block", "hamiltonian", "operator", "kappa-nan", "kappa-inf", "phi",
+        "phase", "distance", "z", "v_p-zero", "v_p-inf", "kappa0-nan",
+        "kappa0-negative"])
+def test_non_finite_numbers_are_schema_errors(path, value):
+    data = network_to_dict(two_qubit_network(ideal_circulator(),
+                                             ideal_circulator()))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError):
+        network_from_dict(data)

@@ -12,7 +12,7 @@ from loopnet import (
     two_qubit_network,
     validity_check,
 )
-from loopnet.errors import MissingGeometry, PathExplosion
+from loopnet.errors import InvalidParameter, MissingGeometry, PathExplosion
 from loopnet.network import Connection, Network, assemble_S, assemble_W
 
 from conftest import fabry_perot
@@ -136,3 +136,23 @@ def test_weight_threshold_controls_violations():
     loose = validity_check(net, weight_threshold=0.999)
     assert len(strict.violating_paths) > len(loose.violating_paths)
     assert loose.valid
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"weight_threshold": 0.0},
+    {"weight_threshold": float("nan")},
+    {"weight_threshold": float("inf")},
+    {"tau_min": float("nan")},
+    {"tau_min": -1.0},
+])
+def test_validity_check_rejects_bad_thresholds(kwargs):
+    with pytest.raises(InvalidParameter):
+        validity_check(fabry_perot(0.5, 0.3), **kwargs)
+
+
+@pytest.mark.parametrize("max_order, min_weight", [
+    (-1, 1e-3), (4, float("nan")), (4, float("inf")), (4, -1.0),
+])
+def test_enumerate_paths_rejects_bad_arguments(max_order, min_weight):
+    with pytest.raises(InvalidParameter):
+        enumerate_paths(fabry_perot(0.5, 0.3), max_order, min_weight)

@@ -20,6 +20,7 @@ from loopnet import (
     find_network_in_class,
     ideal_circulator,
     integrate,
+    oriented,
     perturbed_circulator,
     phase_scan_coefficients,
     predict_transfer,
@@ -54,10 +55,7 @@ def perfect_coeffs():
 
 
 def forward_coefficients(net):
-    coeffs = transfer_coefficients(net)
-    if np.cos(coeffs.delta_plus - coeffs.delta_minus) >= 0:
-        coeffs = swap_roles(coeffs)
-    return coeffs
+    return oriented(transfer_coefficients(net))
 
 
 # -- network builders ---------------------------------------------------------
