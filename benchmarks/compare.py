@@ -1,0 +1,247 @@
+"""Parent-versus-change numbers for one perfbench workload, written as JSON.
+
+    python3 benchmarks/compare.py --workload W --parent PATH
+                                  [--seeds S ...] [--d64] [-o FILE]
+
+Run from the root of a loopnet checkout (the "change").  PATH is a second
+checkout to compare against (the "parent"), for example one made with
+`git archive <commit> | tar -x -C PATH`.  W is a workload of BENCHMARK.json.
+The report goes to BENCH_<W>.json (or FILE) and holds:
+
+- traced: `perfbench/run.py --workload W --seed 1 --trace 1` on each tree,
+  keeping `self_s` of every layer that either tree calls;
+- paired: `perfbench/run.py --workload W --seed S --trace 0` on both trees
+  for each seed (default: ten pairs, the last one the held-out seed 7919),
+  alternating which tree runs first.  Each gated end-to-end metric gets
+  its runs, median and quartiles per tree, and the number of pairs in
+  which the change reads better; failed and attempted requests are kept
+  per run, and the held-out seed is also reported on its own;
+- tier1_wall_s: the wall time of the tier-1 suite (`python -m pytest -q`
+  with `src` on the path) on each tree;
+- with --d64, a scheduled three-qubit Lindblad run (D^2 = 64: sampled
+  kappa and Hamiltonian schedules on a chain of three imperfect
+  circulators, T = 2, dt = 5e-3), best of 3, per RK4 step, with the
+  largest difference between the two trees' stored density matrices.
+
+Every child process runs with one BLAS thread.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SEEDS = [7, 101, 102, 103, 104, 105, 106, 107, 108, 7919]
+HELD_OUT = 7919
+D64_T, D64_DT, D64_REPEATS = 2.0, 5e-3, 3
+
+
+def child_env(tree: Path | None = None) -> dict:
+    env = dict(os.environ)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    env.pop("PYTHONPATH", None)
+    if tree is not None:
+        env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
+def end_to_end(tree: Path) -> dict:
+    """Gated end-to-end metric -> True where higher is better."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+
+
+def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """The result JSON of one run; a run with failed requests exits 1."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", str(trace)],
+        cwd=tree, env=child_env(), capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"{tree}: perfbench exited {proc.returncode}\n"
+                         f"{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def tier1_wall_s(tree: Path) -> float:
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tree, env=child_env(tree), capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: tier-1 failed\n{proc.stdout[-2000:]}")
+    return wall
+
+
+def d64_worker(out_path: str) -> None:
+    """The scheduled D^2 = 64 run; imports loopnet from sys.path."""
+    import numpy as np
+
+    import loopnet as lp
+    from loopnet.network import SIGMA_MINUS, SIGMA_Z
+
+    rng = np.random.default_rng(64)
+    ports, blocks, systems, connections = [], [], [], []
+    for k in range(3):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        circ, qubit = f"circ{k}", f"qubit{k}"
+        ports += [lp.Port(3 * k + j, circ, float(k)) for j in range(3)]
+        ports.append(lp.Port(9 + k, qubit, float(k)))
+        blocks += [
+            lp.ScatteringBlock(circ, lp.perturbed_circulator(
+                0.1, 0.5 * (a + a.conj().T))),
+            lp.ScatteringBlock(qubit, np.array([[1.0 + 0.0j]])),
+        ]
+        connections += [lp.Connection(3 * k + 2, 9 + k),
+                        lp.Connection(9 + k, 3 * k + 2)]
+        if k < 2:
+            connections += [lp.Connection(3 * k + 1, 3 * k + 3),
+                            lp.Connection(3 * k + 3, 3 * k + 1)]
+        systems.append(lp.LocalSystem(
+            qubit, 2, np.zeros((2, 2), dtype=complex),
+            {9 + k: lp.Coupling(SIGMA_MINUS, 1.0)},
+        ))
+    net = lp.Network(ports, blocks, systems, connections,
+                     lp.Geometry(k0=0.0, v_p=1.0, kappa0=1.0))
+    grid = np.linspace(0.0, D64_T, 201)
+    controls = lp.controls_from_network(
+        net,
+        kappa_schedules={
+            9 + k: lp.Schedule.sampled(grid, 1.0 + 0.5 * np.sin(grid + k))
+            for k in range(3)
+        },
+        phi_schedules={9: lp.Schedule.constant(0.3)},
+        hamiltonian_terms=[(
+            np.kron(np.kron(SIGMA_Z, np.eye(2)), np.eye(2)),
+            lp.Schedule.sampled(grid, 0.2 * np.cos(grid)),
+        )],
+    )
+    model = lp.contract_network(net)
+    rho0 = np.zeros((8, 8), dtype=complex)
+    rho0[0, 0] = 1.0
+    best = float("inf")
+    for _ in range(D64_REPEATS):
+        start = time.perf_counter()
+        traj = lp.integrate(model, controls, rho0, t_final=D64_T, dt=D64_DT)
+        best = min(best, time.perf_counter() - start)
+    np.save(out_path, traj.rhos)
+    print(json.dumps({"steps": len(traj.times) - 1, "best_s": best}))
+
+
+def d64(trees: dict) -> dict:
+    import numpy as np
+
+    here = str(Path(__file__).resolve().parent)
+    result, rhos = {}, {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for side, tree in trees.items():
+            out_path = str(Path(scratch) / f"{side}.npy")
+            code = (f"import sys; sys.path[:0] = [{str(tree / 'src')!r}, "
+                    f"{here!r}]; import compare; "
+                    f"compare.d64_worker({out_path!r})")
+            out = subprocess.run([sys.executable, "-c", code],
+                                 env=child_env(), capture_output=True,
+                                 text=True, check=True).stdout
+            run = json.loads(out.strip().splitlines()[-1])
+            result[side] = {"steps": run["steps"],
+                            "us_per_step": 1e6 * run["best_s"] / run["steps"]}
+            rhos[side] = np.load(out_path)
+    result["max_abs_rho_difference"] = float(
+        np.abs(rhos["parent"] - rhos["change"]).max())
+    return {"T": D64_T, "dt": D64_DT, "best_of": D64_REPEATS, **result}
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS)
+    parser.add_argument("--d64", action="store_true",
+                        help="add the scheduled D^2 = 64 Lindblad case")
+    parser.add_argument("-o", "--output", type=Path, default=None)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": Path.cwd().resolve()}
+    metrics = end_to_end(trees["change"])
+    output = args.output or Path(f"BENCH_{args.workload}.json")
+
+    traced = {}
+    for side, tree in trees.items():
+        values = perfbench(tree, args.workload, 1, 1)["metrics"]
+        traced[side] = {name: m["value"] for name, m in values.items()}
+    layers = sorted(
+        name[:-len(".self_s")] for name in traced["change"]
+        if name.endswith(".self_s")
+        and any(traced[side].get(name[:-len(".self_s")] + ".calls")
+                for side in trees)
+    )
+
+    runs = {side: {name: [] for name in metrics} for side in trees}
+    requests = {side: [] for side in trees}
+    for i, seed in enumerate(args.seeds):
+        for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+            result = perfbench(trees[side], args.workload, seed, 0)
+            requests[side].append({"seed": seed,
+                                   "attempted": result["attempted"],
+                                   "failed": result["failed"]})
+            for name in metrics:
+                runs[side][name].append(result["metrics"][name]["value"])
+
+    paired = {
+        "seeds": args.seeds,
+        **{side: {name: summary(values) for name, values in runs[side].items()}
+           for side in trees},
+        "pairs_change_better": {
+            name: sum((c > p) if higher else (c < p) for p, c in zip(
+                runs["parent"][name], runs["change"][name]))
+            for name, higher in metrics.items()
+        },
+        "requests": requests,
+    }
+    if HELD_OUT in args.seeds:
+        i = args.seeds.index(HELD_OUT)
+        paired["held_out_seed"] = {
+            "seed": HELD_OUT,
+            **{side: {name: runs[side][name][i] for name in metrics}
+               for side in trees},
+        }
+
+    report = {
+        "command": f"python3 benchmarks/compare.py --workload {args.workload}"
+                   " --parent PATH --seeds " + " ".join(map(str, args.seeds))
+                   + " --d64" * args.d64,
+        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                 "blas_threads": 1},
+        "traced_seed1_self_s": {
+            side: {f"{layer}.self_s": traced[side].get(f"{layer}.self_s")
+                   for layer in layers}
+            for side in trees
+        },
+        "paired_untraced": paired,
+        "tier1_wall_s": {side: tier1_wall_s(tree)
+                         for side, tree in trees.items()},
+    }
+    if args.d64:
+        report["scheduled_d64"] = d64(trees)
+    output.write_text(json.dumps(report, indent=2) + "\n")
+    print(json.dumps(report, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -433,6 +433,8 @@ def _cmd_transfer_sweep(args) -> int:
                 float(swapped),
                 "",
             )
+        except (SchemaError, InvalidParameter):
+            raise  # an input error fails every seed alike: exit 1
         except LoopnetError as exc:
             return (float(seed), np.nan, np.nan, np.nan, np.nan,
                     type(exc).__name__)
@@ -466,7 +468,8 @@ def _cmd_transfer_sweep(args) -> int:
     )
     ok = [r for r in rows if not r[5]]
     print(f"wrote {out} ({len(ok)}/{len(rows)} seeds succeeded)")
-    return EXIT_OK
+    # a failed seed's row holds NaN and names its error: not a clean exit
+    return EXIT_OK if len(ok) == len(rows) else EXIT_PHYSICS
 
 
 # -- parser -------------------------------------------------------------------

@@ -22,6 +22,24 @@ from .network import Network, dag, embed_operator
 
 TOL_TRACE = 1e-8
 TOL_HERM_STEP = 1e-10
+# The most RK4 steps one integration may take.  Checked before anything is
+# allocated, so an absurd t_final/dt fails at once instead of running for
+# hours or exhausting memory; the largest run in the tests takes 10^5.
+MAX_STEPS = 10**7
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """RK4 steps over [0, t_final] at about dt: max(1, round(t_final/dt)).
+
+    Raises InvalidParameter when t_final/dt exceeds MAX_STEPS or is NaN.
+    """
+    ratio = t_final / dt
+    if not ratio <= MAX_STEPS:
+        raise InvalidParameter(
+            f"t_final/dt = {ratio:.3g} exceeds the {MAX_STEPS:.0e} RK4 steps "
+            "one integration may take; raise dt or shorten the run"
+        )
+    return max(1, int(round(ratio)))
 
 
 class Schedule:
@@ -339,7 +357,7 @@ def integrate(
     rho = np.array(rho0, dtype=complex)
     d = rho.shape[0]
     dd = d * d
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = step_count(t_final, dt)
     h = t_final / n_steps
 
     n_samples = 1 + n_steps // sample_stride + (n_steps % sample_stride != 0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,7 +33,7 @@ from .errors import (
     StepUnstable,
     WrongDirectionality,
 )
-from .lindblad import Controls, build_generator, rk4_step_matrix
+from .lindblad import Controls, build_generator, rk4_step_matrix, step_count
 from .network import (
     SIGMA_MINUS,
     Connection,
@@ -473,13 +473,6 @@ def _protocol_constants(coeffs: TransferCoefficients):
     return cos_d, ratio, slope
 
 
-def _kappa_b_dot(kb, coeffs: TransferCoefficients, kappa0, cos_d, ratio):
-    rx = 2.0 * math.sqrt(kappa0 * kb) * coeffs.beta_plus
-    rz = kappa0 * coeffs.eta_a - kb * coeffs.eta_b
-    r0 = kappa0 * coeffs.eta_a + kb * coeffs.eta_b
-    return cos_d * kb * ratio * (rx * rx + rz * rz) / r0
-
-
 def _h_bz_of_kappa_b(kb, coeffs: TransferCoefficients, kappa0, slope, h_az):
     return (
         kb * (coeffs.eta_b * slope - coeffs.t_bb.imag)
@@ -488,32 +481,133 @@ def _h_bz_of_kappa_b(kb, coeffs: TransferCoefficients, kappa0, slope, h_az):
     )
 
 
-def _kappa_b_flow(coeffs: TransferCoefficients, kappa0, ratio_db, T, dt):
-    """kappa_b at the 2 round(T/dt) + 1 half-step samples of [0, T]: RK4 on
-    Python floats from kappa0 * 10^(dB/10).  A stage value below zero
-    (math.sqrt raises), an overflow or a non-finite or negative result is
-    divergence."""
-    cos_d, ratio, _ = _protocol_constants(coeffs)
-    n_steps = 2 * max(1, int(round(T / dt)))
-    h = T / n_steps
-    kb = []
-    try:
-        x = kappa0 * 10.0 ** (ratio_db / 10.0)
-        kb.append(x)
-        for _ in range(n_steps):
-            k1 = _kappa_b_dot(x, coeffs, kappa0, cos_d, ratio)
-            k2 = _kappa_b_dot(x + 0.5 * h * k1, coeffs, kappa0, cos_d, ratio)
-            k3 = _kappa_b_dot(x + 0.5 * h * k2, coeffs, kappa0, cos_d, ratio)
-            k4 = _kappa_b_dot(x + h * k3, coeffs, kappa0, cos_d, ratio)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            kb.append(x)
-    # sqrt of a negative stage, R0 = 0, 10^(dB/10) out of range
-    except (ValueError, ZeroDivisionError, OverflowError):
-        kb.append(math.nan)
-    kb = np.array(kb)
-    if not (np.all(np.isfinite(kb)) and kb[-1] >= 0.0):
-        raise StepUnstable("kappa_b flow diverged; reduce dt or ratio_db")
-    return kb
+# ln(kappa_b/kappa0) window of the closed form, about 1e-100 to 1e100.  Below
+# it the flow is exponential to double precision, and beyond it Q(x) and
+# P(w) could overflow.
+_LN_X_LOW, _LN_X_HIGH = -230.0, 230.0
+_TABLE_NODES = 2049  # the ln kappa_b table that seeds Newton
+_NEWTON_STEPS = 4
+
+
+class _ReceiverFlow:
+    """The receiver schedule kappa_b(t) of synthesize_controls in closed form.
+
+    With x = kappa_b/kappa0 and time in units of 1/kappa0 the flow is
+    autonomous and rational in x:
+
+        dx/dt = c x Q(x) / (a + e x),   Q(x) = e^2 x^2 + q x + a^2,
+
+    with c = cos(delta_+ - delta_-) beta_-/beta_+ < 0 (``rate``),
+    a = eta_a, e = eta_b and q = 2 (2 beta_+^2 - eta_a eta_b).  Partial
+    fractions give the time at which it reaches x:
+
+        t(x) = (1/c) [k G(u, u0) - ln(P(w)/P(w0)) / (2a)],
+
+    where w = 1/x, P(w) = Q(x)/x^2, u = 2 e^2 x + q,
+    k = e - q/(2a) = 2 (eta_a eta_b - beta_+^2)/eta_a and
+    G(u, u0) = (2/s) atan2(s (u - u0), s^2 + u u0), with
+    s^2 = 4 a^2 e^2 - q^2 = 16 beta_+^2 (eta_a eta_b - beta_+^2) >= 0 (unitary
+    blocks make the dissipator positive).  As s -> 0, the perfectly dark
+    channel, G tends to 2 (u - u0)/(u u0) and k G to 0.  ln(P/P0) is taken
+    as log1p of (w - w0)(a^2 (w + w0) + q)/P0, which stays exact where
+    kappa_b is large.
+
+    The coefficient fields are scalars (one network) or arrays (networks on
+    the last axis, as transfer_sweep builds them); rate is c per network.
+    Raises StepUnstable unless kappa_b(0) = kappa0 10^(dB/10) is finite,
+    > 0 and at most 1e100 kappa0.
+    """
+
+    def __init__(self, coeffs, rate, kappa0: float, ratio_db: float):
+        try:
+            x0 = kappa0 * 10.0 ** (ratio_db / 10.0)
+        except OverflowError:
+            x0 = math.inf
+        y0 = ratio_db * math.log(10.0) / 10.0  # ln(kappa_b(0)/kappa0)
+        if not (0.0 < x0 < math.inf and y0 <= _LN_X_HIGH):
+            raise StepUnstable(
+                f"kappa_b(0) = kappa0 * 10^({ratio_db:g}/10) = {x0:.3g} must "
+                "be finite, > 0 and at most 1e100 kappa0"
+            )
+        self.kappa0, self.x0, self.y0 = kappa0, x0, y0
+        c, a, e, beta = np.atleast_1d(
+            rate, coeffs.eta_a, coeffs.eta_b, coeffs.beta_plus
+        )
+        beta2 = beta * beta
+        q = 2.0 * (2.0 * beta2 - a * e)
+        k = e - q / (2.0 * a)
+        # A floor of 1e-200 on s^2 evaluates the s -> 0 limit of G to double
+        # precision (they differ by O(s^2)) and absorbs roundoff below zero.
+        s2 = np.maximum(16.0 * beta2 * (a * e - beta2), 1e-200)
+        s = np.sqrt(s2)
+        # t is measured from x_start; below _LN_X_LOW it grows linearly in
+        # ln x with slope 1/(c a), and so does the part of it before x_start
+        x_start = math.exp(max(y0, _LN_X_LOW))
+        w0 = 1.0 / x_start
+        p0 = (a * a * w0 + q) * w0 + e * e
+        u0 = 2.0 * e * e * x_start + q
+        self.x_start, self.w0, self.ca = x_start, w0, c * a
+        # t = A atan2(S (x - x_start), C0 + C1 x)
+        #     + L log1p((w - w0)(alpha w + beta)) + (y - y_in)/(c a) + t_low,
+        # with y_in = max(y, _LN_X_LOW) and x, w = e^y_in, e^-y_in
+        self.A, self.S = 2.0 * k / (s * c), 2.0 * e * e * s
+        self.C0, self.C1 = s2 + q * u0, 2.0 * e * e * u0
+        self.L = -1.0 / (2.0 * a * c)
+        self.alpha, self.beta = a * a / p0, (a * a * w0 + q) / p0
+        self.t_low = -(y0 - max(y0, _LN_X_LOW)) / (c * a)
+        # dy/dt = c Q(x)/(a + e x) = ((e^2 x + q) x + a^2)/(a/c + (e/c) x)
+        self.e2, self.q, self.a2 = e * e, q, a * a
+        self.a_c, self.e_c = a / c, e / c
+
+    def time(self, y):
+        """(t, dy/dt) at y = ln(kappa_b/kappa0), in units of 1/kappa0."""
+        y_in = np.maximum(y, _LN_X_LOW)
+        x = np.exp(y_in)
+        w = 1.0 / x
+        g = np.arctan2(self.S * (x - self.x_start), self.C0 + self.C1 * x)
+        log_p = np.log1p((w - self.w0) * (self.alpha * w + self.beta))
+        t = self.A * g + self.L * log_p + ((y - y_in) / self.ca + self.t_low)
+        rate = ((self.e2 * x + self.q) * x + self.a2) / (self.a_c + self.e_c * x)
+        return t, rate
+
+    @cached_property
+    def _table(self):
+        """t on _TABLE_NODES uniform steps of ln x from ln x(0) to below
+        _LN_X_LOW, as one increasing abscissa for all networks: network i's
+        t divided by its last value t_end, plus 2i.  Returns that abscissa,
+        ln x at its nodes, t_end and the shifts 2i."""
+        ys = np.linspace(self.y0, min(self.y0, _LN_X_LOW) - 1.0, _TABLE_NODES)
+        ts = self.time(ys[:, None])[0]
+        t_end = ts[-1]
+        shift = 2.0 * np.arange(len(t_end))
+        return (ts / t_end + shift).T.ravel(), np.tile(ys, len(t_end)), t_end, shift
+
+    def at(self, times) -> np.ndarray:
+        """kappa_b at the given times, (len(times), networks).
+
+        ln x is interpolated from the table, then refined by _NEWTON_STEPS
+        Newton steps on t(ln x) = t.  Past the table's end t is linear in
+        ln x, so the first step lands there exactly.  kappa_b(0) is
+        kappa0 10^(dB/10) exactly.
+        """
+        abscissa, ys, t_end, shift = self._table
+        tau = self.kappa0 * np.asarray(times, dtype=float)[:, None]
+        y = np.interp(np.minimum(tau / t_end, 1.0) + shift, abscissa, ys)
+        for _ in range(_NEWTON_STEPS):
+            t, rate = self.time(y)
+            y -= (t - tau) * rate
+        kb = self.kappa0 * np.exp(y)
+        kb[tau[:, 0] == 0.0] = self.x0
+        return kb
+
+
+def _require_pulse_end(kb_end) -> None:
+    """kappa_b(T) must be a finite number > 0 for the terminal dB."""
+    if not np.all((kb_end > 0.0) & (kb_end < np.inf)):
+        raise StepUnstable(
+            f"kappa_b(T) = {np.min(kb_end):.3g} is not a finite number > 0; "
+            "shorten T"
+        )
 
 
 def synthesize_controls(
@@ -526,13 +620,17 @@ def synthesize_controls(
 ) -> ControlProtocol:
     """Receiver schedule (kappa_b(t), h_bz(t)) tracking the subradiant state.
 
-    Fixes the phase reference phi_a - phi_b = -delta_+ and integrates the
-    decoupled kappa_b flow with RK4 from kappa_b(0) = kappa0 * 10^(dB/10).
-    The schedule is sampled at half the requested step so that downstream
-    RK4 integration of the Bloch equations finds exact midpoint values.
+    Fixes the phase reference phi_a - phi_b = -delta_+ and takes kappa_b(t)
+    from the exact solution of the decoupled kappa_b flow (_ReceiverFlow),
+    starting at kappa_b(0) = kappa0 * 10^(dB/10).  The schedule is sampled
+    at half the requested step so that downstream RK4 integration of the
+    Bloch equations finds exact midpoint values.  T/dt is bounded by
+    lindblad.MAX_STEPS (InvalidParameter).
     """
-    _, _, slope = _protocol_constants(coeffs)
-    kb = _kappa_b_flow(coeffs, kappa0, ratio_db, T, dt)
+    cos_d, ratio, slope = _protocol_constants(coeffs)
+    times = np.linspace(0.0, T, 2 * step_count(T, dt) + 1)
+    kb = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db).at(times)[:, 0]
+    _require_pulse_end(kb[-1])
     terminal_db = 10.0 * np.log10(kb[-1] / kappa0)
     if terminal_db > -15.0:
         warnings.warn(
@@ -541,7 +639,6 @@ def synthesize_controls(
             stacklevel=2,
         )
 
-    times = np.linspace(0.0, T, len(kb))
     h_bz = _h_bz_of_kappa_b(kb, coeffs, kappa0, slope, h_az)
     return ControlProtocol(
         times=times,
@@ -633,6 +730,10 @@ def _bloch_generator(r0, rx, ry, rz, jx, jy, jz):
 
 
 _BLOCK = 1024  # propagators (steps x networks) formed at once: bounds memory
+# ... but at least this many steps: with many networks a block's fixed
+# dispatch cost would outweigh its work (100 networks: 10 steps a block,
+# and the sweep runs 1.2x slower than at 32)
+_MIN_BLOCK_STEPS = 32
 
 
 def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
@@ -643,7 +744,7 @@ def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
     rk4_step_matrix.  Yields per block of m steps: components, y_n..y_n+m
     (m + 1, B, 4) and the stage maps (S1, S2, S3), each (m, B, 4, 4)."""
     y = np.asarray(y0, dtype=float)[..., None]  # (B, 4, 1)
-    block = max(1, _BLOCK // len(y))
+    block = max(_MIN_BLOCK_STEPS, _BLOCK // len(y))
     for start in range(0, n_steps, block):
         m = min(block, n_steps - start)
         comps = components(2 * start, 2 * (start + m))
@@ -651,8 +752,10 @@ def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
         p, stage_maps = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)
         states = np.empty((m + 1,) + y.shape)
         states[0] = y
-        for i in range(m):
-            np.matmul(p[i], states[i], out=states[i + 1])
+        # an unstable step overflows quietly; callers check the states
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(m):
+                np.matmul(p[i], states[i], out=states[i + 1])
         y = states[-1]
         yield comps, states[..., 0], stage_maps
 
@@ -743,26 +846,30 @@ def transfer_sweep(
 ) -> list:
     """Synthesize-and-simulate many networks in one batched pass.
 
-    kappa_b comes from the flow of synthesize_controls and the Bloch states
+    kappa_b comes from the closed form of synthesize_controls, evaluated a
+    block of steps at a time for every network at once, and the Bloch states
     go through the step propagators of simulate_transfer, so results match
     the scalar pipeline to roundoff.  The bound's int Gamma_d (Simpson on
     the half-step samples) and the closed form's int (R0 + R.e_b) (over the
     RK4 stage states) are what RK4 gives for them as extra ODE states.
     """
     n_net = len(coeffs_list)
-    slope = np.array([_protocol_constants(c)[2] for c in coeffs_list])
-    n_half = 2 * max(1, int(round(T / dt)))
-    kb = np.empty((n_half + 1, n_net))
-    for i, c in enumerate(coeffs_list):
-        kb[:, i] = _kappa_b_flow(c, kappa0, ratio_db, T, dt)
+    cos_d, ratio, slope = np.array(
+        [_protocol_constants(c) for c in coeffs_list]
+    ).T
+    n_half = 2 * step_count(T, dt)
+    times = np.linspace(0.0, T, n_half + 1)
     # fields as arrays over the networks, so one-network formulas broadcast
     coeffs = TransferCoefficients(t_ext={}, **{
         f.name: np.array([getattr(c, f.name) for c in coeffs_list])
         for f in fields(TransferCoefficients) if f.name != "t_ext"
     })
+    flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
+    kb_end = flow.at(times[-1:])[0]
+    _require_pulse_end(kb_end)
 
     def components(lo, hi):
-        kb_block = kb[lo:hi + 1]
+        kb_block = flow.at(times[lo:hi + 1])
         hbz = _h_bz_of_kappa_b(kb_block, coeffs, kappa0, slope, h_az)
         return _rj_arrays(
             coeffs, kappa0, -coeffs.delta_plus, h_az, kb_block, hbz
@@ -783,7 +890,8 @@ def transfer_sweep(
             axis=0,
         )
         y_n = y[:-1]
-        stages = (y_n, *((s @ y_n[..., None])[..., 0] for s in stage_maps))
+        stages = (y_n, *(np.einsum("...ij,...j->...i", s, y_n)
+                         for s in stage_maps))
         f1, f2, f3, f4 = (
             _closed_form_integrand(r0[k], rx[k], ry[k], rz[k], state)
             for k, state in zip(np.s_[:-1:2, 1::2, 1::2, 2::2], stages)
@@ -801,7 +909,7 @@ def transfer_sweep(
     if not np.all(np.isfinite(y[-1])):
         raise StepUnstable("transfer sweep diverged; reduce dt")
     b0, success = y[-1, :, 0], 0.5 * (y[-1, :, 0] - y[-1, :, 3])
-    kb_db = 10.0 * np.log10(kb[-1] / kappa0)
+    kb_db = 10.0 * np.log10(kb_end / kappa0)
     return [
         SweepSummary(
             success=float(success[i]),
@@ -821,13 +929,13 @@ def predict_transfer(
 ):
     """Closed-form estimate of (success upper bound, pulse duration).
 
-    Along the synthesized protocol, kappa_b is monotone, so time and the
-    accumulated dark decay are 1-d quadratures over kappa_b:
-    dt = d(kappa_b)/kappadot_b and int Gamma_d dt = int Gamma_d/|kappadot_b|
-    d(kappa_b).  Integrates on a 4000-point log grid from kappa_b(0) down
-    to kappa0 at -40 dB plus the analytic tail (the integrand tends to a
-    constant as kappa_b -> 0).  Returns (exp(-int Gamma_d), time to reach
-    -40 dB).
+    Along the synthesized protocol kappa_b is monotone, so the accumulated
+    dark decay is a 1-d quadrature over kappa_b: int Gamma_d dt =
+    int Gamma_d/|kappadot_b| d(kappa_b), on a 4000-point log grid from
+    kappa_b(0) down to kappa0 at -40 dB plus the analytic tail (the
+    integrand tends to a constant as kappa_b -> 0).  The duration is the
+    exact time of the flow (_ReceiverFlow) to reach -40 dB.  Returns
+    (exp(-int Gamma_d), time to reach -40 dB).
     """
     cos_d, ratio, _ = _protocol_constants(coeffs)
     kb = kappa0 * np.logspace(ratio_db / 10.0, -4.0, 4000)
@@ -837,13 +945,15 @@ def predict_transfer(
     speed = -cos_d * ratio * kb * (rx * rx + rz * rz) / r0  # |dkappa_b/dt|
     gamma_d = 0.5 * (r0 - rnorm)
     dkb = -np.diff(kb)  # positive
-    t_total = float(np.sum(0.5 * (1 / speed[1:] + 1 / speed[:-1]) * dkb))
     loss = float(
         np.sum(0.5 * (gamma_d[1:] / speed[1:] + gamma_d[:-1] / speed[:-1]) * dkb)
     )
     # tail below the floor: Gamma_d/speed tends to a constant, so the
     # remaining integral is ~ that constant times the remaining kappa_b
     loss += float(gamma_d[-1] / speed[-1] * kb[-1])
+    # the exact time at which the flow reaches kappa0 * 1e-4 (-40 dB)
+    flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
+    t_total = float(flow.time(math.log(1e-4))[0][0]) / kappa0
     return float(np.exp(-loss)), t_total
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -274,21 +275,51 @@ def test_transfer_wrong_direction_suggests_swap(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
-    # kappa_b(0) = 1e8 kappa0 at dt = 1e-3: the RK4 control flow diverges,
-    # and is reported without a stray numpy warning on the way
+    # kappa_b(0) = 1e8 kappa0 at dt = 1e-3: the first Bloch RK4 steps
+    # amplify, so b0 leaves the subradiant bound; reported without a stray
+    # numpy warning on the way
     code = main(["transfer", "--random", "--swap-roles", "--ratio-db", "80",
                  "--T", "2", "-o", str(tmp_path)])
     assert code == 2
-    assert "StepUnstable" in capsys.readouterr().err
+    assert "BoundViolated" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_transfer_overflowing_ratio_db_is_physics_error(tmp_path, capsys):
-    # kappa0 * 10^(dB/10) overflows a float: the flow diverges at once
+    # kappa0 * 10^(dB/10) overflows a float: no flow can start there
     code = main(["transfer", "--random", "--ratio-db", "1e300", "--T", "1",
                  "-o", str(tmp_path)])
     assert code == 2
     assert "StepUnstable" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_transfer_underflowing_ratio_db_is_physics_error(tmp_path, capsys):
+    # kappa0 * 10^(dB/10) underflows to 0: no divide warning, no all-zero
+    # schedule written with exit 0
+    code = main(["transfer", "--random", "--ratio-db=-4000", "--T", "1",
+                 "-o", str(tmp_path)])
+    assert code == 2
+    assert "StepUnstable" in capsys.readouterr().err
+    assert not (tmp_path / "controls.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--random", "--T", "1e300", "--dt", "1e-300"],
+    ["transfer", "--random", "--T", "1e10", "--dt", "1e-10"],
+    ["transfer", "--random", "--sweep", "2", "--T", "1e10", "--dt", "1e-10"],
+    ["simulate", "NET", "--t-final", "1e10", "--dt", "1e-10"],
+])
+def test_unbounded_step_count_is_input_error(argv, tmp_path, capsys):
+    # the step count is bounded before anything is allocated
+    net = tmp_path / "net.json"
+    save_network(two_qubit_network(ideal_circulator(), ideal_circulator()), net)
+    argv = [str(net) if a == "NET" else a for a in argv]
+    start = time.perf_counter()
+    code = main(argv + ["-o", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -373,11 +404,11 @@ def test_transfer_sweep(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")
 def test_transfer_sweep_records_failed_seeds(tmp_path, capsys):
     # at eps = 2.5 seeds 1 and 2 favour b -> a; without --swap-roles their
-    # rows carry the error and NaN values, and the sweep still exits 0
+    # rows carry the error and NaN values, and the sweep exits 2
     code = main(["transfer", "--random", "--sweep", "3", "--seed", "0",
                  "--eps", "2.5", "--phase", "1.0", "--T", "2", "--dt", "5e-3",
                  "-o", str(tmp_path)])
-    assert code == 0
+    assert code == 2
     _, rows = read_csv(tmp_path / "sweep.csv")
     assert [r[0] for r in rows] == ["0", "1", "2"]
     for r in rows[1:]:

@@ -347,7 +347,8 @@ def test_invalid_parameters_raise_typed_error():
     model = contract_network(single_qubit_network())
     for bad in ({"dt": 0.0}, {"dt": -1e-3}, {"dt": np.nan},
                 {"t_final": np.inf}, {"t_final": -1.0},
-                {"sample_stride": 0}):
+                {"sample_stride": 0}, {"t_final": 1e300, "dt": 1e-300},
+                {"t_final": 1e10, "dt": 1e-2}):
         kwargs = {"t_final": 1.0, "dt": 1e-2, **bad}
         with pytest.raises(InvalidParameter) as info:
             integrate(model, Controls(), basis_state(2, 0), **kwargs)

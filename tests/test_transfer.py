@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from loopnet import (
     Schedule,
@@ -42,10 +43,11 @@ from loopnet.errors import (
     InvalidParameter,
     LoopnetError,
     NetworkNotFound,
+    StepUnstable,
     WrongDirectionality,
 )
 from loopnet.network import SIGMA_Z, embed_operator, unitarity_deviation
-from loopnet.transfer import _kappa_b_dot, _protocol_constants, _rj_arrays
+from loopnet.transfer import _protocol_constants, _ReceiverFlow, _rj_arrays
 
 
 def perfect_coeffs():
@@ -270,6 +272,14 @@ def test_synthesize_errors():
     degenerate = dataclasses.replace(c, beta_plus=0.0)
     with pytest.raises(DegenerateBeta):
         synthesize_controls(degenerate, 1.0, T=5.0)
+    # more than lindblad.MAX_STEPS RK4 steps, before anything is allocated
+    with pytest.raises(InvalidParameter):
+        synthesize_controls(c, 1.0, T=1e10, dt=1e-3)
+    with pytest.raises(InvalidParameter):
+        transfer_sweep([c], 1.0, T=1e10, dt=1e-3)
+    # kappa_b(T) underflows to 0: no terminal dB, no all-zero schedule
+    with pytest.raises(StepUnstable):
+        synthesize_controls(c, 1.0, ratio_db=-3000.0, T=100.0, dt=1e-1)
 
 
 def test_perfect_channel_kappa_b_ode_closed_form():
@@ -280,34 +290,46 @@ def test_perfect_channel_kappa_b_ode_closed_form():
     assert k0 == pytest.approx(10.0**2.5)
     t = protocol.times
     exact = k0 / ((1.0 + k0) * np.exp(t) - k0)
-    # relative tolerance: the first few RK4 steps are stiff (kappa_b ~ 316)
-    assert np.abs(protocol.kappa_b / exact - 1.0).max() < 1e-5
+    assert np.abs(protocol.kappa_b / exact - 1.0).max() < 1e-11
     # pi-pulse completed
     assert protocol.kappa_b[-1] < 10.0 ** (-15.0 / 10.0)
 
 
-def test_kappa_b_flow_matches_rk4_loop():
-    """synthesize_controls' kappa_b is, bit for bit, RK4 over _kappa_b_dot
-    on the half-step grid."""
-    coeffs = forward_coefficients(find_network_in_class(0.04, 0.15, 4))
-    protocol = synthesize_controls(coeffs, 1.0, ratio_db=25.0, T=20.0, dt=1e-3)
-    cos_d, ratio, _ = _protocol_constants(coeffs)
+@pytest.mark.filterwarnings("error")
+def test_kappa_b_closed_form_matches_dop853():
+    """synthesize_controls' kappa_b is within 1e-11 (relative) of scipy's
+    DOP853 at rtol 1e-13 on the kappa_b flow: ideal circulators (s = 0),
+    criterion-09 networks, 60 and 80 dB starts and kappa0 != 1.  It is
+    finite, positive and strictly decreasing, and the Newton residual in t
+    is at most 1e-13."""
+    perfect = perfect_coeffs()
+    nets = [forward_coefficients(find_network_in_class(0.04, 0.15, s))
+            for s in (0, 1, 4)]
+    cases = [(perfect, 1.0, 25.0), (perfect, 1.0, 80.0),
+             (nets[0], 1.0, 25.0), (nets[1], 1.0, 25.0),
+             (nets[2], 1.0, 25.0), (nets[0], 1.0, 60.0),
+             (nets[1], 1.0, 80.0), (nets[2], 2.5, 30.0)]
+    for coeffs, kappa0, db in cases:
+        protocol = synthesize_controls(coeffs, kappa0, ratio_db=db, T=20.0,
+                                       dt=1e-3)
+        kb, times = protocol.kappa_b, protocol.times
+        cos_d, ratio, _ = _protocol_constants(coeffs)
 
-    def f(x):
-        return _kappa_b_dot(x, coeffs, 1.0, cos_d, ratio)
+        def flow(t, x):
+            rx = 2.0 * np.sqrt(kappa0 * x) * coeffs.beta_plus
+            rz = kappa0 * coeffs.eta_a - x * coeffs.eta_b
+            r0 = kappa0 * coeffs.eta_a + x * coeffs.eta_b
+            return cos_d * ratio * x * (rx * rx + rz * rz) / r0
 
-    n = len(protocol.times) - 1
-    h = 20.0 / n
-    x = 1.0 * 10.0 ** (25.0 / 10.0)
-    expect = [x]
-    for _ in range(n):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        expect.append(x)
-    assert np.array_equal(protocol.kappa_b, expect)
+        ref = solve_ivp(flow, (0.0, 20.0), [kb[0]], method="DOP853",
+                        rtol=1e-13, atol=1e-300, t_eval=times).y[0]
+        assert np.all(np.isfinite(kb)) and np.all(kb > 0.0)
+        assert np.all(np.diff(kb) < 0.0)
+        assert np.abs(kb / ref - 1.0).max() <= 1e-11, (kappa0, db)
+        assert kb[0] == kappa0 * 10.0 ** (db / 10.0)
+        t, _ = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, db).time(
+            np.log(kb / kappa0)[:, None])
+        assert np.abs(t[1:, 0] / kappa0 - times[1:]).max() <= 1e-13
 
 
 def test_kappa_b_monotone_decreasing():
@@ -408,6 +430,21 @@ def test_receiver_off_decay():
     result = simulate_transfer(c, off)
     assert result.success == pytest.approx(0.0, abs=1e-9)
     assert np.abs(result.b0 - np.exp(-c.eta_a * result.times)).max() < 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_transfer_divergence_is_step_unstable():
+    """A constant kappa_b = 1e8 protocol at dt = 1e-3: every RK4 step
+    amplifies, the Bloch state overflows, and the run raises StepUnstable."""
+    c = perfect_coeffs()
+    protocol = synthesize_controls(c, 1.0, ratio_db=25.0, T=20.0, dt=1e-3)
+    protocol = dataclasses.replace(
+        protocol,
+        kappa_b=np.full_like(protocol.kappa_b, 1e8),
+        h_bz=np.zeros_like(protocol.h_bz),
+    )
+    with pytest.raises(StepUnstable):
+        simulate_transfer(c, protocol)
 
 
 def test_e_b_tracks_dark_direction():
