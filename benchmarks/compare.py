@@ -17,7 +17,8 @@ The report goes to BENCH_<W>.json (or FILE) and holds:
   which the change reads better; failed and attempted requests are kept
   per run, and the held-out seed is also reported on its own;
 - tier1_wall_s: the wall time of the tier-1 suite (`python -m pytest -q`
-  with `src` on the path) on each tree;
+  with `src` on the path) on each tree, and tier1_durations: the lines of
+  that run's `--durations=10` report;
 - with --d64, a scheduled three-qubit Lindblad run (D^2 = 64: sampled
   kappa and Hamiltonian schedules on a chain of three imperfect
   circulators, T = 2, dt = 5e-3), best of 3, per RK4 step, with the
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -72,7 +74,8 @@ def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(lines[-1])
 
 
-def tier1_wall_s(tree: Path) -> float:
+def tier1(tree: Path) -> tuple:
+    """The tier-1 suite's wall time and its slowest-durations lines."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
@@ -81,7 +84,9 @@ def tier1_wall_s(tree: Path) -> float:
     wall = time.perf_counter() - start
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: tier-1 failed\n{proc.stdout[-2000:]}")
-    return wall
+    durations = [line for line in proc.stdout.splitlines()
+                 if re.match(r"\d+\.\d+s (setup|call|teardown) ", line)]
+    return wall, durations
 
 
 def d64_worker(out_path: str) -> None:
@@ -233,9 +238,11 @@ def main(argv=None) -> int:
             for side in trees
         },
         "paired_untraced": paired,
-        "tier1_wall_s": {side: tier1_wall_s(tree)
-                         for side, tree in trees.items()},
     }
+    tier1_runs = {side: tier1(tree) for side, tree in trees.items()}
+    report["tier1_wall_s"] = {side: run[0] for side, run in tier1_runs.items()}
+    report["tier1_durations"] = {side: run[1]
+                                 for side, run in tier1_runs.items()}
     if args.d64:
         report["scheduled_d64"] = d64(trees)
     output.write_text(json.dumps(report, indent=2) + "\n")

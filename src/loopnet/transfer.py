@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .contraction import EffectiveModel, contract_network, routing_matrices
 from .errors import (
@@ -60,9 +59,13 @@ def ideal_circulator() -> np.ndarray:
     )
 
 
-def perturbed_circulator(eps: float, hermitian: np.ndarray) -> np.ndarray:
-    """exp(i eps H) times the ideal circulator; unitary for Hermitian H."""
-    return expm(1j * eps * np.asarray(hermitian, dtype=complex)) @ ideal_circulator()
+def perturbed_circulator(eps, hermitian: np.ndarray) -> np.ndarray:
+    """exp(i eps H) times the ideal circulator, as 1 + V diag(expm1(i eps
+    lam)) V^dagger from one eigh of H: exactly ideal at eps = 0, unitary for
+    every finite eps; an array eps stacks the circulators on its shape."""
+    lam, v = np.linalg.eigh(np.asarray(hermitian, dtype=complex))
+    phases = np.expm1(1j * np.multiply.outer(eps, lam))[..., None, :]
+    return (np.eye(len(lam)) + v * phases @ v.conj().T) @ ideal_circulator()
 
 
 # Datasheet-style circulator magnitudes are not unitarity-consistent (no
@@ -194,15 +197,25 @@ def circulator_reflectances(network: Network) -> np.ndarray:
     return np.array(refl)
 
 
+def _sampler_rng(seed, r2_min=0.0, r2_max=1.0, resid_max=1.0, kappa0=1.0,
+                 ratio_db=0.0) -> np.random.Generator:
+    """default_rng(seed) if 0 <= r2_min <= r2_max <= 1, seed >= 0, resid_max
+    and kappa0 are finite and > 0 and ratio_db is finite; else InvalidParameter."""
+    if not (0 <= r2_min <= r2_max <= 1 and seed >= 0 and 0 < resid_max < math.inf
+            and 0 < kappa0 < math.inf and abs(ratio_db) < math.inf):
+        raise InvalidParameter(f"sampler input out of range: {locals()}")
+    return np.random.default_rng(seed)
+
+
 def _draw_eps(rng: np.random.Generator, r2_min: float, r2_max: float) -> float:
     # |r_ii| grows roughly linearly with eps; bracket generously
     return rng.uniform(0.5 * math.sqrt(r2_min), 3.0 * math.sqrt(r2_max))
 
 
-def _in_class(circulators, r2_min: float, r2_max: float) -> bool:
-    """Every retro-reflectance |r_ii|^2 of the circulators in [r2_min, r2_max]."""
-    r2 = np.abs([np.diag(c) for c in circulators]) ** 2
-    return r2.min() >= r2_min and r2.max() <= r2_max
+def _in_class(circulators, r2_min: float, r2_max: float) -> np.ndarray:
+    """Per circulator of a stack: every |r_ii|^2 in [r2_min, r2_max]."""
+    r2 = np.abs(np.diagonal(circulators, axis1=-2, axis2=-1)) ** 2
+    return ((r2 >= r2_min) & (r2 <= r2_max)).all(axis=-1)
 
 
 def find_network_in_class(
@@ -214,13 +227,13 @@ def find_network_in_class(
     """Rejection-sample an imperfect network whose retro-reflections all fall
     inside [r2_min, r2_max], with a random interconnect phase;
     deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+    rng = _sampler_rng(seed, r2_min, r2_max)
     for _ in range(max_tries):
         eps = _draw_eps(rng, r2_min, r2_max)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         sub_seed = int(rng.integers(0, 2**63 - 1))
         circs = _random_circulators(eps, np.random.default_rng(sub_seed))
-        if _in_class(circs, r2_min, r2_max):
+        if _in_class(circs, r2_min, r2_max).all():
             return two_qubit_network(*circs, interconnect_phase=phase)
     raise NetworkNotFound(
         f"no network with reflectances in [{r2_min}, {r2_max}] "
@@ -982,14 +995,17 @@ def phase_scan_coefficients(
     ]
 
 
-TUNING_PHASES = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+# half a period: paths between the qubits cross the line an odd number of
+# times, so phi -> phi + pi negates t_ab and t_ba and leaves eta, beta_+-,
+# cos(delta_+ - delta_-) and every score unchanged
+TUNING_PHASES = np.linspace(0.0, np.pi, 128, endpoint=False)
 
 
 def _tune_phase(circ_a, circ_b, score):
-    """Scan TUNING_PHASES for the interconnect phase with the lowest
-    score(oriented coefficients), the first one on ties; score returns None
-    for an inadmissible phase.  Returns (lowest score, (coefficients,
-    network, phase)), or None if no phase is admissible."""
+    """Scan TUNING_PHASES, half a period, for the interconnect phase with
+    the lowest score(oriented coefficients), the first one on ties; score
+    returns None for an inadmissible phase.  Returns (lowest score,
+    (coefficients, network, phase)), or None if no phase is admissible."""
     best = None
     scan = phase_scan_coefficients(circ_a, circ_b, TUNING_PHASES)
     for phase, c in zip(TUNING_PHASES, scan):
@@ -1012,13 +1028,13 @@ def phase_tuned_network(seed: int, r2_min: float, r2_max: float, resid_max: floa
     [r2_min, r2_max], then scans the interconnect phase for the smallest
     |eta_a eta_b - beta_+^2| (sender/receiver swapped when the
     directionality is wrong).  Accepts when that minimum is below resid_max.
-    Returns (coefficients, network, phase) or None after 200 draws.
-    Deterministic.
+    Returns (coefficients, network, phase in [0, pi)) or None after 200
+    draws; deterministic.  Bad inputs raise InvalidParameter.
     """
-    rng = np.random.default_rng(seed)
+    rng = _sampler_rng(seed, r2_min, r2_max, resid_max)
     for _ in range(200):
         circs = _random_circulators(_draw_eps(rng, r2_min, r2_max), rng)
-        if not _in_class(circs, r2_min, r2_max):
+        if not _in_class(circs, r2_min, r2_max).all():
             continue
         tuned = _tune_phase(*circs, lambda c: abs(dark_state_residual(c)))
         if tuned is not None and tuned[0] < resid_max:
@@ -1044,18 +1060,17 @@ def phase_tuned_adverse_network(
     staying inside [0.45, 0.65], with the pulse completing within 18.
     Returns (coefficients, network, phase) or None.
     """
-    rng = np.random.default_rng(seed)
+    rng = _sampler_rng(seed, *ADVERSE_R2, kappa0=kappa0, ratio_db=ratio_db)
     eps_grid = np.linspace(0.8, 3.0, 23)
 
     def reflective_circulator():
         # strong reflections are rare for a random (eps, H) pair, so scan
         # eps per draw and keep the first admissible value
         for _ in range(200):
-            h = random_hermitian(rng, 3)
-            for eps in eps_grid:
-                circ = perturbed_circulator(eps, h)
-                if _in_class([circ], *ADVERSE_R2):
-                    return circ
+            circs = perturbed_circulator(eps_grid, random_hermitian(rng, 3))
+            ok = _in_class(circs, *ADVERSE_R2)
+            if ok.any():
+                return circs[ok.argmax()]
         return None
 
     def score(c):

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loopnet
 from loopnet import (
     Geometry,
     datasheet_circulator,
@@ -283,6 +288,35 @@ def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
     assert code == 2
     assert "BoundViolated" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps", ["1e15", "1e20", "1e300"])
+def test_transfer_huge_eps_builds_unitary_circulators(eps, tmp_path, capsys):
+    # exp(i eps H) is unitary for every finite eps: no overflow warning and
+    # no block of the library's own making rejected as non-unitary or
+    # non-finite
+    code = main(["transfer", "--random", "--swap-roles", "--seed", "3",
+                 "--T", "12", "--dt", "2e-3", "--eps", eps,
+                 "-o", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err and "NonUnitaryBlock" not in err
+
+
+def test_transfer_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only
+    src = str(Path(loopnet.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from loopnet.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "transfer", "--random", "--swap-roles",
+         "--T", "5", "--dt", "5e-3", "-o", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_transfer_overflowing_ratio_db_is_physics_error(tmp_path, capsys):

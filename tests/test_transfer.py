@@ -1,6 +1,7 @@
 """Two-qubit transfer: coefficients, Bloch dynamics, control synthesis."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from loopnet import (
     oriented,
     perturbed_circulator,
     phase_scan_coefficients,
+    phase_tuned_adverse_network,
+    phase_tuned_network,
     predict_transfer,
     random_imperfect_network,
     rescale_protocol,
@@ -47,7 +50,12 @@ from loopnet.errors import (
     WrongDirectionality,
 )
 from loopnet.network import SIGMA_Z, embed_operator, unitarity_deviation
-from loopnet.transfer import _protocol_constants, _ReceiverFlow, _rj_arrays
+from loopnet.transfer import (
+    _protocol_constants,
+    _ReceiverFlow,
+    _rj_arrays,
+    random_hermitian,
+)
 
 
 def perfect_coeffs():
@@ -64,12 +72,19 @@ def forward_coefficients(net):
 
 
 def test_perturbed_circulator_unitary(rng):
-    for eps in (0.0, 0.3, 1.5):
+    for eps in (0.0, 0.3, 1.5, 1e15, 1e20, 1e300):
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h = 0.5 * (h + h.conj().T)
         u = perturbed_circulator(eps, h)
+        assert np.isfinite(u).all()
         assert unitarity_deviation(u) < 1e-12
     assert np.abs(perturbed_circulator(0.0, h) - ideal_circulator()).max() == 0
+    # an array eps stacks the circulators on its shape
+    grid = np.linspace(0.8, 3.0, 23)
+    stack = perturbed_circulator(grid, h)
+    assert stack.shape == (23, 3, 3)
+    for eps, u in zip(grid, stack):
+        assert np.array_equal(u, perturbed_circulator(eps, h))
 
 
 def test_random_imperfect_network_deterministic():
@@ -88,6 +103,63 @@ def test_find_network_in_class_reflectances():
         find_network_in_class(0.9, 0.95, seed=11, max_tries=5)
     assert isinstance(info.value, LoopnetError)
     assert isinstance(info.value, RuntimeError)
+
+
+@pytest.mark.parametrize("sampler, args", [
+    (find_network_in_class, (-0.1, 0.15, 0)),
+    (find_network_in_class, (0.04, math.nan, 0)),
+    (find_network_in_class, (0.04, math.inf, 0)),
+    (find_network_in_class, (0.2, 0.1, 0)),
+    (find_network_in_class, (0.04, 1.5, 0)),
+    (find_network_in_class, (0.04, 0.15, -1)),
+    (phase_tuned_network, (0, 0.04, 0.15, math.nan)),
+    (phase_tuned_network, (0, 0.04, 0.15, 0.0)),
+    (phase_tuned_network, (0, math.nan, 0.15, 1.5e-3)),
+    (phase_tuned_network, (-1, 0.04, 0.15, 1.5e-3)),
+    (phase_tuned_adverse_network, (0, math.nan)),
+    (phase_tuned_adverse_network, (0, 0.0)),
+    (phase_tuned_adverse_network, (0, math.inf)),
+    (phase_tuned_adverse_network, (0, 1.0, math.nan)),
+    (phase_tuned_adverse_network, (0, 1.0, -math.inf)),
+    (phase_tuned_adverse_network, (-1,)),
+], ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)))
+def test_sampler_rejects_bad_input_before_drawing(sampler, args, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("the sampler drew before checking its inputs")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(InvalidParameter):
+        sampler(*args)
+
+
+def test_phase_scan_is_pi_periodic():
+    # why TUNING_PHASES spans half a period: the paths a -> b and b -> a
+    # cross the line between the circulators an odd number of times, a -> a
+    # and b -> b an even number, so phi + pi negates only the cross terms
+    rng = np.random.default_rng(9)
+    phases = rng.uniform(0.0, np.pi, 8)
+    for _ in range(4):
+        circ_a, circ_b = (perturbed_circulator(0.4, random_hermitian(rng, 3))
+                          for _ in range(2))
+        scans = (phase_scan_coefficients(circ_a, circ_b, phases + shift)
+                 for shift in (0.0, np.pi))
+        for c, d in zip(*scans):
+            for name in ("t_aa", "t_bb", "eta_a", "eta_b", "beta_plus",
+                         "beta_minus"):
+                assert abs(getattr(d, name) - getattr(c, name)) < 1e-13
+            assert abs(d.t_ab + c.t_ab) < 1e-13
+            assert abs(d.t_ba + c.t_ba) < 1e-13
+            assert abs(np.cos(d.delta_plus - d.delta_minus)
+                       - np.cos(c.delta_plus - c.delta_minus)) < 1e-13
+            for name in ("delta_plus", "delta_minus"):
+                shift = (getattr(d, name) - getattr(c, name)) % (2 * np.pi)
+                assert abs(shift - np.pi) < 1e-13
+            # port 3 is circulator a's external output, port 6 circulator b's
+            assert sorted(c.t_ext) == [3, 6]
+            for port, cross in ((3, 1), (6, 0)):
+                for k in (0, 1):
+                    sign = -1 if k == cross else 1
+                    assert abs(d.t_ext[port][k] - sign * c.t_ext[port][k]) < 1e-13
 
 
 def test_phase_scan_matches_direct_contraction():
