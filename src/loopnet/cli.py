@@ -1,10 +1,13 @@
 """Command-line frontend: validate, contract, paths, simulate, transfer.
 
 All commands write their outputs plus a run manifest (manifest.json) into
---output-dir.  CSV files use 17 significant digits and LF line endings so
-that re-running a command with identical inputs reproduces byte-identical
-files.  Exit codes: 0 success, 1 schema/usage error, 2 physics-validity
-error (non-unitary block, non-convergent loop, wrong directionality, ...).
+--output-dir.  CSV files have LF line endings and every number is exactly
+the bytes of "%.17g", so that re-running a command with identical inputs
+reproduces byte-identical files; an integer kernel produces them for 0 and
+1e-11 < |x| < 1e15, and "%.17g" itself for every other value.  Exit codes:
+0 success, 1 schema/usage error or an output directory or file that cannot
+be made or written, 2 physics-validity error (non-unitary block,
+non-convergent loop, wrong directionality, ...).
 """
 
 from __future__ import annotations
@@ -57,16 +60,121 @@ EXIT_PHYSICS = 2
 # -- output plumbing -------------------------------------------------------
 
 
+_U = np.uint64
+_POW5 = np.array([5**k for k in range(28)], _U)  # 5**27 < 2**63
+_SLOT = np.arange(18, dtype=np.int8)[:, None]
+_LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]  # shown while e <= _LEAD_E
+_LEAD_E = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]
+_EXP = np.array([101, 45, 48, 48], np.int8)[:, None]  # "e-XX" for -11 <= e < -4
+_EXP_E = np.array([0, 0, 0, -1], np.int8)[:, None]
+_EXP_TENS = np.array([0, 0, 1, -10], np.int8)[:, None]
+_CELL = 29  # sign, "0.000", 17 digits and a point, "e-XX", separator
+_BLOCK = 1024  # rows per block
+
+
+def _scaled(m, q, e):
+    """(round half to even, truncation) of m 2**q 10**(16 - e) for uint64
+    m < 2**53 and -11 <= e <= 15: the product m 5**(16 - e) is exact in two
+    uint64 limbs of 32-bit partial products, and is shifted right by 1 to 63."""
+    k = 16 - e
+    f = _POW5[k]
+    m0, m1, f0, f1 = m & _U(2**32 - 1), m >> _U(32), f & _U(2**32 - 1), f >> _U(32)
+    low, mid = m0 * f0, m1 * f0 + m0 * f1
+    lo = low + (mid << _U(32))
+    hi = m1 * f1 + (mid >> _U(32)) + (lo < low)
+    s = (-(k + q)).astype(_U)
+    t = (lo >> s) | (hi << (_U(64) - s))
+    rem, half = lo & ((_U(1) << s) - _U(1)), _U(1) << (s - _U(1))
+    return t + ((rem > half) | ((rem == half) & (t & _U(1) == 1))), t
+
+
+def _g17(x: np.ndarray, width: int) -> np.ndarray:
+    """(width, x.size) uint8 whose column i is the bytes of "%.17g" % x[i]
+    padded with NUL; the last byte of every column is left free.
+
+    0 and 1e-11 < |x| < 1e15 are formatted here in integer arithmetic
+    (the double nearest 1e-11 lies below 10**-11), every other value by
+    "%.17g" itself."""
+    n = x.size
+    cells = np.zeros((width, n), np.uint8)
+    a = np.abs(x)
+    zero = a == 0
+    fast = zero | ((a > 1e-11) & (a < 1e15))
+    a[~fast | zero] = 1.0  # a stand-in: these cells are overwritten below
+    bits = a.view(_U)  # a = m 2**q
+    m = (bits & _U(2**52 - 1)) | _U(2**52)
+    q = (bits >> _U(52)).astype(np.int64) - 1075
+    # 17 digits d of a = d 10**(e - 16); log10 may miss e by one
+    e = np.maximum(np.floor(np.log10(a)).astype(np.int64), -11)
+    d, t = _scaled(m, q, e)
+    miss = (t >= 10**17).astype(np.int64) - (t < 10**16)
+    i = np.flatnonzero(miss)
+    if i.size:
+        e[i] += miss[i]
+        d[i] = _scaled(m[i], q[i], e[i])[0]
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    d[zero] = 0
+    e[zero] = 0
+    # d = hi 10**9 + lo, then the digits of both halves by multiply-shift:
+    # (v 0xCCCCCCCD) >> 35 = v // 10 for v < 2**32
+    hi = d // _U(10**9)
+    v = np.stack([hi, d - hi * _U(10**9)])
+    digits = np.zeros((19, n), np.uint8)  # ASCII digit i in row 1 + i
+    for j in range(9):
+        w = (v * _U(0xCCCCCCCD)) >> _U(35)
+        digits[8 - j:18 - j:9] = v - w * _U(10) + _U(48)
+        v = w
+    # the index of the last nonzero digit, -1 for d = 0
+    last = ((digits[1:18] != 48) * _SLOT[1:]).max(axis=0) - 1
+    e = e.astype(np.int8)
+    # %g: d.ddde-XX for e < -4, else the point after digit p = e
+    # ("0.000ddd" for p < 0); trailing fraction zeros and a bare point go
+    expo = e < -4
+    p = e * ~expo
+    digits[1:18] *= _SLOT[:17] <= np.maximum(last, p)
+    point = p + 1 + (p < 0) * (16 - p)  # slot 17: no point among the digits
+    cells[0] = np.signbit(x) * np.uint8(45)
+    cells[1:6] = (p <= _LEAD_E) * _LEAD
+    cells[6:24] = digits[:18] + (_SLOT < point) * (digits[1:] - digits[:18])
+    cells[6 + point, np.arange(n)] = ((last > p) & (p >= 0)) * np.uint8(46)
+    cells[24:28] = expo * (_EXP + e * _EXP_E + (e <= -10) * _EXP_TENS)
+    i = np.flatnonzero(~fast)
+    if i.size:
+        text = np.array([b"%.17g" % v for v in x[i].tolist()], f"S{width - 1}")
+        cells[:-1, i] = text.view(np.uint8).reshape(i.size, width - 1).T
+    return cells
+
+
 def write_csv(path: Path, header: list, columns: list) -> None:
-    """CSV with 17 significant digits and LF line endings; each column holds
-    strings or numbers, and every row goes through one %-format string."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    row_format = ",".join(
-        "%s" if len(c) and isinstance(c[0], str) else "%.17g" for c in columns
-    ) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row_format % row for row in zip(*columns))
+    """CSV with LF line endings; each column holds strings or numbers, and a
+    number is written as the exact bytes of "%.17g" (see _g17).
+
+    Blocks of rows are laid out as NUL-padded cells of one width, one
+    separator byte each, and the padding is deleted by bytes.translate."""
+    n_rows = len(columns[0]) if columns else 0
+    values = np.zeros((n_rows, len(columns)))
+    text = {}
+    for j, c in enumerate(columns):
+        if len(c) and isinstance(c[0], str):
+            text[j] = np.array([s.encode() for s in c])
+        else:
+            values[:, j] = c
+    width = max([_CELL] + [s.itemsize + 1 for s in text.values()])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for r0 in range(0, n_rows, _BLOCK):
+            block = values[r0:r0 + _BLOCK]
+            grid = _g17(block.ravel(), width).reshape(width, *block.shape)
+            for j, s in text.items():
+                grid[:-1, :, j] = 0
+                grid[:s.itemsize, :, j] = (
+                    s[r0:r0 + _BLOCK].view(np.uint8).reshape(len(block), -1).T
+                )
+            grid[-1] = ord(",")
+            grid[-1, :, -1] = ord("\n")
+            fh.write(grid.transpose(1, 2, 0).tobytes().translate(None, b"\0"))
 
 
 def sha256_of(path) -> str:
@@ -97,6 +205,10 @@ def write_manifest(
 
 
 def _outdir(args) -> Path:
+    """The output directory, made if missing.  Every command has read its
+    inputs when it gets here, so main reports a later OSError as an output
+    error."""
+    args.writing = True
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -299,6 +411,10 @@ def cmd_simulate(args) -> int:
     model = contract_network(net)
     rho0 = _initial_state(net, args.initial)
     names = [t for t in args.observables.split(",") if t]
+    repeated = sorted({t for t in names if names.count(t) > 1})
+    if repeated:
+        # one CSV column pair per name: a repeated header loses data
+        raise SchemaError(f"observable given more than once: {repeated}")
     observables = {name: _observable(net, name) for name in names}
     traj = integrate(
         model, Controls(), rho0, t_final=args.t_final, dt=args.dt,
@@ -570,8 +686,12 @@ def main(argv=None) -> int:
     except (SchemaError, InvalidParameter) as exc:
         print(f"schema error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
+        where = "output" if getattr(args, "writing", False) else "schema"
+        print(f"{where} error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except LoopnetError as exc:
         print(f"physics error [{type(exc).__name__}]: {exc}", file=sys.stderr)

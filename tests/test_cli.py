@@ -222,6 +222,40 @@ def test_simulate_index_out_of_range_is_schema_error(ideal_net_file, option,
     assert not out.exists()
 
 
+def test_simulate_repeated_observable_is_schema_error(ideal_net_file,
+                                                      tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", str(ideal_net_file), "--t-final", "0.1",
+                 "--observables", "P0,ZZ,P0", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "schema error [SchemaError]" in err and "'P0'" in err
+    assert not out.exists()
+
+
+# -- output paths ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["paths", "{net}"],
+    ["contract", "{net}"],
+    ["simulate", "{net}", "--t-final", "0.1"],
+    ["transfer", "--random", "--swap-roles", "--T", "1", "--dt", "5e-3"],
+    ["transfer", "--random", "--swap-roles", "--sweep", "2", "--T", "1",
+     "--dt", "5e-3"],
+], ids=["paths", "contract", "simulate", "transfer", "sweep"])
+@pytest.mark.parametrize("outdir", ["{file}", "{file}/sub"])
+@pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")
+def test_unusable_output_dir_is_exit_1(argv, outdir, ideal_net_file, tmp_path,
+                                       capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    argv = [a.format(net=ideal_net_file) for a in argv]
+    assert main(argv + ["-o", outdir.format(file=taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error [")
+    assert taken.read_text() == "not a directory\n"
+
+
 # -- transfer -----------------------------------------------------------------
 
 
