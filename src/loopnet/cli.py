@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -610,7 +611,10 @@ _non_negative = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 
 _count = _number(int, lambda v: v >= 0, "an integer >= 0")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  It holds no handlers:
+    main looks up cmd_<command> when it runs, so a rebound name counts."""
     parser = argparse.ArgumentParser(
         prog="loopnet",
         description="Contract, validate and simulate weakly looped "
@@ -631,19 +635,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check a network file and its weak-loop validity")
     p.add_argument("net")
     p.add_argument("--tol-unitary", type=_positive, default=1e-10)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("contract", parents=[common],
                        help="emit the contracted effective model")
     p.add_argument("net")
-    p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("paths", parents=[common, weak_loop],
                        help="enumerate weighted scattering paths")
     p.add_argument("net")
     p.add_argument("--max-order", type=_count, default=6)
     p.add_argument("--min-weight", type=_non_negative, default=1e-3)
-    p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="integrate the effective master equation")
@@ -652,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--observables", default="")
     p.add_argument("--initial", default="ground")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("transfer", parents=[common],
                        help="synthesize and simulate a dark-state transfer")
@@ -671,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", default=4,
                    type=_number(int, lambda v: v > 0, "an integer > 0"),
                    help="no effect; kept for compatibility and the manifest")
-    p.set_defaults(func=cmd_transfer)
 
     return parser
 
@@ -682,7 +681,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return EXIT_SCHEMA if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (SchemaError, InvalidParameter) as exc:
         print(f"schema error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

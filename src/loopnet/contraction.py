@@ -28,24 +28,35 @@ from .network import (
 
 DELTA_CONV = 1e-6
 COND_MAX = 1e12
+# squarings k of the certificate rho(A) <= ||A^(2^k)||_F^(2^-k)
+CERT_SQUARINGS = 5
+# entries whose certified bound lies within this of 1 - DELTA_CONV are
+# left to eigvals, whose own rounding decides them as before
+CERT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class RoutingMatrices:
     """Matrices derived from the loop inversion, in global port order.
 
-    For a stack of (S, W) pairs every field carries the leading batch axis;
-    G, M and T are NaN where `accepted` is False.  sigma_max_SW and cond
-    (one SVD per entry each) are computed on first use.
+    For a stack of (S, W) pairs every field and property is an array with
+    the leading batch axis: SW, G, M and T of shape (B, N, N), converged,
+    accepted and the lazy values of shape (B,); G, M and T are NaN where
+    `accepted` is False.  spectral_radius_SW (one eigvals per entry),
+    sigma_max_SW and cond (one SVD per entry each) are computed on first
+    use.
     """
 
     SW: np.ndarray
     G: np.ndarray  # (1 - SW)^{-1}
     M: np.ndarray  # X_o G, external-output routing of emissions
     T: np.ndarray  # SW G = G - 1, pure network contribution
-    spectral_radius_SW: float
     converged: bool  # spectral_radius_SW < 1 - DELTA_CONV
     accepted: bool  # converged and cond <= cond_max
+
+    @cached_property
+    def spectral_radius_SW(self) -> float:
+        return _spectral_radius(self.SW)
 
     @cached_property
     def sigma_max_SW(self) -> float:
@@ -71,6 +82,33 @@ class EffectiveModel:
     external_outputs: list
 
 
+def _spectral_radius(sw: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvals(sw)).max(axis=-1, initial=0.0)
+
+
+def _certified_convergent(sw: np.ndarray) -> np.ndarray:
+    """Entries of a stack (..., N, N) with rho(SW) < 1 - DELTA_CONV proven
+    without eigenvalues: rho(A) <= ||A^(2^k)||_F^(2^-k) for k = 0, 1, ...,
+    CERT_SQUARINGS, stopping once every entry is certified.
+
+    err bounds the rounding of the squarings (|fl(BB) - BB| <= gamma |B||B|
+    entrywise, carried through the later products), so a certified entry
+    is convergent in exact arithmetic.  False means undecided, never
+    divergent; overflow and NaN leave an entry undecided.
+    """
+    gamma = 4 * sw.shape[-1] * np.finfo(float).eps
+    limit = 1.0 - DELTA_CONV - CERT_MARGIN
+    p, err, certified = sw, 0.0, False
+    with np.errstate(all="ignore"):
+        for k in range(CERT_SQUARINGS + 1):
+            norm = np.linalg.norm(p, axis=(-2, -1))
+            certified = certified | (norm + err < limit ** (2**k))
+            if k == CERT_SQUARINGS or np.all(certified):
+                return np.asarray(certified)
+            err = err * (2.0 * norm + err) + gamma * norm * norm
+            p = p @ p
+
+
 def routing_matrices(
     S: np.ndarray,
     W: np.ndarray,
@@ -80,14 +118,18 @@ def routing_matrices(
 
     S and W are (N, N) or stacks (B, N, N).  An entry is accepted when
     rho(SW) < 1 - DELTA_CONV and cond(1 - SW) <= cond_max; only entries
-    that pass the rho test are solved.  Rejection does not raise here: the
-    verdict is returned in `converged` and `accepted`.
+    that pass the rho test are solved.  The rho test is the certificate of
+    _certified_convergent; eigvals runs only on the entries it leaves
+    undecided.  Rejection does not raise here: the verdict is returned in
+    `converged` and `accepted`.
     """
     sw = S @ W
     one = np.eye(sw.shape[-1], dtype=complex)
     a = one - sw
-    rho = np.abs(np.linalg.eigvals(sw)).max(axis=-1, initial=0.0)
-    converged = rho < 1.0 - DELTA_CONV
+    converged = _certified_convergent(sw)
+    if not converged.all():
+        undecided = ~converged
+        converged[undecided] = _spectral_radius(sw[undecided]) < 1.0 - DELTA_CONV
     g = np.full_like(a, np.nan)
     g[converged] = np.linalg.solve(a[converged], one)
     # ||1 - SW||_F ||G||_F >= cond(1 - SW): the SVD only where that fails
@@ -103,8 +145,7 @@ def routing_matrices(
         G=g,
         M=x_o @ g,
         T=sw @ g,
-        spectral_radius_SW=rho,
-        converged=converged,
+        converged=converged[()],  # np.bool_ for a single (S, W) pair
         accepted=accepted,
     )
 

@@ -260,34 +260,48 @@ class TransferCoefficients:
 
     @classmethod
     def from_t(cls, t_aa, t_ab, t_ba, t_bb, t_ext) -> TransferCoefficients:
-        """Purcell factors, cross couplings and phases from the T entries."""
-        plus = t_ab.conjugate() + t_ba
-        minus = t_ab.conjugate() - t_ba
-        return cls(
-            t_aa=t_aa,
-            t_ab=t_ab,
-            t_ba=t_ba,
-            t_bb=t_bb,
-            t_ext=t_ext,
-            eta_a=1.0 + 2.0 * t_aa.real,
-            eta_b=1.0 + 2.0 * t_bb.real,
-            beta_plus=abs(plus),
-            beta_minus=abs(minus),
-            delta_plus=float(np.arctan2(plus.imag, plus.real)),
-            delta_minus=float(np.arctan2(minus.imag, minus.real)),
-        )
+        """Purcell factors, cross couplings and phases from the T entries.
+
+        Broadcasts: arrays of T entries give array fields, Python complex
+        entries give Python floats.  np.hypot of the parts is abs() of a
+        Python complex bit for bit (np.abs of a complex array is not).
+        """
+        pm = np.array([t_ab.conjugate() + t_ba, t_ab.conjugate() - t_ba])
+        beta = np.hypot(pm.real, pm.imag)
+        delta = np.arctan2(pm.imag, pm.real)
+        if pm.ndim == 1:
+            beta, delta = beta.tolist(), delta.tolist()
+        return cls(t_aa, t_ab, t_ba, t_bb, t_ext,
+                   1.0 + 2.0 * t_aa.real, 1.0 + 2.0 * t_bb.real, *beta, *delta)
+
+    def unstack(self) -> list:
+        """The entries of an array-field instance, each with Python scalars."""
+        columns = [getattr(self, f.name).tolist() for f in fields(self)
+                   if f.name != "t_ext"]
+        ext = [(j, ta.tolist(), tb.tolist()) for j, (ta, tb) in self.t_ext.items()]
+        return [
+            TransferCoefficients(
+                *row[:4], {j: (ta[k], tb[k]) for j, ta, tb in ext}, *row[4:]
+            )
+            for k, row in enumerate(zip(*columns))
+        ]
 
 
 def _coefficients_from_T(t, qubit_ports, external_outputs):
+    """Coefficients of T (N, N), or with array fields of a stack (B, N, N)."""
     if len(qubit_ports) != 2:
         raise NotTwoQubitNetwork(f"expected 2 qubit ports, got {qubit_ports}")
     pa, pb = qubit_ports
+
+    def entry(j, k):
+        return complex(t[j, k]) if t.ndim == 2 else t[:, j, k]
+
     return TransferCoefficients.from_t(
-        complex(t[pa, pa]),
-        complex(t[pa, pb]),
-        complex(t[pb, pa]),
-        complex(t[pb, pb]),
-        {j: (complex(t[j, pa]), complex(t[j, pb])) for j in external_outputs},
+        entry(pa, pa),
+        entry(pa, pb),
+        entry(pb, pa),
+        entry(pb, pb),
+        {j: (entry(j, pa), entry(j, pb)) for j in external_outputs},
     )
 
 
@@ -989,10 +1003,9 @@ def phase_scan_coefficients(
     routing = routing_matrices(assemble_S(base), w)
     qubits = coupled_qubit_ports(base)
     _, ext_out = external_ports(w0)
-    return [
-        _coefficients_from_T(t, qubits, ext_out) if ok else None
-        for t, ok in zip(routing.T, routing.accepted)
-    ]
+    accepted = routing.accepted
+    scan = iter(_coefficients_from_T(routing.T[accepted], qubits, ext_out).unstack())
+    return [next(scan) if ok else None for ok in accepted]
 
 
 # half a period: paths between the qubits cross the line an odd number of

@@ -19,7 +19,8 @@ from loopnet import (
     save_network,
     two_qubit_network,
 )
-from loopnet.cli import main, write_csv
+from loopnet import cli
+from loopnet.cli import EXIT_SCHEMA, build_parser, main, write_csv
 from loopnet.paths import enumerate_paths
 
 from conftest import single_qubit_network
@@ -257,6 +258,48 @@ def test_unusable_output_dir_is_exit_1(argv, outdir, ideal_net_file, tmp_path,
 
 
 # -- transfer -----------------------------------------------------------------
+
+
+def test_cached_parser_matches_a_fresh_one(fast_net_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    runs = [
+        ["validate"],  # no network file: argparse's usage error
+        ["--help"],
+        ["validate", str(fast_net_file), "-o", str(out)],
+        ["transfer", "--random", "--seed", "3", "--T", "4", "--dt", "1e-2",
+         "-o", str(out)],
+    ]
+
+    def run(argv):
+        out.mkdir(exist_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        for f in out.iterdir():
+            f.unlink()
+        return code, captured.out, captured.err, files
+
+    fresh = []
+    for argv in runs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    cached = [run(argv) for argv in runs]
+    assert build_parser.cache_info().misses == 1
+    assert [r[0] for r in cached] == [EXIT_SCHEMA, 0, 0, 0]
+    assert cached == fresh
+    assert "usage: loopnet" in cached[0][2] and "usage: loopnet" in cached[1][1]
+    assert "PASS" in cached[2][1] and "manifest.json" in cached[3][3]
+
+
+def test_cached_parser_calls_the_current_handler(fast_net_file, monkeypatch):
+    # the handler is looked up per call, so rebinding cmd_validate after
+    # the parser is built (as a tracer does) still takes effect
+    build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.net) or 0)
+    assert main(["validate", str(fast_net_file)]) == 0
+    assert seen == [str(fast_net_file)]
 
 
 def test_transfer_requires_exactly_one_source(capsys):

@@ -14,6 +14,7 @@ from loopnet import (
     two_qubit_network,
     verify_inversion_identities,
 )
+from loopnet.contraction import DELTA_CONV, _certified_convergent
 from loopnet.errors import NonConvergentLoop, SingularMatrix
 from loopnet.network import (
     Connection,
@@ -164,6 +165,48 @@ def test_routing_batch_masks_rejected_entries(rng):
         assert np.isnan(getattr(batch, name)[1]).all()
     assert batch.spectral_radius_SW[0] == single.spectral_radius_SW
     assert batch.sigma_max_SW[0] == single.sigma_max_SW
+
+
+def scaled_to_radius(rng, n, rho, normal):
+    """An (n, n) matrix with spectral radius rho: U diag U^dag, or a
+    non-normal X diag X^-1."""
+    lam = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    lam[0] = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    x = random_unitary(rng, n) if normal else (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = x @ np.diag(lam) @ np.linalg.inv(x)
+    return rho * a / np.abs(np.linalg.eigvals(a)).max()
+
+
+def test_convergence_certificate_matches_eigvals(rng):
+    limit = 1.0 - DELTA_CONV
+    radii = np.concatenate([
+        np.linspace(0.1, 1.2, 23),
+        limit + np.array([-1e-9, -5e-10, -1e-10, -1e-12, 0.0, 1e-12, 1e-10,
+                          5e-10, 1e-9]),
+    ])
+    for n in (2, 5, 8):
+        sw = np.stack([scaled_to_radius(rng, n, rho, normal)
+                       for normal in (True, False) for rho in radii])
+        routing = routing_matrices(sw, np.broadcast_to(np.eye(n), sw.shape))
+        rho = np.abs(np.linalg.eigvals(routing.SW)).max(-1)
+        assert np.array_equal(routing.converged, rho < limit)
+        # both sides of the threshold are present, within 1e-9 of it
+        near = np.abs(rho - limit) <= 1e-9
+        assert routing.converged[near].any() and not routing.converged[near].all()
+        # the certificate decides the clear cases and never a divergent one
+        certified = _certified_convergent(routing.SW)
+        assert certified[rho < 0.5].all()
+        assert not (certified & (rho >= limit)).any()
+        # the lazy radius is the eager one, bit for bit, stacked or not
+        assert np.array_equal(
+            routing.spectral_radius_SW,
+            np.abs(np.linalg.eigvals(routing.SW)).max(-1, initial=0.0),
+        )
+        for k in (0, len(radii) - 1, len(sw) - 1):
+            single = routing_matrices(sw[k], np.eye(n))
+            assert single.converged == routing.converged[k]
+            assert single.spectral_radius_SW == routing.spectral_radius_SW[k]
 
 
 def test_singular_rejection(rng):

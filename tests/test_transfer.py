@@ -31,6 +31,7 @@ from loopnet import (
     random_imperfect_network,
     rescale_protocol,
     rj_components,
+    routing_matrices,
     simulate_transfer,
     specialized_master_equation,
     swap_roles,
@@ -49,8 +50,19 @@ from loopnet.errors import (
     StepUnstable,
     WrongDirectionality,
 )
-from loopnet.network import SIGMA_Z, embed_operator, unitarity_deviation
+from loopnet.network import (
+    SIGMA_Z,
+    assemble_W,
+    embed_operator,
+    external_ports,
+    unitarity_deviation,
+)
+
+from conftest import random_unitary
 from loopnet.transfer import (
+    TUNING_PHASES,
+    _coefficients_from_T,
+    coupled_qubit_ports,
     _protocol_constants,
     _ReceiverFlow,
     _rj_arrays,
@@ -160,6 +172,57 @@ def test_phase_scan_is_pi_periodic():
                 for k in (0, 1):
                     sign = -1 if k == cross else 1
                     assert abs(d.t_ext[port][k] - sign * c.t_ext[port][k]) < 1e-13
+
+
+def leaky_circulator(u2, theta):
+    """A 2-port unitary u2 on ports 0 and 1, rotated by theta into the
+    external port 2: theta = 0 gives a lossless loop."""
+    c = np.eye(3, dtype=complex)
+    c[:2, :2] = u2
+    r = np.eye(3, dtype=complex)
+    r[1:, 1:] = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
+    return r @ c
+
+
+def test_phase_scan_equals_scalar_coefficients(monkeypatch):
+    # the scan's array coefficients against the scalar path on each entry
+    # of its own routing, including a pair whose nearly lossless loop is
+    # rejected on part of the grid
+    rng = np.random.default_rng(2)
+    pairs = [
+        (perturbed_circulator(0.4, np.diag([1.0, -0.5, 0.2])),
+         perturbed_circulator(0.3, np.diag([-0.2, 0.8, 0.1]))),
+        (perturbed_circulator(2.5, random_hermitian(rng, 3)),
+         perturbed_circulator(1.5, random_hermitian(rng, 3))),
+        (leaky_circulator(random_unitary(rng, 2), 0.0),
+         leaky_circulator(random_unitary(rng, 2), 0.01)),
+    ]
+    routings = []
+
+    def recorded(s, w):
+        routings.append(routing_matrices(s, w))
+        return routings[-1]
+
+    monkeypatch.setattr("loopnet.transfer.routing_matrices", recorded)
+    rejected = 0
+    for circ_a, circ_b in pairs:
+        scan = phase_scan_coefficients(circ_a, circ_b, TUNING_PHASES)
+        routing = routings.pop()
+        net = two_qubit_network(circ_a, circ_b)
+        qubits = coupled_qubit_ports(net)
+        _, ext_out = external_ports(assemble_W(net))
+        assert len(scan) == len(TUNING_PHASES)
+        assert [c is not None for c in scan] == routing.accepted.tolist()
+        for k, c in enumerate(scan):
+            if c is not None:
+                assert c == _coefficients_from_T(routing.T[k], qubits, ext_out)
+                # abs() of a Python complex, as the scalar formula reads
+                assert c.beta_plus == abs(c.t_ab.conjugate() + c.t_ba)
+                assert c.beta_minus == abs(c.t_ab.conjugate() - c.t_ba)
+                assert all(type(getattr(c, f.name)) is float
+                           for f in dataclasses.fields(c)[5:])
+        rejected += scan.count(None)
+    assert 0 < rejected < len(TUNING_PHASES)
 
 
 def test_phase_scan_matches_direct_contraction():
