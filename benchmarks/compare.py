@@ -19,6 +19,8 @@ The report goes to BENCH_<W>.json (or FILE) and holds:
 - tier1_wall_s: the wall time of the tier-1 suite (`python -m pytest -q`
   with `src` on the path) on each tree, and tier1_durations: the lines of
   that run's `--durations=10` report;
+- src_lines: the line count of src/loopnet/*.py on each tree (the total
+  of `wc -l`);
 - with --d64, a scheduled three-qubit Lindblad run (D^2 = 64: sampled
   kappa and Hamiltonian schedules on a chain of three imperfect
   circulators, T = 2, dt = 5e-3), best of 3, per RK4 step, with the
@@ -87,6 +89,12 @@ def tier1(tree: Path) -> tuple:
     durations = [line for line in proc.stdout.splitlines()
                  if re.match(r"\d+\.\d+s (setup|call|teardown) ", line)]
     return wall, durations
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in src/loopnet/*.py, the total that `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "loopnet").glob("*.py"))
 
 
 def d64_worker(out_path: str) -> None:
@@ -238,6 +246,7 @@ def main(argv=None) -> int:
             for side in trees
         },
         "paired_untraced": paired,
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
     }
     tier1_runs = {side: tier1(tree) for side, tree in trees.items()}
     report["tier1_wall_s"] = {side: run[0] for side, run in tier1_runs.items()}

@@ -33,6 +33,7 @@ from .errors import (
 from .lindblad import Controls, basis_state, integrate
 from .network import (
     NAMED_OPERATORS,
+    TOL_UNITARY,
     Network,
     _matrix_to_pairs,
     _pairs_to_matrix,
@@ -43,7 +44,13 @@ from .network import (
     save_network,
     unitarity_deviation,
 )
-from .paths import default_tau_min, enumerate_paths, validity_check, violates
+from .paths import (
+    DEFAULT_WEIGHT_THRESHOLD,
+    default_tau_min,
+    enumerate_paths,
+    validity_check,
+    violates,
+)
 from .transfer import (
     dark_state_residual,
     oriented,
@@ -609,6 +616,9 @@ _finite = _number(float, math.isfinite, "a finite number")
 _positive = _number(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _non_negative = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _count = _number(int, lambda v: v >= 0, "an integer >= 0")
+# assemble_S rejects a block at TOL_UNITARY, so validate may only tighten it
+_tolerance = _number(float, lambda v: 0 < v <= TOL_UNITARY,
+                     f"a number in (0, {TOL_UNITARY:g}]")
 
 
 @cache
@@ -626,7 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output-dir", default=".")
     # the weak-loop test that validate applies and paths reports
     weak_loop = argparse.ArgumentParser(add_help=False)
-    weak_loop.add_argument("--weight-threshold", type=_positive, default=0.05)
+    weak_loop.add_argument("--weight-threshold", type=_positive,
+                           default=DEFAULT_WEIGHT_THRESHOLD)
     weak_loop.add_argument("--tau-min", type=_non_negative, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -634,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", parents=[common, weak_loop],
                        help="check a network file and its weak-loop validity")
     p.add_argument("net")
-    p.add_argument("--tol-unitary", type=_positive, default=1e-10)
+    p.add_argument("--tol-unitary", type=_tolerance, default=TOL_UNITARY)
 
     p = sub.add_parser("contract", parents=[common],
                        help="emit the contracted effective model")

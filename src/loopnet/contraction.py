@@ -3,7 +3,7 @@
 Contracting a network replaces (S, L, H_sys, W) by an effective loop-free
 input-output model.  Everything is driven by the single inversion
 G = (1 - S W)^{-1}: the routing of system emissions to external outputs is
-M = X_o G, the pure network contribution is T = S W G, and the coherent
+X_o G, the pure network contribution is T = S W G, and the coherent
 network-induced Hamiltonian comes from the anti-Hermitian part of G.
 """
 
@@ -40,8 +40,8 @@ class RoutingMatrices:
     """Matrices derived from the loop inversion, in global port order.
 
     For a stack of (S, W) pairs every field and property is an array with
-    the leading batch axis: SW, G, M and T of shape (B, N, N), converged,
-    accepted and the lazy values of shape (B,); G, M and T are NaN where
+    the leading batch axis: SW, G and T of shape (B, N, N), converged,
+    accepted and the lazy values of shape (B,); G and T are NaN where
     `accepted` is False.  spectral_radius_SW (one eigvals per entry),
     sigma_max_SW and cond (one SVD per entry each) are computed on first
     use.
@@ -49,7 +49,6 @@ class RoutingMatrices:
 
     SW: np.ndarray
     G: np.ndarray  # (1 - SW)^{-1}
-    M: np.ndarray  # X_o G, external-output routing of emissions
     T: np.ndarray  # SW G = G - 1, pure network contribution
     converged: bool  # spectral_radius_SW < 1 - DELTA_CONV
     accepted: bool  # converged and cond <= cond_max
@@ -72,7 +71,7 @@ class EffectiveModel:
     """Contracted input-output model restricted to the external ports."""
 
     s_eff: np.ndarray  # (n_ext_out, n_ext_in)
-    l_eff_coeffs: np.ndarray  # (n_ext_out, N); row j gives sum_k M_jk L_k
+    l_eff_coeffs: np.ndarray  # (n_ext_out, N); L_eff_j = sum_k (X_o G)_jk L_k
     h_eff: np.ndarray  # (D, D), Hermitian
     h_loss: np.ndarray  # (D, D), non-Hermitian
     h_sys: np.ndarray
@@ -139,11 +138,9 @@ def routing_matrices(
         cond_ok = np.linalg.cond(a) <= cond_max
     accepted = converged & cond_ok
     g[~accepted] = np.nan
-    _, _, _, x_o = internal_projectors(W)
     return RoutingMatrices(
         SW=sw,
         G=g,
-        M=x_o @ g,
         T=sw @ g,
         converged=converged[()],  # np.bool_ for a single (S, W) pair
         accepted=accepted,
@@ -168,7 +165,7 @@ def contract(
 
     s_eff_full = x_o @ routing.G @ S @ x_i
     s_eff = s_eff_full[np.ix_(ext_out, ext_in)]
-    l_eff_coeffs = routing.M[ext_out, :]
+    l_eff_coeffs = (x_o @ routing.G)[ext_out, :]
 
     l_arr = np.array(L)  # (N, D, D)
     l_dag = l_arr.conj().transpose(0, 2, 1)

@@ -17,7 +17,13 @@ import numpy as np
 
 from .contraction import routing_matrices
 from .errors import InvalidParameter, MissingGeometry, PathExplosion
-from .network import Network, assemble_S, assemble_W, internal_projectors
+from .network import (
+    Network,
+    assemble_S,
+    assemble_W,
+    external_ports,
+    internal_projectors,
+)
 
 DEFAULT_RECORD_CAP = 1_000_000
 DEFAULT_WEIGHT_THRESHOLD = 0.05
@@ -120,7 +126,6 @@ def enumerate_paths(
     w = assemble_W(network)
     z = _port_positions(network)
     v_p = network.geometry.v_p
-    _, x_i, _, _ = internal_projectors(w)
     n = network.n_ports
 
     enum = _Enumerator(s @ w, z, v_p, max_order, min_weight, record_cap)
@@ -128,8 +133,7 @@ def enumerate_paths(
     for p in sorted({port for sys in network.systems for port in sys.couplings}):
         enum.extend((p,), 1.0 + 0.0j, 0.0, 0, from_source=True)
 
-    ext_inputs = [k for k in range(n) if x_i[k, k].real > 0.5]
-    for k in ext_inputs:
+    for k in external_ports(w)[0]:
         for j in range(n):
             amp = s[j, k]
             if abs(amp) < min_weight or abs(amp) == 0.0:

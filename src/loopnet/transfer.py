@@ -44,7 +44,6 @@ from .network import (
     ScatteringBlock,
     assemble_S,
     assemble_W,
-    external_ports,
     unitary_with_magnitudes,
 )
 
@@ -231,10 +230,15 @@ def find_network_in_class(
     for _ in range(max_tries):
         eps = _draw_eps(rng, r2_min, r2_max)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        sub_seed = int(rng.integers(0, 2**63 - 1))
-        circs = _random_circulators(eps, np.random.default_rng(sub_seed))
-        if _in_class(circs, r2_min, r2_max).all():
-            return two_qubit_network(*circs, interconnect_phase=phase)
+        sub_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+        # circulator b is drawn only once a passes; it comes from the per-try
+        # sub_rng alone, so skipping it leaves the main stream unchanged
+        circ_a = perturbed_circulator(eps, random_hermitian(sub_rng, 3))
+        if not _in_class(circ_a, r2_min, r2_max):
+            continue
+        circ_b = perturbed_circulator(eps, random_hermitian(sub_rng, 3))
+        if _in_class(circ_b, r2_min, r2_max):
+            return two_qubit_network(circ_a, circ_b, interconnect_phase=phase)
     raise NetworkNotFound(
         f"no network with reflectances in [{r2_min}, {r2_max}] "
         f"after {max_tries} tries"
@@ -250,7 +254,6 @@ class TransferCoefficients:
     t_ab: complex
     t_ba: complex
     t_bb: complex
-    t_ext: dict  # external output port -> (t_ja, t_jb)
     eta_a: float
     eta_b: float
     beta_plus: float
@@ -259,7 +262,7 @@ class TransferCoefficients:
     delta_minus: float
 
     @classmethod
-    def from_t(cls, t_aa, t_ab, t_ba, t_bb, t_ext) -> TransferCoefficients:
+    def from_t(cls, t_aa, t_ab, t_ba, t_bb) -> TransferCoefficients:
         """Purcell factors, cross couplings and phases from the T entries.
 
         Broadcasts: arrays of T entries give array fields, Python complex
@@ -271,23 +274,16 @@ class TransferCoefficients:
         delta = np.arctan2(pm.imag, pm.real)
         if pm.ndim == 1:
             beta, delta = beta.tolist(), delta.tolist()
-        return cls(t_aa, t_ab, t_ba, t_bb, t_ext,
+        return cls(t_aa, t_ab, t_ba, t_bb,
                    1.0 + 2.0 * t_aa.real, 1.0 + 2.0 * t_bb.real, *beta, *delta)
 
     def unstack(self) -> list:
         """The entries of an array-field instance, each with Python scalars."""
-        columns = [getattr(self, f.name).tolist() for f in fields(self)
-                   if f.name != "t_ext"]
-        ext = [(j, ta.tolist(), tb.tolist()) for j, (ta, tb) in self.t_ext.items()]
-        return [
-            TransferCoefficients(
-                *row[:4], {j: (ta[k], tb[k]) for j, ta, tb in ext}, *row[4:]
-            )
-            for k, row in enumerate(zip(*columns))
-        ]
+        columns = (getattr(self, f.name).tolist() for f in fields(self))
+        return [TransferCoefficients(*row) for row in zip(*columns)]
 
 
-def _coefficients_from_T(t, qubit_ports, external_outputs):
+def _coefficients_from_T(t, qubit_ports):
     """Coefficients of T (N, N), or with array fields of a stack (B, N, N)."""
     if len(qubit_ports) != 2:
         raise NotTwoQubitNetwork(f"expected 2 qubit ports, got {qubit_ports}")
@@ -297,11 +293,7 @@ def _coefficients_from_T(t, qubit_ports, external_outputs):
         return complex(t[j, k]) if t.ndim == 2 else t[:, j, k]
 
     return TransferCoefficients.from_t(
-        entry(pa, pa),
-        entry(pa, pb),
-        entry(pb, pa),
-        entry(pb, pb),
-        {j: (entry(j, pa), entry(j, pb)) for j in external_outputs},
+        entry(pa, pa), entry(pa, pb), entry(pb, pa), entry(pb, pb)
     )
 
 
@@ -309,9 +301,7 @@ def extract_coefficients(
     model: EffectiveModel, qubit_ports: tuple
 ) -> TransferCoefficients:
     """Read the network contribution at the two qubit ports off T."""
-    return _coefficients_from_T(
-        model.routing.T, qubit_ports, model.external_outputs
-    )
+    return _coefficients_from_T(model.routing.T, qubit_ports)
 
 
 def coupled_qubit_ports(network: Network) -> tuple:
@@ -338,11 +328,7 @@ def swap_roles(coeffs: TransferCoefficients) -> TransferCoefficients:
     directionality for a -> b transfer works in the other direction.
     """
     return TransferCoefficients.from_t(
-        coeffs.t_bb,
-        coeffs.t_ba,
-        coeffs.t_ab,
-        coeffs.t_aa,
-        {j: (tb, ta) for j, (ta, tb) in coeffs.t_ext.items()},
+        coeffs.t_bb, coeffs.t_ba, coeffs.t_ab, coeffs.t_aa
     )
 
 
@@ -887,9 +873,9 @@ def transfer_sweep(
     n_half = 2 * step_count(T, dt)
     times = np.linspace(0.0, T, n_half + 1)
     # fields as arrays over the networks, so one-network formulas broadcast
-    coeffs = TransferCoefficients(t_ext={}, **{
+    coeffs = TransferCoefficients(**{
         f.name: np.array([getattr(c, f.name) for c in coeffs_list])
-        for f in fields(TransferCoefficients) if f.name != "t_ext"
+        for f in fields(TransferCoefficients)
     })
     flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
     kb_end = flow.at(times[-1:])[0]
@@ -1002,9 +988,8 @@ def phase_scan_coefficients(
     w = np.where(line, np.exp(1j * np.asarray(phases, float))[:, None, None], w0)
     routing = routing_matrices(assemble_S(base), w)
     qubits = coupled_qubit_ports(base)
-    _, ext_out = external_ports(w0)
     accepted = routing.accepted
-    scan = iter(_coefficients_from_T(routing.T[accepted], qubits, ext_out).unstack())
+    scan = iter(_coefficients_from_T(routing.T[accepted], qubits).unstack())
     return [next(scan) if ok else None for ok in accepted]
 
 

@@ -454,6 +454,9 @@ def test_unbounded_step_count_is_input_error(argv, tmp_path, capsys):
     ["paths", "net.json", "--min-weight", "nan"],
     ["paths", "net.json", "--tau-min", "-1"],
     ["paths", "net.json", "--max-order", "-1"],
+    # assemble_S rejects a block at network.TOL_UNITARY whatever validate's
+    # own check allows, so a looser tolerance is a usage error
+    ["validate", "net.json", "--tol-unitary", "1e-6"],
 ])
 def test_bad_numeric_argument_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path)]) == 1

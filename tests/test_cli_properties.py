@@ -23,6 +23,7 @@ from loopnet import (
     two_qubit_network,
 )
 from loopnet.cli import main
+from loopnet.network import TOL_UNITARY
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -95,7 +96,8 @@ def test_transfer_random_exits_cleanly(argv, swap):
 @PROPERTY
 @given(argv=options({
     "weight-threshold": st.floats(min_value=1e-6, allow_infinity=False),
-    "tau-min": NON_NEGATIVE, "tol-unitary": POSITIVE,
+    "tau-min": NON_NEGATIVE,
+    "tol-unitary": st.floats(0.0, TOL_UNITARY, exclude_min=True),
 }))
 def test_validate_exits_cleanly(net_file, argv):
     run(["validate", net_file, *argv])

@@ -160,7 +160,7 @@ def test_routing_batch_masks_rejected_entries(rng):
     assert batch.accepted.tolist() == [True, False]
     assert batch.converged.tolist() == [True, False]
     single = routing_matrices(s, w)
-    for name in ("G", "M", "T"):
+    for name in ("G", "T"):
         assert np.array_equal(getattr(batch, name)[0], getattr(single, name))
         assert np.isnan(getattr(batch, name)[1]).all()
     assert batch.spectral_radius_SW[0] == single.spectral_radius_SW

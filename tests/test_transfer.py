@@ -22,6 +22,7 @@ from loopnet import (
     find_network_in_class,
     ideal_circulator,
     integrate,
+    network_to_dict,
     oriented,
     perturbed_circulator,
     phase_scan_coefficients,
@@ -52,9 +53,7 @@ from loopnet.errors import (
 )
 from loopnet.network import (
     SIGMA_Z,
-    assemble_W,
     embed_operator,
-    external_ports,
     unitarity_deviation,
 )
 
@@ -117,6 +116,28 @@ def test_find_network_in_class_reflectances():
     assert isinstance(info.value, RuntimeError)
 
 
+def test_find_network_in_class_matches_drawing_both_circulators():
+    # the sampler judges circulator a before it draws b; b comes only from
+    # the per-try stream, so it accepts the networks of drawing both
+    def reference(r2_min, r2_max, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(2000):
+            eps = rng.uniform(0.5 * math.sqrt(r2_min), 3.0 * math.sqrt(r2_max))
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            sub = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+            circs = [perturbed_circulator(eps, random_hermitian(sub, 3))
+                     for _ in range(2)]
+            r2 = np.abs(np.diagonal(circs, axis1=1, axis2=2)) ** 2
+            if ((r2 >= r2_min) & (r2 <= r2_max)).all():
+                return two_qubit_network(*circs, interconnect_phase=phase)
+        raise AssertionError("reference found no network")
+
+    for seed in range(20):
+        got = find_network_in_class(0.04, 0.15, seed)
+        want = reference(0.04, 0.15, seed)
+        assert network_to_dict(got) == network_to_dict(want), seed
+
+
 @pytest.mark.parametrize("sampler, args", [
     (find_network_in_class, (-0.1, 0.15, 0)),
     (find_network_in_class, (0.04, math.nan, 0)),
@@ -155,7 +176,8 @@ def test_phase_scan_is_pi_periodic():
                           for _ in range(2))
         scans = (phase_scan_coefficients(circ_a, circ_b, phases + shift)
                  for shift in (0.0, np.pi))
-        for c, d in zip(*scans):
+        qubits = list(coupled_qubit_ports(two_qubit_network(circ_a, circ_b)))
+        for phase, c, d in zip(phases, *scans):
             for name in ("t_aa", "t_bb", "eta_a", "eta_b", "beta_plus",
                          "beta_minus"):
                 assert abs(getattr(d, name) - getattr(c, name)) < 1e-13
@@ -166,12 +188,16 @@ def test_phase_scan_is_pi_periodic():
             for name in ("delta_plus", "delta_minus"):
                 shift = (getattr(d, name) - getattr(c, name)) % (2 * np.pi)
                 assert abs(shift - np.pi) < 1e-13
-            # port 3 is circulator a's external output, port 6 circulator b's
-            assert sorted(c.t_ext) == [3, 6]
-            for port, cross in ((3, 1), (6, 0)):
-                for k in (0, 1):
-                    sign = -1 if k == cross else 1
-                    assert abs(d.t_ext[port][k] - sign * c.t_ext[port][k]) < 1e-13
+            # the external-port coefficients, rows X_o G at the outputs and
+            # columns at the qubits: port 3 is circulator a's external
+            # output, port 6 circulator b's, so the far qubit's entries flip
+            models = [contract_network(two_qubit_network(
+                circ_a, circ_b, interconnect_phase=phase + shift))
+                for shift in (0.0, np.pi)]
+            assert models[0].external_outputs == [3, 6]
+            ext_c, ext_d = (m.l_eff_coeffs[:, qubits] for m in models)
+            sign = np.array([[1, -1], [-1, 1]])
+            assert np.abs(ext_d - sign * ext_c).max() < 1e-13
 
 
 def leaky_circulator(u2, theta):
@@ -210,17 +236,16 @@ def test_phase_scan_equals_scalar_coefficients(monkeypatch):
         routing = routings.pop()
         net = two_qubit_network(circ_a, circ_b)
         qubits = coupled_qubit_ports(net)
-        _, ext_out = external_ports(assemble_W(net))
         assert len(scan) == len(TUNING_PHASES)
         assert [c is not None for c in scan] == routing.accepted.tolist()
         for k, c in enumerate(scan):
             if c is not None:
-                assert c == _coefficients_from_T(routing.T[k], qubits, ext_out)
+                assert c == _coefficients_from_T(routing.T[k], qubits)
                 # abs() of a Python complex, as the scalar formula reads
                 assert c.beta_plus == abs(c.t_ab.conjugate() + c.t_ba)
                 assert c.beta_minus == abs(c.t_ab.conjugate() - c.t_ba)
                 assert all(type(getattr(c, f.name)) is float
-                           for f in dataclasses.fields(c)[5:])
+                           for f in dataclasses.fields(c)[4:])
         rejected += scan.count(None)
     assert 0 < rejected < len(TUNING_PHASES)
 
@@ -232,18 +257,17 @@ def test_phase_scan_matches_direct_contraction():
     phases = rng.uniform(0.0, 2 * np.pi, 5)
     scanned = phase_scan_coefficients(circ_a, circ_b, phases)
     for phase, c in zip(phases, scanned):
-        direct = transfer_coefficients(
-            two_qubit_network(circ_a, circ_b, interconnect_phase=phase)
-        )
+        net = two_qubit_network(circ_a, circ_b, interconnect_phase=phase)
+        direct = transfer_coefficients(net)
         for f in dataclasses.fields(TransferCoefficients):
-            if f.name == "t_ext":
-                continue
             got, want = getattr(c, f.name), getattr(direct, f.name)
             assert abs(got - want) < 1e-13, f.name
-        assert c.t_ext.keys() == direct.t_ext.keys()
-        for port, (t_ja, t_jb) in direct.t_ext.items():
-            assert abs(c.t_ext[port][0] - t_ja) < 1e-13
-            assert abs(c.t_ext[port][1] - t_jb) < 1e-13
+        # the external-port coefficients are T's entries at (external
+        # output, qubit): G = 1 + T and the identity is zero there
+        model = contract_network(net)
+        qubits = list(coupled_qubit_ports(net))
+        t_ext = model.routing.T[np.ix_(model.external_outputs, qubits)]
+        assert np.abs(model.l_eff_coeffs[:, qubits] - t_ext).max() <= 1e-15
 
 
 # -- coefficients and collective rates ----------------------------------------
