@@ -22,7 +22,6 @@ from .network import (
     assemble_S,
     assemble_W,
     dag,
-    external_ports,
     internal_projectors,
 )
 
@@ -161,11 +160,10 @@ def contract(
     if not routing.accepted:
         raise SingularMatrix(routing.cond)
     _, x_i, _, x_o = internal_projectors(W)
-    ext_in, ext_out = external_ports(W)
-
-    s_eff_full = x_o @ routing.G @ S @ x_i
-    s_eff = s_eff_full[np.ix_(ext_out, ext_in)]
-    l_eff_coeffs = (x_o @ routing.G)[ext_out, :]
+    ext_in, ext_out = (np.flatnonzero(x.diagonal()).tolist() for x in (x_i, x_o))
+    # the projector product, not G[ext_out]: it turns G's -0.0 into +0.0
+    l_eff_coeffs = x_o[ext_out] @ routing.G
+    s_eff = l_eff_coeffs @ S @ x_i[:, ext_in]
 
     l_arr = np.array(L)  # (N, D, D)
     l_dag = l_arr.conj().transpose(0, 2, 1)

@@ -282,6 +282,11 @@ class TransferCoefficients:
         columns = (getattr(self, f.name).tolist() for f in fields(self))
         return [TransferCoefficients(*row) for row in zip(*columns)]
 
+    def take(self, index) -> TransferCoefficients:
+        """The entries of an array-field instance at an index or mask."""
+        columns = (getattr(self, f.name)[index] for f in fields(self))
+        return TransferCoefficients(*columns)
+
 
 def _coefficients_from_T(t, qubit_ports):
     """Coefficients of T (N, N), or with array fields of a stack (B, N, N)."""
@@ -334,10 +339,13 @@ def swap_roles(coeffs: TransferCoefficients) -> TransferCoefficients:
 
 def oriented(coeffs: TransferCoefficients) -> TransferCoefficients:
     """The coefficients for a -> b transfer: swap_roles(coeffs) when
-    cos(delta_+ - delta_-) >= 0 (the channel favours b -> a), else coeffs."""
-    if np.cos(coeffs.delta_plus - coeffs.delta_minus) >= 0:
-        return swap_roles(coeffs)
-    return coeffs
+    cos(delta_+ - delta_-) >= 0 (the channel favours b -> a), else coeffs;
+    per entry for array fields."""
+    flip = np.cos(coeffs.delta_plus - coeffs.delta_minus) >= 0
+    if np.ndim(flip):  # the t entries of swap_roles where flip
+        t = (coeffs.t_aa, coeffs.t_ab, coeffs.t_ba, coeffs.t_bb)
+        return TransferCoefficients.from_t(*np.where(flip, t[::-1], t))
+    return swap_roles(coeffs) if flip else coeffs
 
 
 def dark_state_residual(coeffs: TransferCoefficients) -> float:
@@ -473,16 +481,18 @@ class ControlProtocol:
 
 
 def _protocol_constants(coeffs: TransferCoefficients):
-    if coeffs.beta_plus <= 1e-15:
+    """(cos(delta_+ - delta_-), beta_-/beta_+, J/R slope), per network."""
+    if np.any(coeffs.beta_plus <= 1e-15):
         raise DegenerateBeta("beta_+ = 0: the qubits are not cross-coupled")
     ddelta = coeffs.delta_plus - coeffs.delta_minus
-    cos_d = float(np.cos(ddelta))
-    if cos_d >= 0.0:
+    cos_d = np.cos(ddelta)
+    if np.any(cos_d >= 0.0):
         raise WrongDirectionality(
-            f"cos(delta_+ - delta_-) = {cos_d:.4f} >= 0; swap sender and receiver"
+            f"cos(delta_+ - delta_-) = {np.max(cos_d):.4f} >= 0; "
+            "swap sender and receiver"
         )
     ratio = coeffs.beta_minus / coeffs.beta_plus
-    slope = 0.5 * ratio * float(np.sin(ddelta))  # J/R constraint constant
+    slope = 0.5 * ratio * np.sin(ddelta)  # J/R constraint constant
     return cos_d, ratio, slope
 
 
@@ -542,7 +552,7 @@ class _ReceiverFlow:
                 f"kappa_b(0) = kappa0 * 10^({ratio_db:g}/10) = {x0:.3g} must "
                 "be finite, > 0 and at most 1e100 kappa0"
             )
-        self.kappa0, self.x0, self.y0 = kappa0, x0, y0
+        self.kappa0, self.kb0, self.y0 = kappa0, x0, y0
         c, a, e, beta = np.atleast_1d(
             rate, coeffs.eta_a, coeffs.eta_b, coeffs.beta_plus
         )
@@ -571,6 +581,8 @@ class _ReceiverFlow:
         # dy/dt = c Q(x)/(a + e x) = ((e^2 x + q) x + a^2)/(a/c + (e/c) x)
         self.e2, self.q, self.a2 = e * e, q, a * a
         self.a_c, self.e_c = a / c, e / c
+        self.a, self.e, self.s2 = a, e, s2
+        self.log_r0 = self._log_ratio(x_start)  # F's logarithms at x(0)
 
     def time(self, y):
         """(t, dy/dt) at y = ln(kappa_b/kappa0), in units of 1/kappa0."""
@@ -582,6 +594,25 @@ class _ReceiverFlow:
         t = self.A * g + self.L * log_p + ((y - y_in) / self.ca + self.t_low)
         rate = ((self.e2 * x + self.q) * x + self.a2) / (self.a_c + self.e_c * x)
         return t, rate
+
+    def _log_ratio(self, x):
+        """ln(2a^2 + q x + 2a sqrt Q) - ln(2e sqrt Q + u); a sum that cancels
+        (beta_+^2 << eta_a eta_b) is s^2 x^2 or s^2 over the conjugate sum:
+        (2a sqrt Q)^2 - (2a^2 + q x)^2 = s^2 x^2 and 4e^2 Q - u^2 = s^2."""
+        root = np.sqrt((self.e2 * x + self.q) * x + self.a2)
+        v, u = 2.0 * self.a2 + self.q * x, 2.0 * self.e2 * x + self.q
+        d1, d2 = 2.0 * self.a * root + abs(v), 2.0 * self.e * root + abs(u)
+        return np.log(np.where(v >= 0.0, d1, self.s2 * x * x / d1)
+                      / np.where(u >= 0.0, d2, self.s2 / d2))
+
+    def dark_decay(self, x):
+        """int Gamma_d dt from kappa_b(0) = kappa0 x0 down to kappa0 x >= 0,
+        broadcasting like time: with Gamma_d/kappa0 = (a + e x - sqrt Q)/2,
+        [F(x0) - F(x)]/(2|c|) for F = (s/(2 beta_+^2)) atan(u/s) + _log_ratio,
+        whose atan term is a times the one of t."""
+        g = np.arctan2(self.S * (x - self.x_start), self.C0 + self.C1 * x)
+        log_r = self.log_r0 - self._log_ratio(x)
+        return self.a * (self.A * g + self.L * log_r)
 
     @cached_property
     def _table(self):
@@ -610,7 +641,7 @@ class _ReceiverFlow:
             t, rate = self.time(y)
             y -= (t - tau) * rate
         kb = self.kappa0 * np.exp(y)
-        kb[tau[:, 0] == 0.0] = self.x0
+        kb[tau[:, 0] == 0.0] = self.kb0
         return kb
 
 
@@ -752,8 +783,8 @@ _MIN_BLOCK_STEPS = 32
 def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
     """RK4 for the linear Bloch equations y' = A(t) y of B networks at once.
 
-    components(lo, hi): R/J components at half-step samples lo..hi, each
-    (hi - lo + 1, B).  Step n applies the step matrix P_n of
+    components(lo, hi): kappa_b and the R/J components at half-step samples
+    lo..hi, each (hi - lo + 1, B).  Step n applies the step matrix P_n of
     rk4_step_matrix.  Yields per block of m steps: components, y_n..y_n+m
     (m + 1, B, 4) and the stage maps (S1, S2, S3), each (m, B, 4, 4)."""
     y = np.asarray(y0, dtype=float)[..., None]  # (B, 4, 1)
@@ -761,7 +792,7 @@ def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
     for start in range(0, n_steps, block):
         m = min(block, n_steps - start)
         comps = components(2 * start, 2 * (start + m))
-        a = _bloch_generator(*comps)
+        a = _bloch_generator(*comps[1:])
         p, stage_maps = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)
         states = np.empty((m + 1,) + y.shape)
         states[0] = y
@@ -789,7 +820,7 @@ def simulate_transfer(
         raise InvalidParameter(
             "protocol must have an even number of intervals"
         )
-    comps = _rj_arrays(
+    comps = protocol.kappa_b, *_rj_arrays(
         coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
         protocol.kappa_b, protocol.h_bz,
     )
@@ -802,7 +833,7 @@ def simulate_transfer(
     b0_traj, bvec_traj = traj[:, 0], traj[:, 1:]
 
     sample_times = times[::2]
-    r0_s, rx_s, ry_s, rz_s = (c[::2] for c in comps[:4])
+    r0_s, rx_s, ry_s, rz_s = (c[::2] for c in comps[1:5])
     gamma_d = 0.5 * (r0_s - np.sqrt(rx_s**2 + ry_s**2 + rz_s**2))
     dts = np.diff(sample_times)
     int_gd = np.cumsum(0.5 * (gamma_d[1:] + gamma_d[:-1]) * dts)
@@ -862,46 +893,40 @@ def transfer_sweep(
     kappa_b comes from the closed form of synthesize_controls, evaluated a
     block of steps at a time for every network at once, and the Bloch states
     go through the step propagators of simulate_transfer, so results match
-    the scalar pipeline to roundoff.  The bound's int Gamma_d (Simpson on
-    the half-step samples) and the closed form's int (R0 + R.e_b) (over the
-    RK4 stage states) are what RK4 gives for them as extra ODE states.
+    the scalar pipeline to roundoff.  The bound's int Gamma_d is exact
+    (_ReceiverFlow.dark_decay); the closed form's int (R0 + R.e_b) (over the
+    RK4 stage states) is what RK4 gives for it as an extra ODE state.  An
+    empty list gives [].
     """
     n_net = len(coeffs_list)
-    cos_d, ratio, slope = np.array(
-        [_protocol_constants(c) for c in coeffs_list]
-    ).T
-    n_half = 2 * step_count(T, dt)
-    times = np.linspace(0.0, T, n_half + 1)
     # fields as arrays over the networks, so one-network formulas broadcast
     coeffs = TransferCoefficients(**{
         f.name: np.array([getattr(c, f.name) for c in coeffs_list])
         for f in fields(TransferCoefficients)
     })
+    cos_d, ratio, slope = _protocol_constants(coeffs)
+    n_half = 2 * step_count(T, dt)
+    times = np.linspace(0.0, T, n_half + 1)
     flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
+    if n_net == 0:
+        return []
     kb_end = flow.at(times[-1:])[0]
     _require_pulse_end(kb_end)
 
     def components(lo, hi):
         kb_block = flow.at(times[lo:hi + 1])
         hbz = _h_bz_of_kappa_b(kb_block, coeffs, kappa0, slope, h_az)
-        return _rj_arrays(
+        return kb_block, *_rj_arrays(
             coeffs, kappa0, -coeffs.delta_plus, h_az, kb_block, hbz
         )
 
     h = 2.0 * T / n_half
     y0 = np.tile([1.0, 0.0, 0.0, 1.0], (n_net, 1))
-    # quadratures int Gamma_d dt and int (R0 + R.e_b) dt up to the block start
-    q_gd = q_f = 0.0
+    q_f = 0.0  # quadrature int (R0 + R.e_b) dt up to the block start
     max_excess = np.full(n_net, -np.inf)
     max_mismatch = np.zeros(n_net)
     for comps, y, stage_maps in _propagate(components, n_half // 2, h, y0):
-        r0, rx, ry, rz = comps[:4]
-        gamma_d = 0.5 * (r0 - np.sqrt(rx * rx + ry * ry + rz * rz))
-        q_gd = q_gd + np.cumsum(
-            (h / 6.0)
-            * (gamma_d[:-1:2] + 4.0 * gamma_d[1::2] + gamma_d[2::2]),
-            axis=0,
-        )
+        kb, r0, rx, ry, rz = comps[:5]
         y_n = y[:-1]
         stages = (y_n, *(np.einsum("...ij,...j->...i", s, y_n)
                          for s in stage_maps))
@@ -913,26 +938,19 @@ def transfer_sweep(
             (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4), axis=0
         )
         b0 = y[1:, :, 0]
-        max_excess = np.maximum(max_excess, (b0 - np.exp(-q_gd)).max(axis=0))
+        bound = np.exp(-flow.dark_decay(kb[2::2] / kappa0))
+        max_excess = np.maximum(max_excess, (b0 - bound).max(axis=0))
         max_mismatch = np.maximum(
             max_mismatch, np.abs(b0 - np.exp(-0.5 * q_f)).max(axis=0)
         )
-        q_gd, q_f = q_gd[-1], q_f[-1]
+        q_f = q_f[-1]
 
     if not np.all(np.isfinite(y[-1])):
         raise StepUnstable("transfer sweep diverged; reduce dt")
     b0, success = y[-1, :, 0], 0.5 * (y[-1, :, 0] - y[-1, :, 3])
     kb_db = 10.0 * np.log10(kb_end / kappa0)
-    return [
-        SweepSummary(
-            success=float(success[i]),
-            max_bound_excess=float(max_excess[i]),
-            max_closed_form_mismatch=float(max_mismatch[i]),
-            kappa_b_final_db=float(kb_db[i]),
-            b0_final=float(b0[i]),
-        )
-        for i in range(n_net)
-    ]
+    columns = (success, max_excess, max_mismatch, kb_db, b0)
+    return [SweepSummary(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def predict_transfer(
@@ -940,46 +958,24 @@ def predict_transfer(
     kappa0: float,
     ratio_db: float = 25.0,
 ):
-    """Closed-form estimate of (success upper bound, pulse duration).
+    """Closed-form (success upper bound, pulse duration) of the protocol.
 
-    Along the synthesized protocol kappa_b is monotone, so the accumulated
-    dark decay is a 1-d quadrature over kappa_b: int Gamma_d dt =
-    int Gamma_d/|kappadot_b| d(kappa_b), on a 4000-point log grid from
-    kappa_b(0) down to kappa0 at -40 dB plus the analytic tail (the
-    integrand tends to a constant as kappa_b -> 0).  The duration is the
-    exact time of the flow (_ReceiverFlow) to reach -40 dB.  Returns
-    (exp(-int Gamma_d), time to reach -40 dB).
+    The bound is exp(-int Gamma_d dt) over the whole synthesized kappa_b
+    flow, from kappa_b(0) down to 0 (_ReceiverFlow.dark_decay); the duration
+    is the exact time of the flow to reach kappa0 at -40 dB.  Floats for one
+    network; arrays over the networks for array-field coefficients.
     """
     cos_d, ratio, _ = _protocol_constants(coeffs)
-    kb = kappa0 * np.logspace(ratio_db / 10.0, -4.0, 4000)
-    # R along the protocol's phase reference, where it is planar (ry = 0)
-    r0, rx, _, rz, *_ = _rj_arrays(coeffs, kappa0, -coeffs.delta_plus, 0, kb, 0)
-    rnorm = np.sqrt(rx * rx + rz * rz)
-    speed = -cos_d * ratio * kb * (rx * rx + rz * rz) / r0  # |dkappa_b/dt|
-    gamma_d = 0.5 * (r0 - rnorm)
-    dkb = -np.diff(kb)  # positive
-    loss = float(
-        np.sum(0.5 * (gamma_d[1:] / speed[1:] + gamma_d[:-1] / speed[:-1]) * dkb)
-    )
-    # tail below the floor: Gamma_d/speed tends to a constant, so the
-    # remaining integral is ~ that constant times the remaining kappa_b
-    loss += float(gamma_d[-1] / speed[-1] * kb[-1])
-    # the exact time at which the flow reaches kappa0 * 1e-4 (-40 dB)
     flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
-    t_total = float(flow.time(math.log(1e-4))[0][0]) / kappa0
-    return float(np.exp(-loss)), t_total
+    bound = np.exp(-flow.dark_decay(0.0))
+    t_total = flow.time(math.log(1e-4))[0] / kappa0
+    if np.ndim(coeffs.beta_plus):
+        return bound, t_total
+    return float(bound[0]), float(t_total[0])
 
 
-def phase_scan_coefficients(
-    circulator_a: np.ndarray,
-    circulator_b: np.ndarray,
-    phases: np.ndarray,
-) -> list:
-    """TransferCoefficients of the two-circulator network for a whole grid
-    of interconnect phases: W stacked over the grid, S shared, one batched
-    routing_matrices call.  Entries are None where the loop is rejected.
-    Matches transfer_coefficients(two_qubit_network(...)) exactly.
-    """
+def _phase_scan(circulator_a, circulator_b, phases):
+    """(accepted, array-field coefficients of the accepted phases)."""
     network = partial(two_qubit_network, circulator_a, circulator_b)
     base = network(interconnect_phase=0.0)
     w0 = assemble_W(base)
@@ -989,7 +985,15 @@ def phase_scan_coefficients(
     routing = routing_matrices(assemble_S(base), w)
     qubits = coupled_qubit_ports(base)
     accepted = routing.accepted
-    scan = iter(_coefficients_from_T(routing.T[accepted], qubits).unstack())
+    return accepted, _coefficients_from_T(routing.T[accepted], qubits)
+
+
+def phase_scan_coefficients(circulator_a, circulator_b, phases) -> list:
+    """TransferCoefficients of the two-circulator network for a grid of
+    interconnect phases (_phase_scan), None where the loop is rejected.
+    Matches transfer_coefficients(two_qubit_network(...)) exactly."""
+    accepted, coeffs = _phase_scan(circulator_a, circulator_b, phases)
+    scan = iter(coeffs.unstack())
     return [next(scan) if ok else None for ok in accepted]
 
 
@@ -1000,23 +1004,19 @@ TUNING_PHASES = np.linspace(0.0, np.pi, 128, endpoint=False)
 
 
 def _tune_phase(circ_a, circ_b, score):
-    """Scan TUNING_PHASES, half a period, for the interconnect phase with
-    the lowest score(oriented coefficients), the first one on ties; score
-    returns None for an inadmissible phase.  Returns (lowest score,
-    (coefficients, network, phase)), or None if no phase is admissible."""
-    best = None
-    scan = phase_scan_coefficients(circ_a, circ_b, TUNING_PHASES)
-    for phase, c in zip(TUNING_PHASES, scan):
-        if c is None:
-            continue
-        c = oriented(c)
-        value = score(c)
-        if value is not None and (best is None or value < best[0]):
-            best = (value, c, float(phase))
-    if best is None:
+    """(lowest score, (coefficients, network, phase)) over TUNING_PHASES,
+    the first phase on ties, or None if none is admissible.  score maps the
+    oriented array-field coefficients of the accepted phases to an array,
+    inf for an inadmissible phase."""
+    accepted, coeffs = _phase_scan(circ_a, circ_b, TUNING_PHASES)
+    coeffs = oriented(coeffs)
+    values = score(coeffs)
+    if not np.any(values < np.inf):
         return None
-    net = two_qubit_network(circ_a, circ_b, interconnect_phase=best[2])
-    return best[0], (best[1], net, best[2])
+    best = int(np.argmin(values))
+    phase = float(TUNING_PHASES[accepted][best])
+    net = two_qubit_network(circ_a, circ_b, interconnect_phase=phase)
+    return values[best], (coeffs.take([best]).unstack()[0], net, phase)
 
 
 def phase_tuned_network(seed: int, r2_min: float, r2_max: float, resid_max: float):
@@ -1073,13 +1073,14 @@ def phase_tuned_adverse_network(
 
     def score(c):
         cos_d = np.cos(c.delta_plus - c.delta_minus)
-        if not (-0.20 <= cos_d <= -0.10 and c.beta_plus >= 1e-6
-                and 0.05 <= c.eta_a <= 5.0 and 0.05 <= c.eta_b <= 5.0):
-            return None
-        est, t_total = predict_transfer(c, kappa0, ratio_db)
-        if t_total > 18.0 or not (0.45 <= est <= 0.65):
-            return None
-        return abs(est - 0.55)
+        ok = ((-0.20 <= cos_d) & (cos_d <= -0.10) & (c.beta_plus >= 1e-6)
+              & (0.05 <= c.eta_a) & (c.eta_a <= 5.0)
+              & (0.05 <= c.eta_b) & (c.eta_b <= 5.0))
+        est, t_total = predict_transfer(c.take(ok), kappa0, ratio_db)
+        fit = (t_total <= 18.0) & (0.45 <= est) & (est <= 0.65)
+        values = np.full(len(ok), np.inf)
+        values[ok] = np.where(fit, np.abs(est - 0.55), np.inf)
+        return values
 
     for _ in range(max_tries):
         circ_a = reflective_circulator()

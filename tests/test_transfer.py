@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+
+import loopnet.transfer
 
 from loopnet import (
     Schedule,
@@ -657,6 +659,152 @@ def test_predict_transfer_close_to_simulation():
     result = simulate_transfer(coeffs, protocol)
     assert abs(predicted - result.success) < 0.1
     assert 0.0 < duration < 20.0
+
+
+def dark_decay_by_quad(c, rate, x_start, x):
+    """int Gamma_d dt along the kappa_b flow from x_start down to x (both
+    kappa_b/kappa0) by scipy quad over y = ln x: Gamma_d dt is
+    (a + e x - sqrt Q)(a + e x) / (2 |c| Q) dy, with a + e x - sqrt Q
+    rationalized as 4 (a e - beta_+^2) x / (a + e x + sqrt Q)."""
+    a, e, b2 = c.eta_a, c.eta_b, c.beta_plus**2
+    q = 2.0 * (2.0 * b2 - a * e)
+
+    def integrand(y):
+        z = math.exp(y)
+        root = math.sqrt((e * e * z + q) * z + a * a)
+        gap = 4.0 * (a * e - b2) * z / (a + e * z + root)
+        return 0.5 * gap * (a + e * z) / (abs(rate) * root * root)
+
+    low = math.log(x) if x > 0 else -80.0  # the integrand is ~ x below
+    return quad(integrand, low, math.log(x_start), epsabs=0.0, epsrel=1e-13,
+                limit=200)[0]
+
+
+def stacked(coeffs_list):
+    return TransferCoefficients(**{
+        f.name: np.array([getattr(c, f.name) for c in coeffs_list])
+        for f in dataclasses.fields(TransferCoefficients)
+    })
+
+
+def test_dark_decay_matches_quad():
+    """_ReceiverFlow.dark_decay against quad on criterion-09 networks, on
+    criterion-10 tuned and adverse networks, from -20 to 998 dB starts, at
+    a near-dark channel (s -> 0) and at beta_+^2 = 1e-6 eta_a eta_b, where
+    the logarithms of F would cancel.  Within 1e-11 relative, or 1e-14
+    absolute for a decay near zero, from x = 0 (the whole pulse) to
+    x_start.  (At beta_+^2 = 1e-6 eta_a eta_b, Gamma_d peaks sharply at
+    x = eta_a/eta_b, and quad is the less accurate of the two there: 3e-12
+    against 2e-16 for the formula, by mpmath at 40 digits.)"""
+    pool = [forward_coefficients(find_network_in_class(0.04, 0.15, s))
+            for s in range(12)]
+    pool += [phase_tuned_network(s, 0.04, 0.15, 1.5e-3)[0] for s in (1, 2)]
+    pool += [phase_tuned_adverse_network(s, max_tries=40)[0]
+             for s in (4, 6, 7)]
+    base = pool[0]
+    product = base.eta_a * base.eta_b
+    for factor in (1.0 - 1e-9, 1e-6):
+        pool.append(dataclasses.replace(
+            base, beta_plus=math.sqrt(factor * product)))
+    for c in pool:
+        cos_d, ratio, _ = _protocol_constants(c)
+        for db in (-20.0, 0.0, 25.0, 60.0, 200.0, 998.0):
+            flow = _ReceiverFlow(c, cos_d * ratio, 1.0, db)
+            x_start = 10.0 ** (db / 10.0)
+            for x in (0.0, 0.3 * x_start, min(1.0, x_start), 1e-3 * x_start):
+                want = dark_decay_by_quad(c, cos_d * ratio, x_start, x)
+                got = flow.dark_decay(x)
+                assert got.shape == (1,)
+                assert abs(got[0] - want) <= 1e-11 * want + 1e-14, (c, db, x)
+    # the perfectly dark channel: no decay at all
+    xs = np.array([[0.0], [1.0], [100.0]])
+    flow = _ReceiverFlow(perfect_coeffs(), -1.0, 1.0, 25.0)
+    assert np.abs(flow.dark_decay(xs)).max() < 1e-14
+
+    # arrays of networks broadcast like time, and predict_transfer follows
+    coeffs = stacked(pool[:17])
+    cos_d, ratio, _ = _protocol_constants(coeffs)
+    flow = _ReceiverFlow(coeffs, cos_d * ratio, 1.0, 25.0)
+    xs = xs * np.ones(17)
+    decay = flow.dark_decay(xs)
+    bounds, durations = predict_transfer(coeffs, 1.0, 25.0)
+    for i, c in enumerate(pool[:17]):
+        cos_one, ratio_one, _ = _protocol_constants(c)
+        one = _ReceiverFlow(c, cos_one * ratio_one, 1.0, 25.0)
+        assert decay[:, i] == pytest.approx(one.dark_decay(xs[:, :1])[:, 0],
+                                            rel=1e-14, abs=1e-16)
+        bound, duration = predict_transfer(c, 1.0, 25.0)
+        assert type(bound) is float and type(duration) is float
+        assert bounds[i] == pytest.approx(bound, rel=1e-14)
+        assert durations[i] == pytest.approx(duration, rel=1e-14)
+
+
+def scalar_tune(circ_a, circ_b, score):
+    """The phase tuner as a loop over the scan, one scalar score per phase
+    (None for an inadmissible one): the reference for _tune_phase."""
+    best = None
+    scan = phase_scan_coefficients(circ_a, circ_b, TUNING_PHASES)
+    for phase, c in zip(TUNING_PHASES, scan):
+        if c is None:
+            continue
+        c = oriented(c)
+        value = score(c)
+        if value is not None and (best is None or value < best[0]):
+            best = (value, c, float(phase))
+    return best
+
+
+def scalar_adverse_score(c):
+    """phase_tuned_adverse_network's score at kappa0 = 1 and 25 dB."""
+    cos_d = np.cos(c.delta_plus - c.delta_minus)
+    if not (-0.20 <= cos_d <= -0.10 and c.beta_plus >= 1e-6
+            and 0.05 <= c.eta_a <= 5.0 and 0.05 <= c.eta_b <= 5.0):
+        return None
+    est, t_total = predict_transfer(c, 1.0, 25.0)
+    if t_total > 18.0 or not (0.45 <= est <= 0.65):
+        return None
+    return abs(est - 0.55)
+
+
+@pytest.mark.parametrize("sampler, args, scalar_score", [
+    (phase_tuned_network, (0.04, 0.15, 1.5e-3),
+     lambda c: abs(dark_state_residual(c))),
+    (phase_tuned_adverse_network, (1.0, 25.0, 40), scalar_adverse_score),
+])
+def test_tune_phase_matches_scalar_loop(sampler, args, scalar_score,
+                                        monkeypatch):
+    """The array tuner picks the phase and the repr-identical coefficients
+    of the scalar loop on every circulator pair the samplers draw."""
+    tune = loopnet.transfer._tune_phase
+    outcomes = []
+
+    def checked(circ_a, circ_b, score):
+        tuned = tune(circ_a, circ_b, score)
+        reference = scalar_tune(circ_a, circ_b, scalar_score)
+        assert (tuned is None) == (reference is None)
+        if tuned is not None:
+            value, (c, net, phase) = tuned
+            assert phase == reference[2]
+            assert repr(c) == repr(reference[1])
+            assert value == pytest.approx(reference[0], rel=1e-12, abs=1e-15)
+        outcomes.append(tuned is not None)
+        return tuned
+
+    monkeypatch.setattr(loopnet.transfer, "_tune_phase", checked)
+    for seed in (1, 2, 4, 6, 7):
+        sampler(seed, *args)
+    assert any(outcomes)
+
+
+def test_transfer_sweep_of_no_networks():
+    assert transfer_sweep([], 1.0) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kappa0, ratio_db", [(math.nan, 25.0), (1.0, 1e4)])
+def test_predict_transfer_rejects_unusable_start(kappa0, ratio_db):
+    with pytest.raises(StepUnstable):
+        predict_transfer(perfect_coeffs(), kappa0, ratio_db)
 
 
 def test_rescale_protocol_equivalence():
