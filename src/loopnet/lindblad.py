@@ -314,7 +314,9 @@ class Trajectory:
     max_herm_drift: float
 
 
-_BLOCK = 2**16  # complex elements of a block's states or generators
+# complex elements of a block's states or generators: bounds memory and,
+# without controls, the number of squarings of the step matrix in a block
+_BLOCK = 2**16
 
 
 def integrate(
@@ -329,11 +331,13 @@ def integrate(
     """Fixed-step RK4 propagation of the vectorized master equation.
 
     The steps run in blocks of about _BLOCK complex elements.  Without
-    controls the generator G is constant and every step applies one step
-    matrix, P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24.  With controls
-    the schedules are evaluated on the half-step grid of a whole block at
-    once, the generators there are one matrix product, and each step
-    applies the four RK4 stages.
+    controls the generator G is constant and a step applies one step
+    matrix, P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24; a block of m
+    steps takes ceil(log2(m + 1)) levels: the states known so far, y_0..
+    y_n-1, give y_n..y_2n-1 as one product with P^n, and P is squared for
+    the next level.  With controls the schedules are evaluated on the
+    half-step grid of a whole block at once, the generators there are one
+    matrix product, and each step applies the four RK4 stages.
 
     Symmetrization happens once per block.  After a block, the trace and
     Hermiticity drift of every step in it are checked: the run raises
@@ -403,8 +407,14 @@ def integrate(
                 k4 = gens[2 * i + 2] @ (y + h * k3)
                 states[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            for i in range(m):
-                np.matmul(step_matrix, states[i], out=states[i + 1])
+            power, n = step_matrix, 1  # power = P^n: states[:n] are known
+            while True:
+                k = min(n, m + 1 - n)
+                np.matmul(states[:k], power.T, out=states[n:n + k])
+                n += k
+                if n > m:
+                    break
+                power = power @ power
 
         # rho of each step: the column-major vec read row-major, transposed
         rho_n = states[1:m + 1].reshape(m, d, d).transpose(0, 2, 1)

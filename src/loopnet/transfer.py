@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -58,13 +58,23 @@ def ideal_circulator() -> np.ndarray:
     )
 
 
+_IDEAL_CIRCULATOR = ideal_circulator()
+_FLOAT_MAX = np.finfo(float).max
+
+
 def perturbed_circulator(eps, hermitian: np.ndarray) -> np.ndarray:
     """exp(i eps H) times the ideal circulator, as 1 + V diag(expm1(i eps
     lam)) V^dagger from one eigh of H: exactly ideal at eps = 0, unitary for
     every finite eps; an array eps stacks the circulators on its shape."""
     lam, v = np.linalg.eigh(np.asarray(hermitian, dtype=complex))
-    phases = np.expm1(1j * np.multiply.outer(eps, lam))[..., None, :]
-    return (np.eye(len(lam)) + v * phases @ v.conj().T) @ ideal_circulator()
+    # eps * lam overflows only for eps near the float maximum, where eigh
+    # rounds |lam| a ulp above 1; that phase saturates at the largest float
+    # (exp(i x) is as unitary there), and every finite phase keeps its bits
+    with np.errstate(over="ignore"):
+        x = np.multiply.outer(eps, lam)
+    x = np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX)
+    phases = np.expm1(1j * x)[..., None, :]
+    return (np.eye(len(lam)) + v * phases @ v.conj().T) @ _IDEAL_CIRCULATOR
 
 
 # Datasheet-style circulator magnitudes are not unitarity-consistent (no
@@ -96,6 +106,11 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = 0.5 * (a + a.conj().T)
     return h / np.abs(np.linalg.eigvalsh(h)).max()
+
+
+# the transmission line between the circulators, as (from_port, to_port):
+# the two connections whose phase interconnect_phase sets
+_LINE = ((2, 4), (4, 2))
 
 
 def two_qubit_network(
@@ -148,8 +163,7 @@ def two_qubit_network(
     connections = [
         Connection(0, 1, phase=geometry.k0 * dz_a),
         Connection(1, 0, phase=geometry.k0 * dz_a),
-        Connection(2, 4, phase=line_phase),
-        Connection(4, 2, phase=line_phase),
+        *(Connection(a, b, phase=line_phase) for a, b in _LINE),
         Connection(5, 7, phase=geometry.k0 * dz_b),
         Connection(7, 5, phase=geometry.k0 * dz_b),
     ]
@@ -773,10 +787,12 @@ def _bloch_generator(r0, rx, ry, rz, jx, jy, jz):
     ).reshape(np.shape(r0) + (4, 4))
 
 
-_BLOCK = 1024  # propagators (steps x networks) formed at once: bounds memory
-# ... but at least this many steps: with many networks a block's fixed
-# dispatch cost would outweigh its work (100 networks: 10 steps a block,
-# and the sweep runs 1.2x slower than at 32)
+# propagators (steps x networks) formed at once: bounds memory, and a
+# block's prefix products take at most 2 log2(_BLOCK) = 20 levels
+_BLOCK = 1024
+# ... but at least this many steps: with many networks a block's fixed cost
+# (components, step matrices, one call per level) would outweigh its work
+# (100 networks: at 10 steps a block the sweep runs 1.2x slower than at 32)
 _MIN_BLOCK_STEPS = 32
 
 
@@ -785,21 +801,33 @@ def _propagate(components, n_steps: int, h: float, y0: np.ndarray):
 
     components(lo, hi): kappa_b and the R/J components at half-step samples
     lo..hi, each (hi - lo + 1, B).  Step n applies the step matrix P_n of
-    rk4_step_matrix.  Yields per block of m steps: components, y_n..y_n+m
-    (m + 1, B, 4) and the stage maps (S1, S2, S3), each (m, B, 4, 4)."""
+    rk4_step_matrix.  Within a block of m steps the inclusive prefix
+    products Q_i = P_i ... P_0 are formed in at most 2 log2(m) levels of
+    batched products with doubling strides, fewer than 2m products in all
+    (the Brent-Kung scan), and the block's states are one batched product
+    Q_i y_0.  Yields per block: components, y_n..y_n+m (m + 1, B, 4) and
+    the stage maps (S1, S2, S3), each (m, B, 4, 4)."""
     y = np.asarray(y0, dtype=float)[..., None]  # (B, 4, 1)
     block = max(_MIN_BLOCK_STEPS, _BLOCK // len(y))
     for start in range(0, n_steps, block):
         m = min(block, n_steps - start)
         comps = components(2 * start, 2 * (start + m))
         a = _bloch_generator(*comps[1:])
-        p, stage_maps = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)
+        q, stage_maps = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)
         states = np.empty((m + 1,) + y.shape)
         states[0] = y
         # an unstable step overflows quietly; callers check the states
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(m):
-                np.matmul(p[i], states[i], out=states[i + 1])
+            s = 1  # up-sweep: q[i] = P_i ... P_i-2s+1 where i = -1 mod 2s
+            while 2 * s <= m:
+                t = q[2 * s - 1::2 * s]
+                t[...] = t @ q[s - 1:m - s:2 * s]
+                s *= 2
+            while s > 1:  # down-sweep: q[i] = P_i ... P_0 where i = -1 mod s
+                s //= 2
+                t = q[3 * s - 1::2 * s]
+                t[...] = t @ q[2 * s - 1:m - s:2 * s]
+            np.matmul(q, y, out=states[1:])
         y = states[-1]
         yield comps, states[..., 0], stage_maps
 
@@ -811,9 +839,9 @@ def simulate_transfer(
     """Integrate the Bloch equations from |ud> under a synthesized protocol.
 
     RK4 steps over pairs of protocol samples (midpoints are exact protocol
-    values, no interpolation), applied as precomputed step propagators.
-    Checks the subradiant bound b0(t) <= exp(-int Gamma_d) + 1e-6 at every
-    sample.
+    values, no interpolation), applied as prefix products of the step
+    propagators (_propagate).  Checks the subradiant bound
+    b0(t) <= exp(-int Gamma_d) + 1e-6 at every sample.
     """
     times = protocol.times
     if (len(times) - 1) % 2 != 0:
@@ -976,12 +1004,11 @@ def predict_transfer(
 
 def _phase_scan(circulator_a, circulator_b, phases):
     """(accepted, array-field coefficients of the accepted phases)."""
-    network = partial(two_qubit_network, circulator_a, circulator_b)
-    base = network(interconnect_phase=0.0)
-    w0 = assemble_W(base)
-    # the W entries of the interconnect are the ones that move with its phase
-    line = assemble_W(network(interconnect_phase=np.pi)) != w0
-    w = np.where(line, np.exp(1j * np.asarray(phases, float))[:, None, None], w0)
+    base = two_qubit_network(circulator_a, circulator_b, interconnect_phase=0.0)
+    phases = np.asarray(phases, float)
+    w = np.repeat(assemble_W(base)[None], len(phases), axis=0)
+    frm, to = np.transpose(_LINE)
+    w[:, to, frm] = np.exp(1j * phases)[:, None]
     routing = routing_matrices(assemble_S(base), w)
     qubits = coupled_qubit_ports(base)
     accepted = routing.accepted

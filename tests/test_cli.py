@@ -368,17 +368,20 @@ def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("eps", ["1e15", "1e20", "1e300"])
+@pytest.mark.parametrize("eps", ["1e15", "1e20", "1e300",
+                                 "1.7976931348623157e+308"])
 def test_transfer_huge_eps_builds_unitary_circulators(eps, tmp_path, capsys):
     # exp(i eps H) is unitary for every finite eps: no overflow warning and
     # no block of the library's own making rejected as non-unitary or
-    # non-finite
-    code = main(["transfer", "--random", "--swap-roles", "--seed", "3",
-                 "--T", "12", "--dt", "2e-3", "--eps", eps,
-                 "-o", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code in (0, 2)
-    assert "Traceback" not in err and "NonUnitaryBlock" not in err
+    # non-finite.  At the largest float, seed 0 draws an H whose eigh gives
+    # |lambda| a ulp above 1, so eps * lambda overflows
+    for seed in ("0", "3"):
+        code = main(["transfer", "--random", "--swap-roles", "--seed", seed,
+                     "--T", "12", "--dt", "2e-3", "--eps", eps,
+                     "-o", str(tmp_path / seed)])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert "Traceback" not in err and "NonUnitaryBlock" not in err
 
 
 def test_transfer_runs_without_scipy(tmp_path):

@@ -195,16 +195,21 @@ def stepwise_rk4(model, controls, rho0, t_final, dt):
     """Independent oracle: RK4 over build_generator, one step at a time,
     re-Hermitized after every step.  Returns (times, rhos) of every step,
     or the index of the first step whose drift exceeds the integrate
-    bounds."""
+    bounds.  Without controls the generator does not depend on t and is
+    built once."""
     n_steps = max(1, int(round(t_final / dt)))
     h = t_final / n_steps
     d = rho0.shape[0]
     v = rho0.reshape(-1, order="F")
     times, rhos = [0.0], [rho0]
+    if controls.ports or controls.hamiltonian:
+        generator = functools.partial(build_generator, model, controls)
+    else:
+        static = build_generator(model, controls, 0.0)
+        generator = lambda t: static
     for step in range(n_steps):
         t = step * h
-        g1, g2, g4 = (build_generator(model, controls, s)
-                      for s in (t, t + 0.5 * h, t + h))
+        g1, g2, g4 = (generator(s) for s in (t, t + 0.5 * h, t + h))
         k1 = g1 @ v
         k2 = g2 @ (v + 0.5 * h * k1)
         k3 = g2 @ (v + 0.5 * h * k2)
@@ -230,11 +235,11 @@ def random_state(d: int, seed: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def _static_case(net):
+def _static_case(net, t_final=2.0, dt=1e-2):
     def case():
         model = contract_network(net())
         d = model.h_sys.shape[0]
-        return model, Controls(), random_state(d, d), 2.0, 1e-2
+        return model, Controls(), random_state(d, d), t_final, dt
     return case
 
 
@@ -277,6 +282,12 @@ ORACLE_CASES = {
     "static-d2": _static_case(lambda: single_qubit_network(kappa=1.3)),
     "static-d4": _static_case(lambda: random_imperfect_network(0.1, 2.0, 7)),
     "static-d8": _static_case(three_qubit_chain),
+    # longer than one default block (16,384 steps at D = 2, 4,096 at D = 4),
+    # so the static doubling runs to its deepest level
+    "static-d2-long": _static_case(lambda: single_qubit_network(kappa=1.3),
+                                   16.5, 1e-3),
+    "static-d4-long": _static_case(
+        lambda: random_imperfect_network(0.1, 2.0, 7), 4.5, 1e-3),
     "criterion-08": _criterion_08_case,
     "step-schedule": _step_schedule_case,
 }
@@ -312,7 +323,9 @@ def test_integrate_matches_stepwise_rk4(case, sample_stride, block_steps,
     assert np.abs(traj.rhos - rhos[kept]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+# the long cases share their models with static-d2 and static-d4
+@pytest.mark.parametrize(
+    "case", [c for c in sorted(ORACLE_CASES) if not c.endswith("-long")])
 def test_integrate_unstable_step_matches_stepwise_rk4(case):
     """A strongly unstable dt raises StepUnstable at the step where the
     oracle's drift first exceeds its bounds.  That drift is roundoff grown

@@ -66,9 +66,12 @@ from loopnet.transfer import (
     coupled_qubit_ports,
     _protocol_constants,
     _ReceiverFlow,
+    _bloch_generator,
+    _propagate,
     _rj_arrays,
     random_hermitian,
 )
+from loopnet.lindblad import rk4_step_matrix
 
 
 def perfect_coeffs():
@@ -578,6 +581,33 @@ def test_simulate_transfer_matches_stepwise_rk4():
     expect = np.array(expect)
     assert np.abs(result.b0 - expect[:, 0]).max() <= 1e-12
     assert np.abs(result.bvec - expect[:, 1:]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_networks", [1, 4, 16])
+def test_propagate_matches_sequential_steps(n_networks):
+    """The prefix products of each block reproduce applying the step
+    matrices one matmul at a time, <= 1e-13, over full blocks (1,024 steps
+    at B = 1, the deepest doubling level) and a partial last block."""
+    n_steps, h = 1324, 5e-3
+    t = 0.5 * h * np.arange(2 * n_steps + 1)[:, None]
+    phase = np.arange(n_networks)
+    comps = [1.0 + 0.5 * np.sin(0.3 * t + phase)]  # kappa_b
+    comps += [1.0 + 0.5 * np.cos(t + phase)]  # R0
+    comps += [0.4 * np.sin((k + 1) * t + phase) for k in range(6)]  # R, J
+    y0 = np.stack([np.ones(n_networks), np.zeros(n_networks),
+                   0.3 * np.ones(n_networks), np.ones(n_networks)], axis=1)
+    blocks = list(_propagate(lambda lo, hi: [c[lo:hi + 1] for c in comps],
+                             n_steps, h, y0))
+    assert n_steps % (len(blocks[0][1]) - 1) != 0  # a partial last block
+    states = np.concatenate([y0[None]] + [y[1:] for _, y, _ in blocks])
+
+    a = _bloch_generator(*comps[1:])
+    p = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)[0]
+    expect = np.empty((n_steps + 1, n_networks, 4))
+    expect[0] = y0
+    for i in range(n_steps):
+        expect[i + 1] = (p[i] @ expect[i][..., None])[..., 0]
+    assert np.abs(states - expect).max() <= 1e-13
 
 
 def test_receiver_off_decay():
