@@ -4,7 +4,8 @@ All commands write their outputs plus a run manifest (manifest.json) into
 --output-dir.  CSV files have LF line endings and every number is exactly
 the bytes of "%.17g", so that re-running a command with identical inputs
 reproduces byte-identical files; an integer kernel produces them for 0 and
-1e-11 < |x| < 1e15, and "%.17g" itself for every other value.  Exit codes:
+1e-11 < |x| < 1e15, reading the ASCII digits of 4-digit groups from a
+table, and "%.17g" itself for every other value.  Exit codes:
 0 success, 1 schema/usage error or an output directory or file that cannot
 be made or written, 2 physics-validity error (non-unitary block,
 non-convergent loop, wrong directionality, ...).
@@ -77,6 +78,8 @@ _EXP = np.array([101, 45, 48, 48], np.int8)[:, None]  # "e-XX" for -11 <= e < -4
 _EXP_E = np.array([0, 0, 0, -1], np.int8)[:, None]
 _EXP_TENS = np.array([0, 0, 1, -10], np.int8)[:, None]
 _CELL = 29  # sign, "0.000", 17 digits and a point, "e-XX", separator
+# _DIGITS4[k, g]: ASCII digit k of g = 0..9999 written with four digits
+_DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, 10**4) + np.uint8(48)
 _BLOCK = 1024  # rows per block
 
 
@@ -101,8 +104,10 @@ def _g17(x: np.ndarray, width: int) -> np.ndarray:
     padded with NUL; the last byte of every column is left free.
 
     0 and 1e-11 < |x| < 1e15 are formatted here in integer arithmetic
-    (the double nearest 1e-11 lies below 10**-11), every other value by
-    "%.17g" itself."""
+    (the double nearest 1e-11 lies below 10**-11): the 17 digits d are a
+    leading digit and four 4-digit groups, whose ASCII bytes are gathered
+    from the table _DIGITS4.  Every other value is formatted by "%.17g"
+    itself."""
     n = x.size
     cells = np.zeros((width, n), np.uint8)
     a = np.abs(x)
@@ -125,15 +130,19 @@ def _g17(x: np.ndarray, width: int) -> np.ndarray:
     e += carry
     d[zero] = 0
     e[zero] = 0
-    # d = hi 10**9 + lo, then the digits of both halves by multiply-shift:
-    # (v 0xCCCCCCCD) >> 35 = v // 10 for v < 2**32
-    hi = d // _U(10**9)
-    v = np.stack([hi, d - hi * _U(10**9)])
-    digits = np.zeros((19, n), np.uint8)  # ASCII digit i in row 1 + i
-    for j in range(9):
-        w = (v * _U(0xCCCCCCCD)) >> _U(35)
-        digits[8 - j:18 - j:9] = v - w * _U(10) + _U(48)
-        v = w
+    # d = lead 10**16 + four 4-digit groups, whose ASCII digits are
+    # gathered from _DIGITS4; ASCII digit i goes in row 1 + i
+    d = d.astype(np.int64)
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    half = rest // 10**8
+    v = np.stack([half, rest - half * 10**8])
+    w = v // 10**4
+    groups = w[0], v[0] - w[0] * 10**4, w[1], v[1] - w[1] * 10**4
+    digits = np.zeros((19, n), np.uint8)
+    digits[1] = lead + 48
+    for row, g in zip((2, 6, 10, 14), groups):
+        np.take(_DIGITS4, g, axis=1, out=digits[row:row + 4])
     # the index of the last nonzero digit, -1 for d = 0
     last = ((digits[1:18] != 48) * _SLOT[1:]).max(axis=0) - 1
     e = e.astype(np.int8)

@@ -146,6 +146,19 @@ def routing_matrices(
     )
 
 
+def accepted_routing(
+    S: np.ndarray, W: np.ndarray, cond_max: float = COND_MAX
+) -> RoutingMatrices:
+    """routing_matrices of one (S, W) pair; raises NonConvergentLoop or
+    SingularMatrix where it rejects the loop."""
+    routing = routing_matrices(S, W, cond_max=cond_max)
+    if not routing.converged:
+        raise NonConvergentLoop(routing.spectral_radius_SW)
+    if not routing.accepted:
+        raise SingularMatrix(routing.cond)
+    return routing
+
+
 def contract(
     S: np.ndarray,
     W: np.ndarray,
@@ -154,11 +167,7 @@ def contract(
     cond_max: float = COND_MAX,
 ) -> EffectiveModel:
     """Effective (S_eff, L_eff, H_eff, H_loss) for the connected network."""
-    routing = routing_matrices(S, W, cond_max=cond_max)
-    if not routing.converged:
-        raise NonConvergentLoop(routing.spectral_radius_SW)
-    if not routing.accepted:
-        raise SingularMatrix(routing.cond)
+    routing = accepted_routing(S, W, cond_max=cond_max)
     _, x_i, _, x_o = internal_projectors(W)
     ext_in, ext_out = (np.flatnonzero(x.diagonal()).tolist() for x in (x_i, x_o))
     # the projector product, not G[ext_out]: it turns G's -0.0 into +0.0

@@ -315,8 +315,44 @@ class Trajectory:
 
 
 # complex elements of a block's states or generators: bounds memory and,
-# without controls, the number of squarings of the step matrix in a block
+# without controls, the depth of the squaring ladder P, P^2, P^4, ... that
+# a run builds once and every block reuses
 _BLOCK = 2**16
+
+
+def _within_bounds(herm, trace):
+    """Hermiticity and trace drift within 100x tolerance (False for NaN);
+    elementwise for arrays."""
+    return (herm <= 100 * TOL_HERM_STEP) & (trace <= 100 * TOL_TRACE)
+
+
+def _check_inputs(rho: np.ndarray, observables: dict, d: int) -> None:
+    """Raise InvalidParameter unless rho is a finite D x D matrix that is
+    Hermitian and of unit trace within the bounds every step is held to,
+    and every observable is D x D."""
+    if rho.shape != (d, d):
+        raise InvalidParameter(
+            f"rho0 has shape {rho.shape}, expected ({d}, {d}) for this model"
+        )
+    if not np.isfinite(rho).all():
+        raise InvalidParameter("rho0 has a non-finite entry")
+    herm = np.abs(rho - dag(rho)).max()
+    if not herm <= 100 * TOL_HERM_STEP:
+        raise InvalidParameter(
+            f"rho0 is not Hermitian: max |rho0 - rho0^dag| = {herm:.3e} "
+            f"exceeds {100 * TOL_HERM_STEP:.0e}"
+        )
+    trace = np.trace(rho).real
+    if not abs(trace - 1.0) <= 100 * TOL_TRACE:
+        raise InvalidParameter(
+            f"rho0 has trace {trace:.17g}, not 1 within {100 * TOL_TRACE:.0e}"
+        )
+    for name, op in observables.items():
+        if np.shape(op) != (d, d):
+            raise InvalidParameter(
+                f"observable {name!r} has shape {np.shape(op)}, "
+                f"expected ({d}, {d})"
+            )
 
 
 def integrate(
@@ -330,26 +366,33 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 propagation of the vectorized master equation.
 
+    rho0 must be a finite D x D matrix, Hermitian and of unit trace within
+    the bounds each step is held to, and every observable D x D; otherwise
+    InvalidParameter names the defect before any step runs.
+
     The steps run in blocks of about _BLOCK complex elements.  Without
     controls the generator G is constant and a step applies one step
     matrix, P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24; a block of m
     steps takes ceil(log2(m + 1)) levels: the states known so far, y_0..
-    y_n-1, give y_n..y_2n-1 as one product with P^n, and P is squared for
-    the next level.  With controls the schedules are evaluated on the
-    half-step grid of a whole block at once, the generators there are one
-    matrix product, and each step applies the four RK4 stages.
+    y_n-1, give y_n..y_2n-1 as one product with P^n.  The ladder P, P^2,
+    P^4, ... is squared once per run, as deep as the longest block needs,
+    and every block reuses it.  With controls the schedules are evaluated
+    on the half-step grid of a whole block at once, the generators there
+    are one matrix product, and each step applies the four RK4 stages.
 
-    Symmetrization happens once per block.  After a block, the trace and
-    Hermiticity drift of every step in it are checked: the run raises
-    StepUnstable at the first step whose drift exceeds 100x tolerance or is
-    not finite.  Then the stored states are re-Hermitized, and the next
-    block starts from the re-Hermitized last state.  The first block is one
-    step, so rho0 is checked and re-Hermitized after one step.  Within a
-    block the states are not re-Hermitized, so a step's Hermiticity drift
-    includes that of the earlier steps in its block.  The stored states
-    agree with RK4 re-Hermitized after every step to 1e-12.  The step count
-    is rounded so the grid lands exactly on t_final; trajectories are
-    bit-for-bit reproducible.
+    Symmetrization happens once per block.  After a block, its largest
+    trace and Hermiticity drift are taken over the whole block; if either
+    exceeds 100x tolerance or is not finite, the per-step drifts name the
+    first such step, and the run raises StepUnstable there.  Then the
+    stored states are re-Hermitized, and the next block starts from the
+    re-Hermitized last state.  The first block is one step, so the
+    doubling starts from a re-Hermitized state.  Within a block the states
+    are not re-Hermitized, so a step's Hermiticity drift includes that of
+    the earlier steps in its block.  The stored states agree with RK4
+    re-Hermitized after every step to 1e-12.  The step count is rounded so
+    the grid lands exactly on t_final; trajectories are bit-for-bit
+    reproducible.  Observables are Tr(rho O) at the stored states, one
+    matrix-vector product each.
     """
     if not (0 < dt < np.inf and 0 <= t_final < np.inf):
         raise InvalidParameter(
@@ -358,9 +401,11 @@ def integrate(
         )
     if not sample_stride >= 1:
         raise InvalidParameter("sample_stride must be a positive integer")
-    rho = np.array(rho0, dtype=complex)
-    d = rho.shape[0]
+    d = model.h_sys.shape[0]
     dd = d * d
+    rho = np.array(rho0, dtype=complex)
+    observables = observables or {}
+    _check_inputs(rho, observables, d)
     n_steps = step_count(t_final, dt)
     h = t_final / n_steps
 
@@ -374,11 +419,11 @@ def integrate(
 
     if controls.ports or controls.hamiltonian:
         assembler = _GeneratorAssembler(model, controls)
-        step_matrix = None
+        ladder = None
         block = max(1, _BLOCK // (2 * dd * dd))
     else:
         gen = build_generator(model, controls, 0.0)
-        step_matrix = rk4_step_matrix(gen, gen, gen, h)[0]
+        ladder = [rk4_step_matrix(gen, gen, gen, h)[0]]  # ladder[j] = P^(2^j)
         block = max(1, _BLOCK // dd)
 
     v = rho.reshape(-1, order="F")
@@ -388,7 +433,7 @@ def integrate(
         states = np.empty((m + 1, dd), dtype=complex)
         states[0] = v
         kappa_error = None
-        if step_matrix is None:
+        if ladder is None:
             # generators at the half steps t_n, t_n + h/2, ..., t_n+m
             grid = np.empty(2 * m + 1)
             grid[::2] = np.arange(start, start + m + 1) * h
@@ -407,47 +452,52 @@ def integrate(
                 k4 = gens[2 * i + 2] @ (y + h * k3)
                 states[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            power, n = step_matrix, 1  # power = P^n: states[:n] are known
-            while True:
+            n, j = 1, 0  # states[:n] are known and n = 2^j
+            while n <= m:
+                if j == len(ladder):
+                    ladder.append(ladder[-1] @ ladder[-1])
                 k = min(n, m + 1 - n)
-                np.matmul(states[:k], power.T, out=states[n:n + k])
-                n += k
-                if n > m:
-                    break
-                power = power @ power
+                np.matmul(states[:k], ladder[j].T, out=states[n:n + k])
+                n, j = n + k, j + 1
 
         # rho of each step: the column-major vec read row-major, transposed
         rho_n = states[1:m + 1].reshape(m, d, d).transpose(0, 2, 1)
         adj = rho_n.conj().transpose(0, 2, 1)
-        herm = np.abs(rho_n - adj).max(axis=(1, 2))
+        herm_max = np.abs(rho_n - adj).max(initial=0.0)
         trace = np.abs(np.trace(rho_n, axis1=1, axis2=2).real - 1.0)
-        bad = ~((herm <= 100 * TOL_HERM_STEP) & (trace <= 100 * TOL_TRACE))
-        if bad.any():
-            i = int(bad.argmax())
+        trace_max = trace.max(initial=0.0)
+        if not _within_bounds(herm_max, trace_max):
+            herm = np.abs(rho_n - adj).max(axis=(1, 2))
+            i = int((~_within_bounds(herm, trace)).argmax())
             raise StepUnstable(
                 f"drift at step {start + i}: herm {herm[i]:.3e}, "
                 f"trace {trace[i]:.3e}; reduce dt"
             )
         if kappa_error is not None:
             raise kappa_error
-        max_herm_drift = max(max_herm_drift, float(herm.max()))
-        max_trace_drift = max(max_trace_drift, float(trace.max()))
+        max_herm_drift = max(max_herm_drift, float(herm_max))
+        max_trace_drift = max(max_trace_drift, float(trace_max))
 
-        adj += rho_n  # re-Hermitized in place: 0.5 (rho + rho^dag)
-        adj *= 0.5
-        rho_n = adj
-        v = rho_n[-1].reshape(-1, order="F")
         steps = np.arange(start + 1, start + m + 1)
         keep = (steps % sample_stride == 0) | (steps == n_steps)
         n_new = int(keep.sum())
         times[n_kept:n_kept + n_new] = steps[keep] * h
-        np.compress(keep, rho_n, axis=0, out=rhos[n_kept:n_kept + n_new])
+        # re-Hermitized, 0.5 (rho + rho^dag): straight into rhos when every
+        # step is kept
+        out = rhos[n_kept:n_kept + m] if n_new == m else adj
+        np.add(adj, rho_n, out=out)
+        out *= 0.5
+        if n_new < m:
+            np.compress(keep, out, axis=0, out=rhos[n_kept:n_kept + n_new])
+        v = out[-1].reshape(-1, order="F")
         n_kept += n_new
         start += m
 
+    # Tr(rho O) = sum_ij rho_ij O_ji: one matrix-vector product per observable
+    flat = rhos.reshape(n_samples, dd)
     obs = {
-        name: np.einsum("tij,ji->t", rhos, np.asarray(op, dtype=complex))
-        for name, op in (observables or {}).items()
+        name: flat @ np.asarray(op, dtype=complex).T.reshape(dd)
+        for name, op in observables.items()
     }
     return Trajectory(
         times=times,

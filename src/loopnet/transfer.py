@@ -20,7 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .contraction import EffectiveModel, contract_network, routing_matrices
+from .contraction import (
+    EffectiveModel,
+    accepted_routing,
+    contract_network,
+    routing_matrices,
+)
 from .errors import (
     BoundViolated,
     DegenerateBeta,
@@ -335,9 +340,10 @@ def coupled_qubit_ports(network: Network) -> tuple:
 
 
 def transfer_coefficients(network: Network) -> TransferCoefficients:
-    """Contract a two-qubit network and extract its coefficients."""
-    model = contract_network(network)
-    return extract_coefficients(model, coupled_qubit_ports(network))
+    """A two-qubit network's coefficients, read off T of its loop
+    inversion without building the effective model."""
+    routing = accepted_routing(assemble_S(network), assemble_W(network))
+    return _coefficients_from_T(routing.T, coupled_qubit_ports(network))
 
 
 def swap_roles(coeffs: TransferCoefficients) -> TransferCoefficients:

@@ -233,6 +233,33 @@ def test_simulate_repeated_observable_is_schema_error(ideal_net_file,
     assert not out.exists()
 
 
+def _state_rows(rho):
+    return [[[z.real, z.imag] for z in row] for row in rho]
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ((0, 1), 1e-3, "not Hermitian"),
+    ((2, 2), float("nan"), "non-finite"),
+    ((1, 1), 2.0, "trace 3,"),
+])
+def test_simulate_bad_initial_state_is_schema_error(ideal_net_file, tmp_path,
+                                                    capsys, entry, value,
+                                                    message):
+    """An --initial state that is not a density matrix is a schema error
+    that names the defect, not a physics error."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    rho[entry] = value
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(_state_rows(rho)))
+    out = tmp_path / "out"
+    assert main(["simulate", str(ideal_net_file), "--t-final", "0.1",
+                 "--initial", str(state), "-o", str(out)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "schema error [InvalidParameter]" in err and message in err
+    assert not out.exists()
+
+
 # -- output paths ---------------------------------------------------------------
 
 

@@ -288,6 +288,9 @@ ORACLE_CASES = {
                                    16.5, 1e-3),
     "static-d4-long": _static_case(
         lambda: random_imperfect_network(0.1, 2.0, 7), 4.5, 1e-3),
+    # two full 1,024-step blocks and a short one at D = 8: later blocks
+    # reuse the squarings of P that the first one built
+    "static-d8-long": _static_case(three_qubit_chain, 21.0, 1e-2),
     "criterion-08": _criterion_08_case,
     "step-schedule": _step_schedule_case,
 }
@@ -378,3 +381,94 @@ def test_schedule_on_matches_pointwise_calls():
                      Schedule(lambda t: 1.0 if t < 1 else 0.5)):
         assert np.array_equal(schedule.on(times),
                               [schedule(t) for t in times])
+
+
+def test_drift_deep_in_a_block_names_the_first_bad_step():
+    """A dt just past the stability edge crosses the drift bound thousands
+    of steps into a block.  The error names the step and the drift values
+    that a per-step check of the same states finds: the states of the
+    second block come from the re-Hermitized first step by the same
+    doubling, states[n:2n] = states[:n] P^n."""
+    model = contract_network(random_imperfect_network(0.1, 2.0, 7))
+    rho0 = random_state(4, 4)
+    n_steps, dt = 4000, 1.379
+    t_final = n_steps * dt
+    h = t_final / n_steps  # the step integrate takes
+    first = integrate(model, Controls(), rho0, h, h).rhos[1]  # one block
+    gen = build_generator(model, Controls(), 0.0)
+    power = lindblad.rk4_step_matrix(gen, gen, gen, h)[0]
+    m = min(n_steps - 1, lindblad._BLOCK // 16)
+    states = np.empty((m + 1, 16), dtype=complex)
+    states[0] = first.reshape(-1, order="F")
+    n = 1
+    while n <= m:
+        k = min(n, m + 1 - n)
+        np.matmul(states[:k], power.T, out=states[n:n + k])
+        n, power = n + k, power @ power
+    for i in range(m):
+        rho = states[i + 1].reshape(4, 4, order="F")
+        herm = np.abs(rho - dag(rho)).max()
+        trace = abs(np.trace(rho).real - 1.0)
+        if not (herm <= 100 * lindblad.TOL_HERM_STEP
+                and trace <= 100 * lindblad.TOL_TRACE):
+            break
+    assert 1000 < i < m - 100
+    with pytest.raises(StepUnstable) as info:
+        integrate(model, Controls(), rho0, t_final, dt)
+    assert str(info.value) == (f"drift at step {1 + i}: herm {herm:.3e}, "
+                               f"trace {trace:.3e}; reduce dt")
+
+
+@pytest.mark.parametrize("case", ["static-d8", "step-schedule"])
+def test_observables_match_einsum(case):
+    model, controls, rho0, t_final, dt = ORACLE_CASES[case]()
+    d = rho0.shape[0]
+    rng = np.random.default_rng(3)
+    ops = {f"op{k}": rng.standard_normal((d, d))
+           + 1j * rng.standard_normal((d, d)) for k in range(3)}
+    ops["P0"] = basis_state(d, 0)
+    traj = integrate(model, controls, rho0, t_final, dt, observables=ops,
+                     sample_stride=3)
+    for name, op in ops.items():
+        expected = np.einsum("tij,ji->t", traj.rhos, op)
+        assert np.abs(traj.observables[name] - expected).max() <= 1e-15
+
+
+def _bad_inputs():
+    rho = basis_state(2, 0)
+    skew = rho.copy()
+    skew[0, 1] = 1e-6
+    return [
+        ({"rho0": basis_state(4, 0)}, r"rho0 has shape \(4, 4\), expected \(2, 2\)"),
+        ({"rho0": np.ones(2)}, r"rho0 has shape \(2,\)"),
+        ({"rho0": np.full((2, 2), np.nan)}, "non-finite"),
+        ({"rho0": np.diag([1.0, np.inf])}, "non-finite"),
+        ({"rho0": skew}, "not Hermitian"),
+        ({"rho0": 2 * rho}, "trace 2,"),
+        ({"rho0": 0 * rho}, "trace 0,"),
+        ({"observables": {"big": np.eye(4)}},
+         r"observable 'big' has shape \(4, 4\), expected \(2, 2\)"),
+        ({"observables": {"P0": rho, "vec": np.ones(2)}}, "'vec'"),
+    ]
+
+
+@pytest.mark.parametrize("bad, message", _bad_inputs())
+def test_bad_rho0_or_observable_is_invalid_parameter(bad, message):
+    """A wrong-shape, non-finite, non-Hermitian or unnormalized rho0 and a
+    wrong-shape observable raise InvalidParameter naming the defect before
+    any step runs."""
+    model = contract_network(single_qubit_network())
+    kwargs = {"rho0": basis_state(2, 0), "t_final": 1.0, "dt": 1e-2, **bad}
+    with pytest.raises(InvalidParameter, match=message):
+        integrate(model, Controls(), **kwargs)
+
+
+def test_rho0_within_the_step_bounds_is_accepted():
+    """rho0 is held to the bounds every step is: drift just inside them
+    passes."""
+    model = contract_network(single_qubit_network())
+    rho = basis_state(2, 0)
+    rho[0, 1] = 0.5 * 100 * lindblad.TOL_HERM_STEP
+    rho[0, 0] += 0.5 * 100 * lindblad.TOL_TRACE
+    traj = integrate(model, Controls(), rho, 1.0, 1e-2)
+    assert np.isfinite(traj.rhos).all()

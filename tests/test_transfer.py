@@ -19,6 +19,7 @@ from loopnet import (
     collective_rates,
     contract_network,
     controls_from_network,
+    extract_coefficients,
     dark_state_residual,
     datasheet_circulator,
     find_network_in_class,
@@ -47,6 +48,8 @@ from loopnet import (
 from loopnet.errors import (
     DegenerateBeta,
     InitialConditionMismatch,
+    NonConvergentLoop,
+    SingularMatrix,
     InvalidParameter,
     LoopnetError,
     NetworkNotFound,
@@ -72,6 +75,7 @@ from loopnet.transfer import (
     random_hermitian,
 )
 from loopnet.lindblad import rk4_step_matrix
+from loopnet import contraction
 
 
 def perfect_coeffs():
@@ -141,6 +145,42 @@ def test_find_network_in_class_matches_drawing_both_circulators():
         got = find_network_in_class(0.04, 0.15, seed)
         want = reference(0.04, 0.15, seed)
         assert network_to_dict(got) == network_to_dict(want), seed
+
+
+def test_transfer_coefficients_match_the_effective_model():
+    """Read off the routing alone, the coefficients equal those of the
+    full contraction bit for bit."""
+    nets = [find_network_in_class(0.04, 0.15, seed) for seed in range(20)]
+    nets.append(phase_tuned_network(3, 0.04, 0.15, 1.5e-3)[1])
+    for net in nets:
+        want = extract_coefficients(contract_network(net),
+                                    coupled_qubit_ports(net))
+        assert transfer_coefficients(net) == want
+
+
+def _same_error(net, error):
+    with pytest.raises(error) as via_model:
+        contract_network(net)
+    with pytest.raises(error) as direct:
+        transfer_coefficients(net)
+    assert str(direct.value) == str(via_model.value)
+
+
+def test_transfer_coefficients_rejects_loops_like_contract():
+    # perfect retro-reflectors close a lossless loop: rho(SW) = 1
+    mirrors = np.eye(3, dtype=complex)
+    _same_error(two_qubit_network(mirrors, mirrors), NonConvergentLoop)
+
+
+def test_transfer_coefficients_rejects_ill_conditioning_like_contract(
+        monkeypatch):
+    # a unitary network's 1 - SW is never near singular, so judge it
+    # against cond_max = 1, which every loop exceeds
+    judge = contraction.routing_matrices
+    monkeypatch.setattr(contraction, "routing_matrices",
+                        lambda s, w, cond_max: judge(s, w, cond_max=1.0))
+    net = two_qubit_network(ideal_circulator(), ideal_circulator())
+    _same_error(net, SingularMatrix)
 
 
 @pytest.mark.parametrize("sampler, args", [

@@ -6,6 +6,8 @@ cover both paths of the writer: the integer kernel (0 and
 1e-11 < |x| < 1e15) and the per-value "%.17g" for everything else.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,22 @@ def test_known_cells(tmp_path):
         "1.0000000000000001e-05", "0.0001", "12345678.9",
         "-2.5000000000000001e-11", "0.33333333333333331",
     ]
+
+
+def test_digit_groups_at_their_edges(tmp_path):
+    """The kernel writes the 17 digits as a leading digit and four 4-digit
+    groups.  Digits whose groups are all 0000 or 9999 behind a leading 1
+    or 9, one ulp either side, at every exponent of the kernel and just
+    beyond it."""
+    digits = ["".join(g) for g in itertools.product(
+        "19", *[("0000", "9999")] * 4)]
+    x = np.array([float(f"{d}e{k}") for d in digits for k in range(-28, 0)])
+    x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+    shown = {("%.16e" % v).replace(".", "")[:17] for v in x}
+    for pos in range(4):  # every group takes both edge values
+        assert {s[1 + 4 * pos:5 + 4 * pos] for s in shown} >= {"0000", "9999"}
+    assert {s[0] for s in shown} >= {"1", "9"}
+    assert_exact(tmp_path, ["x", "minus_x"], [x, -x])
 
 
 def test_tables_across_blocks_and_wide_strings(tmp_path):
