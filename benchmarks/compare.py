@@ -1,7 +1,7 @@
 """Parent-versus-change numbers for one perfbench workload, written as JSON.
 
     python3 benchmarks/compare.py --workload W --parent PATH
-                                  [--seeds S ...] [--d64] [-o FILE]
+                                  [--seeds S ...] [--scheduled] [-o FILE]
 
 Run from the root of a loopnet checkout (the "change").  PATH is a second
 checkout to compare against (the "parent"), for example one made with
@@ -21,10 +21,11 @@ The report goes to BENCH_<W>.json (or FILE) and holds:
   that run's `--durations=10` report;
 - src_lines: the line count of src/loopnet/*.py on each tree (the total
   of `wc -l`);
-- with --d64, a scheduled three-qubit Lindblad run (D^2 = 64: sampled
-  kappa and Hamiltonian schedules on a chain of three imperfect
-  circulators, T = 2, dt = 5e-3), best of 3, per RK4 step, with the
-  largest difference between the two trees' stored density matrices.
+- with --scheduled, a scheduled Lindblad run on a chain of one, two and
+  three imperfect circulators with a qubit on each (D^2 = 4, 16 and 64:
+  sampled kappa on every qubit port and a sampled Hamiltonian term,
+  T = 2, dt = 5e-3), best of 3, in us per RK4 step, each with the largest
+  difference between the two trees' stored density matrices.
 
 Every child process runs with one BLAS thread.
 """
@@ -43,7 +44,8 @@ from pathlib import Path
 
 SEEDS = [7, 101, 102, 103, 104, 105, 106, 107, 108, 7919]
 HELD_OUT = 7919
-D64_T, D64_DT, D64_REPEATS = 2.0, 5e-3, 3
+SCHEDULED_T, SCHEDULED_DT, SCHEDULED_REPEATS = 2.0, 5e-3, 3
+SCHEDULED_QUBITS = (1, 2, 3)  # D^2 = 4, 16 and 64
 
 
 def child_env(tree: Path | None = None) -> dict:
@@ -97,8 +99,9 @@ def src_lines(tree: Path) -> int:
                for path in (tree / "src" / "loopnet").glob("*.py"))
 
 
-def d64_worker(out_path: str) -> None:
-    """The scheduled D^2 = 64 run; imports loopnet from sys.path."""
+def scheduled_worker(n_qubits: int, out_path: str) -> None:
+    """The scheduled run on a chain of n_qubits (D = 2^n_qubits); imports
+    loopnet from sys.path."""
     import numpy as np
 
     import loopnet as lp
@@ -106,73 +109,83 @@ def d64_worker(out_path: str) -> None:
 
     rng = np.random.default_rng(64)
     ports, blocks, systems, connections = [], [], [], []
-    for k in range(3):
+    n_circ = 3 * n_qubits  # circulator k owns ports 3k..3k+2
+    for k in range(n_qubits):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         circ, qubit = f"circ{k}", f"qubit{k}"
         ports += [lp.Port(3 * k + j, circ, float(k)) for j in range(3)]
-        ports.append(lp.Port(9 + k, qubit, float(k)))
+        ports.append(lp.Port(n_circ + k, qubit, float(k)))
         blocks += [
             lp.ScatteringBlock(circ, lp.perturbed_circulator(
                 0.1, 0.5 * (a + a.conj().T))),
             lp.ScatteringBlock(qubit, np.array([[1.0 + 0.0j]])),
         ]
-        connections += [lp.Connection(3 * k + 2, 9 + k),
-                        lp.Connection(9 + k, 3 * k + 2)]
-        if k < 2:
+        connections += [lp.Connection(3 * k + 2, n_circ + k),
+                        lp.Connection(n_circ + k, 3 * k + 2)]
+        if k < n_qubits - 1:
             connections += [lp.Connection(3 * k + 1, 3 * k + 3),
                             lp.Connection(3 * k + 3, 3 * k + 1)]
         systems.append(lp.LocalSystem(
             qubit, 2, np.zeros((2, 2), dtype=complex),
-            {9 + k: lp.Coupling(SIGMA_MINUS, 1.0)},
+            {n_circ + k: lp.Coupling(SIGMA_MINUS, 1.0)},
         ))
     net = lp.Network(ports, blocks, systems, connections,
                      lp.Geometry(k0=0.0, v_p=1.0, kappa0=1.0))
-    grid = np.linspace(0.0, D64_T, 201)
+    grid = np.linspace(0.0, SCHEDULED_T, 201)
     controls = lp.controls_from_network(
         net,
         kappa_schedules={
-            9 + k: lp.Schedule.sampled(grid, 1.0 + 0.5 * np.sin(grid + k))
-            for k in range(3)
+            n_circ + k: lp.Schedule.sampled(grid, 1.0 + 0.5 * np.sin(grid + k))
+            for k in range(n_qubits)
         },
-        phi_schedules={9: lp.Schedule.constant(0.3)},
+        phi_schedules={n_circ: lp.Schedule.constant(0.3)},
         hamiltonian_terms=[(
-            np.kron(np.kron(SIGMA_Z, np.eye(2)), np.eye(2)),
+            np.kron(SIGMA_Z, np.eye(2 ** (n_qubits - 1))),
             lp.Schedule.sampled(grid, 0.2 * np.cos(grid)),
         )],
     )
     model = lp.contract_network(net)
-    rho0 = np.zeros((8, 8), dtype=complex)
+    d = 2**n_qubits
+    rho0 = np.zeros((d, d), dtype=complex)
     rho0[0, 0] = 1.0
     best = float("inf")
-    for _ in range(D64_REPEATS):
+    for _ in range(SCHEDULED_REPEATS):
         start = time.perf_counter()
-        traj = lp.integrate(model, controls, rho0, t_final=D64_T, dt=D64_DT)
+        traj = lp.integrate(model, controls, rho0, t_final=SCHEDULED_T,
+                            dt=SCHEDULED_DT)
         best = min(best, time.perf_counter() - start)
     np.save(out_path, traj.rhos)
     print(json.dumps({"steps": len(traj.times) - 1, "best_s": best}))
 
 
-def d64(trees: dict) -> dict:
+def scheduled(trees: dict) -> dict:
     import numpy as np
 
     here = str(Path(__file__).resolve().parent)
-    result, rhos = {}, {}
+    runs = []
     with tempfile.TemporaryDirectory() as scratch:
-        for side, tree in trees.items():
-            out_path = str(Path(scratch) / f"{side}.npy")
-            code = (f"import sys; sys.path[:0] = [{str(tree / 'src')!r}, "
-                    f"{here!r}]; import compare; "
-                    f"compare.d64_worker({out_path!r})")
-            out = subprocess.run([sys.executable, "-c", code],
-                                 env=child_env(), capture_output=True,
-                                 text=True, check=True).stdout
-            run = json.loads(out.strip().splitlines()[-1])
-            result[side] = {"steps": run["steps"],
-                            "us_per_step": 1e6 * run["best_s"] / run["steps"]}
-            rhos[side] = np.load(out_path)
-    result["max_abs_rho_difference"] = float(
-        np.abs(rhos["parent"] - rhos["change"]).max())
-    return {"T": D64_T, "dt": D64_DT, "best_of": D64_REPEATS, **result}
+        for i, n_qubits in enumerate(SCHEDULED_QUBITS):
+            result, rhos = {"D2": 4**n_qubits}, {}
+            for side in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                out_path = str(Path(scratch) / f"{side}{n_qubits}.npy")
+                code = (f"import sys; sys.path[:0] = "
+                        f"[{str(trees[side] / 'src')!r}, {here!r}]; "
+                        f"import compare; "
+                        f"compare.scheduled_worker({n_qubits}, {out_path!r})")
+                out = subprocess.run([sys.executable, "-c", code],
+                                     env=child_env(), capture_output=True,
+                                     text=True, check=True).stdout
+                run = json.loads(out.strip().splitlines()[-1])
+                result[side] = {
+                    "steps": run["steps"],
+                    "us_per_step": 1e6 * run["best_s"] / run["steps"],
+                }
+                rhos[side] = np.load(out_path)
+            result["max_abs_rho_difference"] = float(
+                np.abs(rhos["parent"] - rhos["change"]).max())
+            runs.append(result)
+    return {"T": SCHEDULED_T, "dt": SCHEDULED_DT,
+            "best_of": SCHEDULED_REPEATS, "runs": runs}
 
 
 def summary(values: list) -> dict:
@@ -185,8 +198,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS)
-    parser.add_argument("--d64", action="store_true",
-                        help="add the scheduled D^2 = 64 Lindblad case")
+    parser.add_argument("--scheduled", action="store_true",
+                        help="add the scheduled Lindblad chain runs at "
+                             "D^2 = 4, 16 and 64")
     parser.add_argument("-o", "--output", type=Path, default=None)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": Path.cwd().resolve()}
@@ -237,7 +251,7 @@ def main(argv=None) -> int:
     report = {
         "command": f"python3 benchmarks/compare.py --workload {args.workload}"
                    " --parent PATH --seeds " + " ".join(map(str, args.seeds))
-                   + " --d64" * args.d64,
+                   + " --scheduled" * args.scheduled,
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "blas_threads": 1},
         "traced_seed1_self_s": {
@@ -252,8 +266,8 @@ def main(argv=None) -> int:
     report["tier1_wall_s"] = {side: run[0] for side, run in tier1_runs.items()}
     report["tier1_durations"] = {side: run[1]
                                  for side, run in tier1_runs.items()}
-    if args.d64:
-        report["scheduled_d64"] = d64(trees)
+    if args.scheduled:
+        report["scheduled"] = scheduled(trees)
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     return 0

@@ -71,6 +71,55 @@ def test_series_matches_inverse(rng):
         ).max() <= bound
 
 
+def feedback_reduction_oracle(s, w, order):
+    """Independent oracle: the Gough-James contraction by the feedback
+    reduction rule, one internal connection at a time; no (1 - SW)^-1 is
+    formed.
+
+    The open network is a_out = S a_in + C lambda, with C = 1 (one base
+    coupling per port).  W is a partial permutation with phases: each
+    connection feeds output k into input l, a_in[l] = W[l, k] a_out[k].
+    Closing it solves for a_out[k] and removes output k and input l:
+    with g = W[l, k] / (1 - W[l, k] S[k, l]),
+        S'[i, j] = S[i, j] + S[i, l] g S[k, j],
+        C'[i] = C[i] + S[i, l] g C[k]    (i != k, j != l).
+    `order` permutes the connections.  Returns (s_eff, l_eff_coeffs) with
+    rows at the external outputs and columns at the external inputs, both
+    in port order."""
+    s = np.array(s, dtype=complex)
+    c = np.eye(len(s), dtype=complex)
+    outs, ins = list(range(len(s))), list(range(len(s)))
+    links = list(zip(*np.nonzero(w)))  # (input l, output k)
+    for l, k in (links[i] for i in order):
+        r, q = outs.index(k), ins.index(l)
+        g = w[l, k] / (1.0 - w[l, k] * s[r, q])
+        rows = [i for i in range(len(outs)) if i != r]
+        cols = [j for j in range(len(ins)) if j != q]
+        feed = s[rows, q][:, None] * g
+        s = s[np.ix_(rows, cols)] + feed * s[r, cols]
+        c = c[rows] + feed * c[r]
+        del outs[r], ins[q]
+    return s, c
+
+
+def test_feedback_reduction_oracle_matches_contract(rng):
+    """contract's s_eff and l_eff_coeffs against the connection-by-
+    connection feedback reduction, to 1e-12, on 200 random (S, W) pairs
+    with rho(SW) up to 0.99 (the series oracle of criterion 02 stops at
+    0.9), each connection order drawn at random."""
+    rhos = []
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        s, w = random_sw_pair(rng, n, rho_max=0.99)
+        rhos.append(np.abs(np.linalg.eigvals(s @ w)).max())
+        model = contract(s, w, [np.zeros((1, 1))] * n, np.zeros((1, 1)))
+        s_eff, coeffs = feedback_reduction_oracle(
+            s, w, rng.permutation(np.count_nonzero(w)))
+        assert np.abs(s_eff - model.s_eff).max() <= 1e-12
+        assert np.abs(coeffs - model.l_eff_coeffs).max() <= 1e-12
+    assert max(rhos) > 0.98  # the range near the convergence edge is drawn
+
+
 def test_fabry_perot_against_geometric_series():
     for r in (0.1, 0.5, 0.9):
         for phase in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):

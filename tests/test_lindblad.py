@@ -115,13 +115,24 @@ def test_scheduled_control_requires_coupled_port():
 
 
 def test_negative_kappa_schedule_aborts():
-    net = single_qubit_network()
-    model = contract_network(net)
-    controls = controls_from_network(
-        net, kappa_schedules={0: Schedule(lambda t: 1.0 - t)})
-    with pytest.raises(StepUnstable):
-        integrate(model, Controls(ports=controls.ports), basis_state(2, 0),
-                  t_final=3.0, dt=1e-2)
+    """A negative kappa raises StepUnstable naming the port and the first
+    half-step time where it is negative, at D = 2 (step matrices) and
+    D = 8 (RK4 stages per step): negative from t = 0, where the first block
+    stops before its only step, and from inside a block."""
+    cases = [
+        (Schedule.constant(-0.5), "0.0"),
+        (Schedule(lambda t: 1.0 if t < 0.52 else -1.0), "0.52"),
+        (Schedule(lambda t: 1.0 - t), "1.005"),
+    ]
+    for net, port, rho0 in [(single_qubit_network(), 0, basis_state(2, 0)),
+                            (three_qubit_chain(), 10, random_state(8, 9))]:
+        model = contract_network(net)
+        for kappa, t_bad in cases:
+            controls = controls_from_network(net, kappa_schedules={port: kappa})
+            message = f"negative kappa schedule on port {port} at t={t_bad}$"
+            with pytest.raises(StepUnstable, match=message):
+                integrate(model, Controls(ports=controls.ports), rho0,
+                          t_final=3.0, dt=1e-2)
 
 
 def test_step_halving_convergence():
@@ -278,6 +289,19 @@ def _step_schedule_case():
     return contract_network(net), controls, random_state(4, 5), 2.0, 1e-2
 
 
+def _scheduled_d8_case():
+    """D^2 = 64, above _STEP_MATRIX_MAX_DD: the per-step RK4 stages."""
+    net = three_qubit_chain()
+    grid = np.linspace(0.0, 1.0, 41)
+    controls = controls_from_network(
+        net,
+        kappa_schedules={10: Schedule.sampled(grid, 1.0 + 0.5 * np.sin(3 * grid))},
+        hamiltonian_terms=[(0.4 * embed_operator(net, "qubit0", SIGMA_X),
+                            Schedule.sampled(grid, np.cos(2.0 * grid)))],
+    )
+    return contract_network(net), controls, random_state(8, 9), 1.0, 1e-2
+
+
 ORACLE_CASES = {
     "static-d2": _static_case(lambda: single_qubit_network(kappa=1.3)),
     "static-d4": _static_case(lambda: random_imperfect_network(0.1, 2.0, 7)),
@@ -293,6 +317,7 @@ ORACLE_CASES = {
     "static-d8-long": _static_case(three_qubit_chain, 21.0, 1e-2),
     "criterion-08": _criterion_08_case,
     "step-schedule": _step_schedule_case,
+    "scheduled-d8": _scheduled_d8_case,
 }
 
 
@@ -324,6 +349,20 @@ def test_integrate_matches_stepwise_rk4(case, sample_stride, block_steps,
     assert np.array_equal(traj.times, times[kept])
     assert traj.rhos.shape == rhos[kept].shape
     assert np.abs(traj.rhos - rhos[kept]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("max_dd", [0, 64])
+@pytest.mark.parametrize("case", ["criterion-08", "scheduled-d8"])
+def test_scheduled_branches_match_stepwise_rk4(case, max_dd, monkeypatch):
+    """Both scheduled branches on a D = 4 and a D = 8 case, whatever the
+    measured threshold picks for them: the RK4 stages per step
+    (_STEP_MATRIX_MAX_DD = 0) and the step matrices (64), <= 1e-12 from
+    the oracle on every step."""
+    model, controls, rho0, t_final, dt, (times, rhos) = oracle_run(case)
+    monkeypatch.setattr(lindblad, "_STEP_MATRIX_MAX_DD", max_dd)
+    traj = integrate(model, controls, rho0, t_final, dt)
+    assert np.array_equal(traj.times, times)
+    assert np.abs(traj.rhos - rhos).max() <= 1e-12
 
 
 # the long cases share their models with static-d2 and static-d4
@@ -372,6 +411,15 @@ def test_invalid_parameters_raise_typed_error():
         assert isinstance(info.value, ValueError)
     with pytest.raises(InvalidParameter):
         Schedule.sampled(np.linspace(0.0, 1.0, 5), np.zeros(4))
+    # np.interp needs increasing sample points: a grid it mishandles is
+    # rejected, not left to a bare numpy error or meaningless values
+    for times, message in [([], "at least one sample"),
+                           ([0.0, np.nan, 1.0], "finite"),
+                           ([0.0, 0.5, np.inf], "finite"),
+                           ([0.0, 1.0, 0.5], "strictly increasing"),
+                           ([0.0, 0.5, 0.5, 1.0], "strictly increasing")]:
+        with pytest.raises(InvalidParameter, match=message):
+            Schedule.sampled(times, np.zeros(len(times)))
 
 
 def test_schedule_on_matches_pointwise_calls():
