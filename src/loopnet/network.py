@@ -309,16 +309,18 @@ class Network:
 
 
 def assemble_S(network: Network) -> np.ndarray:
-    """Block-diagonal unitary scattering matrix in global port order."""
+    """Block-diagonal unitary scattering matrix in global port order.  S is
+    checked whole, and block by block only to name a failing block."""
     n = network.n_ports
     s = np.zeros((n, n), dtype=complex)
     for block in network.blocks:
-        m = np.asarray(block.matrix, dtype=complex)
-        deviation = unitarity_deviation(m)
-        if deviation > TOL_UNITARY:
-            raise NonUnitaryBlock(block.element_id, deviation)
         idx = np.array(network.element_ports(block.element_id))
-        s[np.ix_(idx, idx)] = m
+        s[idx[:, None], idx] = block.matrix
+    if unitarity_deviation(s) > TOL_UNITARY:
+        for block in network.blocks:
+            deviation = unitarity_deviation(np.asarray(block.matrix, complex))
+            if deviation > TOL_UNITARY:
+                raise NonUnitaryBlock(block.element_id, deviation)
     return s
 
 

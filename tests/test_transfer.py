@@ -74,7 +74,7 @@ from loopnet.transfer import (
     _rj_arrays,
     random_hermitian,
 )
-from loopnet.lindblad import rk4_step_matrix
+from loopnet.lindblad import rk4_step_matrix, step_count
 from loopnet import contraction
 
 
@@ -145,6 +145,16 @@ def test_find_network_in_class_matches_drawing_both_circulators():
         got = find_network_in_class(0.04, 0.15, seed)
         want = reference(0.04, 0.15, seed)
         assert network_to_dict(got) == network_to_dict(want), seed
+
+
+def test_find_network_in_class_max_tries_across_chunks():
+    """The tries are drawn and judged in chunks, but max_tries still counts
+    single tries: seed 4 first accepts at try 178 (third chunk of 64)."""
+    with pytest.raises(NetworkNotFound):
+        find_network_in_class(0.04, 0.15, 4, max_tries=177)
+    got = find_network_in_class(0.04, 0.15, 4, max_tries=178)
+    assert network_to_dict(got) == network_to_dict(
+        find_network_in_class(0.04, 0.15, 4))
 
 
 def test_transfer_coefficients_match_the_effective_model():
@@ -536,6 +546,52 @@ def test_kappa_b_closed_form_matches_dop853():
         assert np.abs(t[1:, 0] / kappa0 - times[1:]).max() <= 1e-13
 
 
+def bisected_log_kappa_b(flow, tau):
+    """Adjacent doubles (lo, hi) around the ln(kappa_b/kappa0) at which
+    flow.time reaches each tau, by bisection on time alone."""
+    lo = np.full_like(tau, min(flow.y0, -230.0) - 2.0 + tau.max() * flow.ca[0])
+    hi = np.full_like(tau, flow.y0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return lo, hi
+        later = flow.time(mid)[0] > tau  # t falls as ln x grows
+        lo, hi = np.where(later, mid, lo), np.where(later, hi, mid)
+
+
+@pytest.mark.parametrize("kappa0, db, T, dt", [
+    (1.0, 10.0, 5.0, 5e-3),  # the ensemble-sweep workload
+    (1.0, 25.0, 20.0, 5e-4),  # acceptance criterion 09
+    (1.0, 80.0, 20.0, 1e-3),
+    (2.5, 30.0, 20.0, 1e-3),
+    (1.0, 10.0, 400.0, 5e-2),  # ends past ln x = -230
+])
+def test_kappa_b_at_matches_bisection(kappa0, db, T, dt):
+    """_ReceiverFlow.at against bisection of its time t(ln x) to adjacent
+    doubles, at every sample of a synthesize_controls grid: within 2e-14
+    relative in kappa_b, or one ulp of ln(kappa_b/kappa0) where that is
+    coarser (|ln x| >= 128), and times = [0] alone gives kappa_b(0).  Ideal
+    circulators (s = 0), criterion-09 networks and an adverse network."""
+    cases = [perfect_coeffs(), phase_tuned_adverse_network(4, max_tries=40)[0]]
+    cases += [forward_coefficients(find_network_in_class(0.04, 0.15, s))
+              for s in (0, 1, 4)]
+    times = np.linspace(0.0, T, 2 * step_count(T, dt) + 1)
+    for coeffs in cases:
+        cos_d, ratio, _ = _protocol_constants(coeffs)
+        flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, db)
+        kb = flow.at(times)
+        assert kb.shape == times.shape
+        assert kb[0] == kappa0 * 10.0 ** (db / 10.0)
+        assert flow.at(np.array([0.0])).tolist() == [kb[0]]
+        y = np.log(kb[1::7] / kappa0)
+        lo, hi = bisected_log_kappa_b(flow, kappa0 * times[1::7])
+        err = np.minimum(np.abs(y - lo), np.abs(y - hi))
+        assert np.all(err <= np.maximum(2e-14, np.spacing(np.abs(y)))), (
+            err.max(), coeffs)
+        if T == 400.0:
+            assert y.min() < -230.0
+
+
 def test_kappa_b_monotone_decreasing():
     for seed in (1, 2, 3):
         coeffs = forward_coefficients(find_network_in_class(0.04, 0.15, seed))
@@ -626,28 +682,29 @@ def test_simulate_transfer_matches_stepwise_rk4():
 @pytest.mark.parametrize("n_networks", [1, 4, 16])
 def test_propagate_matches_sequential_steps(n_networks):
     """The prefix products of each block reproduce applying the step
-    matrices one matmul at a time, <= 1e-13, over full blocks (1,024 steps
-    at B = 1, the deepest doubling level) and a partial last block."""
+    matrices one matmul at a time, <= 1e-13, over a full block (1,024
+    steps, the deepest doubling level) and a partial last block, for each
+    of n_networks component histories run one network at a time."""
     n_steps, h = 1324, 5e-3
-    t = 0.5 * h * np.arange(2 * n_steps + 1)[:, None]
-    phase = np.arange(n_networks)
-    comps = [1.0 + 0.5 * np.sin(0.3 * t + phase)]  # kappa_b
-    comps += [1.0 + 0.5 * np.cos(t + phase)]  # R0
-    comps += [0.4 * np.sin((k + 1) * t + phase) for k in range(6)]  # R, J
-    y0 = np.stack([np.ones(n_networks), np.zeros(n_networks),
-                   0.3 * np.ones(n_networks), np.ones(n_networks)], axis=1)
-    blocks = list(_propagate(lambda lo, hi: [c[lo:hi + 1] for c in comps],
-                             n_steps, h, y0))
-    assert n_steps % (len(blocks[0][1]) - 1) != 0  # a partial last block
-    states = np.concatenate([y0[None]] + [y[1:] for _, y, _ in blocks])
+    t = 0.5 * h * np.arange(2 * n_steps + 1)
+    for phase in range(n_networks):
+        comps = [1.0 + 0.5 * np.sin(0.3 * t + phase)]  # kappa_b
+        comps += [1.0 + 0.5 * np.cos(t + phase)]  # R0
+        comps += [0.4 * np.sin((k + 1) * t + phase) for k in range(6)]  # R, J
+        y0 = np.array([1.0, 0.0, 0.3, 1.0])
+        blocks = list(_propagate(lambda lo, hi: [c[lo:hi + 1] for c in comps],
+                                 n_steps, h, y0))
+        assert len(blocks[0][1]) - 1 == 1024
+        assert n_steps % 1024 != 0  # a partial last block
+        states = np.concatenate([y0[None]] + [y[1:] for _, y, _ in blocks])
 
-    a = _bloch_generator(*comps[1:])
-    p = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)[0]
-    expect = np.empty((n_steps + 1, n_networks, 4))
-    expect[0] = y0
-    for i in range(n_steps):
-        expect[i + 1] = (p[i] @ expect[i][..., None])[..., 0]
-    assert np.abs(states - expect).max() <= 1e-13
+        a = _bloch_generator(*comps[1:])
+        p = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)[0]
+        expect = np.empty((n_steps + 1, 4))
+        expect[0] = y0
+        for i in range(n_steps):
+            expect[i + 1] = p[i] @ expect[i]
+        assert np.abs(states - expect).max() <= 1e-13
 
 
 def test_receiver_off_decay():
@@ -720,6 +777,37 @@ def test_transfer_sweep_matches_scalar_pipeline():
         assert summary.success == pytest.approx(result.success, abs=1e-13)
         assert summary.max_bound_excess <= 1e-6
         assert summary.max_closed_form_mismatch < 1e-6
+
+
+def ensemble_coefficients():
+    """The pools of the ensemble-sweep workload: both reflectance classes."""
+    pool = [forward_coefficients(find_network_in_class(0.04, 0.15, s))
+            for s in range(6)]
+    return pool + [phase_tuned_network(s, 0.04, 0.15, 1.5e-3)[0]
+                   for s in (1, 2)]
+
+
+def test_transfer_sweep_runs_each_network_alone():
+    """A list gives exactly the summaries of its networks swept one by one."""
+    coeffs = ensemble_coefficients()
+    args = dict(kappa0=1.0, ratio_db=10.0, T=5.0, dt=5e-3)
+    summaries = transfer_sweep(coeffs, **args)
+    assert summaries == [transfer_sweep([c], **args)[0] for c in coeffs]
+    assert summaries[2:5] == transfer_sweep(coeffs[2:5], **args)
+
+
+@pytest.mark.filterwarnings("error")
+def test_transfer_sweep_does_not_warn_on_incomplete_pulse():
+    """At T = 5 and 10 dB kappa_b(T) ends above -15 dB, where
+    synthesize_controls warns about an incomplete pulse; the sweep reports
+    the terminal dB instead and raises no warning."""
+    coeffs = ensemble_coefficients()
+    summaries = transfer_sweep(coeffs, 1.0, ratio_db=10.0, T=5.0, dt=5e-3)
+    final_db = [s.kappa_b_final_db for s in summaries]
+    assert max(final_db) > -15.0
+    with pytest.warns(UserWarning, match="incomplete"):
+        synthesize_controls(coeffs[int(np.argmax(final_db))], 1.0,
+                            ratio_db=10.0, T=5.0, dt=5e-3)
 
 
 def test_predict_transfer_close_to_simulation():
