@@ -31,8 +31,14 @@ MAX_STEPS = 10**7
 def step_count(t_final: float, dt: float) -> int:
     """RK4 steps over [0, t_final] at about dt: max(1, round(t_final/dt)).
 
-    Raises InvalidParameter when t_final/dt exceeds MAX_STEPS or is NaN.
+    Raises InvalidParameter unless dt > 0 and t_final >= 0 are finite, or
+    when t_final/dt exceeds MAX_STEPS.
     """
+    if not (0 < dt < np.inf and 0 <= t_final < np.inf):
+        raise InvalidParameter(
+            f"dt must be positive and t_final non-negative, both finite "
+            f"(dt={dt}, t_final={t_final})"
+        )
     ratio = t_final / dt
     if not ratio <= MAX_STEPS:
         raise InvalidParameter(
@@ -432,11 +438,7 @@ def integrate(
     reproducible.  Observables are Tr(rho O) at the stored states, one
     matrix-vector product each.
     """
-    if not (0 < dt < np.inf and 0 <= t_final < np.inf):
-        raise InvalidParameter(
-            f"dt must be positive and t_final non-negative, both finite "
-            f"(dt={dt}, t_final={t_final})"
-        )
+    n_steps = step_count(t_final, dt)
     if not sample_stride >= 1:
         raise InvalidParameter("sample_stride must be a positive integer")
     d = model.h_sys.shape[0]
@@ -444,7 +446,6 @@ def integrate(
     rho = np.array(rho0, dtype=complex)
     observables = observables or {}
     _check_inputs(rho, observables, d)
-    n_steps = step_count(t_final, dt)
     h = t_final / n_steps
 
     n_samples = 1 + n_steps // sample_stride + (n_steps % sample_stride != 0)

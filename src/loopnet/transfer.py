@@ -111,10 +111,14 @@ def _hermitian_draw(rng: np.random.Generator, n: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _unit_spectral_norm(h: np.ndarray) -> np.ndarray:
+    """A stack of Hermitian (..., n, n), each over its spectral norm."""
+    return h / np.abs(np.linalg.eigvalsh(h)).max(axis=-1)[..., None, None]
+
+
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random Hermitian matrix normalized to unit spectral norm."""
-    h = _hermitian_draw(rng, n)
-    return h / np.abs(np.linalg.eigvalsh(h)).max()
+    return _unit_spectral_norm(_hermitian_draw(rng, n))
 
 
 # the transmission line between the circulators, as (from_port, to_port):
@@ -190,13 +194,6 @@ def two_qubit_network(
     return Network(ports, blocks, systems, connections, geometry)
 
 
-def _random_circulators(eps: float, rng: np.random.Generator):
-    """Two circulators with independent random imperfections of size eps."""
-    circ_a = perturbed_circulator(eps, random_hermitian(rng, 3))
-    circ_b = perturbed_circulator(eps, random_hermitian(rng, 3))
-    return circ_a, circ_b
-
-
 def random_imperfect_network(
     eps: float,
     interconnect_phase: float,
@@ -204,7 +201,9 @@ def random_imperfect_network(
     **kwargs,
 ) -> Network:
     """Two-qubit network with seeded random circulator imperfections."""
-    circ_a, circ_b = _random_circulators(eps, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    circ_a = perturbed_circulator(eps, random_hermitian(rng, 3))
+    circ_b = perturbed_circulator(eps, random_hermitian(rng, 3))
     return two_qubit_network(
         circ_a, circ_b, interconnect_phase=interconnect_phase, **kwargs
     )
@@ -240,7 +239,7 @@ def _in_class(circulators, r2_min: float, r2_max: float) -> np.ndarray:
     return ((r2 >= r2_min) & (r2 <= r2_max)).all(axis=-1)
 
 
-_DRAW_CHUNK = 64  # tries of find_network_in_class drawn and tested at once
+_DRAW_CHUNK = 64  # sampler tries drawn and tested at once
 
 
 def find_network_in_class(
@@ -261,8 +260,7 @@ def find_network_in_class(
                   np.random.default_rng(int(rng.integers(0, 2**63 - 1))))
                  for _ in range(min(_DRAW_CHUNK, max_tries - start))]
         eps, phases, subs = zip(*tries)
-        h_a = np.array([_hermitian_draw(s, 3) for s in subs])
-        h_a /= np.abs(np.linalg.eigvalsh(h_a)).max(axis=-1)[:, None, None]
+        h_a = _unit_spectral_norm(np.array([_hermitian_draw(s, 3) for s in subs]))
         circ_a = perturbed_circulator(np.array(eps), h_a)
         # circulator b is drawn only once a passes; it comes from the try's
         # own stream alone, so skipping it leaves the main stream unchanged
@@ -528,14 +526,6 @@ def _protocol_constants(coeffs: TransferCoefficients):
     return cos_d, ratio, slope
 
 
-def _h_bz_of_kappa_b(kb, coeffs: TransferCoefficients, kappa0, slope, h_az):
-    return (
-        kb * (coeffs.eta_b * slope - coeffs.t_bb.imag)
-        - kappa0 * (coeffs.eta_a * slope - coeffs.t_aa.imag)
-        + h_az
-    )
-
-
 # ln(kappa_b/kappa0) window of the closed form, about 1e-100 to 1e100.  Below
 # it the flow is exponential to double precision, and beyond it Q(x) and
 # P(w) could overflow.
@@ -543,6 +533,7 @@ _LN_X_LOW, _LN_X_HIGH = -230.0, 230.0
 _BRACKET_NODES = 33  # coarse ln x nodes that bracket ln kappa_b at the horizon
 _TABLE_STEP = 0.25  # largest ln x step of the table that seeds Newton
 _NEWTON_STEPS = 3  # 2 miss the roundoff floor from this table
+_AT_SLICE = 8192  # samples per Newton pass of at: its temporaries stay in cache
 
 
 class _ReceiverFlow:
@@ -659,31 +650,45 @@ class _ReceiverFlow:
         ys = np.linspace(self.y0, y_end, math.ceil((self.y0 - y_end) / _TABLE_STEP) + 1)
         return self.time(ys)[0], ys
 
-    def at(self, times, table=None) -> np.ndarray:
-        """kappa_b of one network at the given times, in their shape.
+    def at(self, times) -> np.ndarray:
+        """kappa_b of one network at a 1-d array of times.
 
-        ln x is interpolated from table (by default the table of the latest
-        time), then refined by _NEWTON_STEPS Newton steps on t(ln x) = t.
+        ln x is interpolated from the table of the latest time, then refined
+        by _NEWTON_STEPS Newton steps on t(ln x) = t, a slice of _AT_SLICE
+        samples at a time (each sample alone: slicing changes no bit).
         Past the coarse grid's end t is linear in ln x, so the first step
         lands there exactly.  kappa_b(0) is kappa0 10^(dB/10) exactly.
         """
         tau = self.kappa0 * np.asarray(times, dtype=float)
-        y = np.interp(tau, *(table or self.table(tau.max())))
-        for _ in range(_NEWTON_STEPS):
-            t, rate = self.time(y)
-            y -= (t - tau) * rate
+        y = np.interp(tau, *self.table(tau.max()))
+        for lo in range(0, len(tau), _AT_SLICE):
+            ys, part = y[lo:lo + _AT_SLICE], tau[lo:lo + _AT_SLICE]  # views
+            for _ in range(_NEWTON_STEPS):
+                t, rate = self.time(ys)
+                ys -= (t - part) * rate
         kb = self.kappa0 * np.exp(y)
         kb[tau == 0.0] = self.kb0
         return kb
 
 
-def _require_pulse_end(kb_end) -> None:
-    """kappa_b(T) must be a finite number > 0 for the terminal dB."""
-    if not np.all((kb_end > 0.0) & (kb_end < np.inf)):
+def _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, h_az):
+    """(protocol, its _ReceiverFlow): synthesize_controls without the
+    incomplete-pulse warning."""
+    cos_d, ratio, slope = _protocol_constants(coeffs)
+    times = np.linspace(0.0, T, 2 * step_count(T, dt) + 1)
+    flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
+    kb = flow.at(times)
+    # the terminal dB needs a finite kappa_b(T) > 0
+    if not 0.0 < kb[-1] < np.inf:
         raise StepUnstable(
-            f"kappa_b(T) = {np.min(kb_end):.3g} is not a finite number > 0; "
-            "shorten T"
+            f"kappa_b(T) = {kb[-1]:.3g} is not a finite number > 0; shorten T"
         )
+    h_bz = (kb * (coeffs.eta_b * slope - coeffs.t_bb.imag)
+            - kappa0 * (coeffs.eta_a * slope - coeffs.t_aa.imag) + h_az)
+    protocol = ControlProtocol(times, kb, h_bz, kappa_a=kappa0,
+                               phase_diff=-coeffs.delta_plus, h_az=h_az,
+                               ratio_db=ratio_db)
+    return protocol, flow
 
 
 def synthesize_controls(
@@ -700,31 +705,18 @@ def synthesize_controls(
     from the exact solution of the decoupled kappa_b flow (_ReceiverFlow),
     starting at kappa_b(0) = kappa0 * 10^(dB/10).  The schedule is sampled
     at half the requested step so that downstream RK4 integration of the
-    Bloch equations finds exact midpoint values.  T/dt is bounded by
-    lindblad.MAX_STEPS (InvalidParameter).
+    Bloch equations finds exact midpoint values.  T >= 0 and dt > 0 are
+    finite, and T/dt is at most lindblad.MAX_STEPS (InvalidParameter).
     """
-    cos_d, ratio, slope = _protocol_constants(coeffs)
-    times = np.linspace(0.0, T, 2 * step_count(T, dt) + 1)
-    kb = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db).at(times)
-    _require_pulse_end(kb[-1])
-    terminal_db = 10.0 * np.log10(kb[-1] / kappa0)
+    protocol, _ = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, h_az)
+    terminal_db = 10.0 * np.log10(protocol.kappa_b[-1] / kappa0)
     if terminal_db > -15.0:
         warnings.warn(
             f"kappa_b(T)/kappa0 = {terminal_db:.1f} dB > -15 dB: "
             "the transfer pulse is incomplete; increase T",
             stacklevel=2,
         )
-
-    h_bz = _h_bz_of_kappa_b(kb, coeffs, kappa0, slope, h_az)
-    return ControlProtocol(
-        times=times,
-        kappa_b=kb,
-        h_bz=h_bz,
-        kappa_a=kappa0,
-        phase_diff=-coeffs.delta_plus,
-        h_az=h_az,
-        ratio_db=ratio_db,
-    )
+    return protocol
 
 
 @dataclass
@@ -810,22 +802,24 @@ def _bloch_generator(r0, rx, ry, rz, jx, jy, jz):
 _BLOCK = 1024
 
 
-def _propagate(components, n_steps: int, h: float, y: np.ndarray):
+def _propagate(comps, h: float, y: np.ndarray):
     """RK4 for the linear Bloch equations y' = A(t) y of one network.
 
-    components(lo, hi): kappa_b and the R/J components at half-step samples
-    lo..hi, each (hi - lo + 1,).  Step n applies the step matrix P_n of
-    rk4_step_matrix.  Within a block of m <= _BLOCK steps the inclusive
-    prefix products Q_i = P_i ... P_0 are formed in at most 2 log2(m)
-    levels of batched products with doubling strides, fewer than 2m
-    products in all (the Brent-Kung scan), and the block's states are one
-    batched product Q_i y_0, from the state y (4,) at step 0.  Yields per
-    block: components, y_n..y_n+m (m + 1, 4) and the stage maps (S1, S2,
-    S3), each (m, 4, 4)."""
+    comps: kappa_b and the R/J components (_rj_arrays) at the 2n + 1
+    half-step samples of n steps of size h, each (2n + 1,).  Step n applies
+    the step matrix P_n of rk4_step_matrix.  Within a block of m <= _BLOCK
+    steps the inclusive prefix products Q_i = P_i ... P_0 are formed in at
+    most 2 log2(m) levels of batched products with doubling strides, fewer
+    than 2m products in all (the Brent-Kung scan), and the block's states
+    are one batched product Q_i y_0, from the state y (4,) at step 0.
+    Yields per block: the slices of comps at its 2m + 1 samples,
+    y_n..y_n+m (m + 1, 4) and the stage maps (S1, S2, S3), each
+    (m, 4, 4)."""
+    n_steps = (len(comps[0]) - 1) // 2
     for start in range(0, n_steps, _BLOCK):
         m = min(_BLOCK, n_steps - start)
-        comps = components(2 * start, 2 * (start + m))
-        a = _bloch_generator(*comps[1:])
+        block = [c[2 * start:2 * (start + m) + 1] for c in comps]
+        a = _bloch_generator(*block[1:])
         q, stage_maps = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)
         states = np.empty((m + 1, 4))
         states[0] = y
@@ -842,7 +836,21 @@ def _propagate(components, n_steps: int, h: float, y: np.ndarray):
                 t[...] = t @ q[2 * s - 1:m - s:2 * s]
             np.matmul(q, y, out=states[1:])
         y = states[-1]
-        yield comps, states, stage_maps
+        yield block, states, stage_maps
+
+
+def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol):
+    """(kappa_b and the R/J components at every protocol sample, the blocks
+    of _propagate from |ud>) for the Bloch equations under protocol."""
+    times = protocol.times
+    if (len(times) - 1) % 2 != 0:
+        raise InvalidParameter("protocol must have an even number of intervals")
+    comps = protocol.kappa_b, *_rj_arrays(
+        coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
+        protocol.kappa_b, protocol.h_bz,
+    )
+    y0 = np.array([1.0, 0.0, 0.0, 1.0])  # (b0, bx, by, bz) for |ud>
+    return comps, _propagate(comps, times[2] - times[0], y0)
 
 
 def simulate_transfer(
@@ -856,24 +864,12 @@ def simulate_transfer(
     propagators (_propagate).  Checks the subradiant bound
     b0(t) <= exp(-int Gamma_d) + 1e-6 at every sample.
     """
-    times = protocol.times
-    if (len(times) - 1) % 2 != 0:
-        raise InvalidParameter(
-            "protocol must have an even number of intervals"
-        )
-    comps = protocol.kappa_b, *_rj_arrays(
-        coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
-        protocol.kappa_b, protocol.h_bz,
-    )
-    y0 = np.array([1.0, 0.0, 0.0, 1.0])  # (b0, bx, by, bz) for |ud>
-    blocks = _propagate(
-        lambda lo, hi: [c[lo:hi + 1] for c in comps],
-        (len(times) - 1) // 2, times[2] - times[0], y0,
-    )
-    traj = np.concatenate([y0[None]] + [y[1:] for _, y, _ in blocks])
+    comps, blocks = _bloch_blocks(coeffs, protocol)
+    states = [y for _, y, _ in blocks]
+    traj = np.concatenate([states[0][:1]] + [y[1:] for y in states])
     b0_traj, bvec_traj = traj[:, 0], traj[:, 1:]
 
-    sample_times = times[::2]
+    sample_times = protocol.times[::2]
     r0_s, rx_s, ry_s, rz_s = (c[::2] for c in comps[1:5])
     gamma_d = 0.5 * (r0_s - np.sqrt(rx_s**2 + ry_s**2 + rz_s**2))
     dts = np.diff(sample_times)
@@ -931,35 +927,22 @@ def transfer_sweep(
 ) -> list:
     """Synthesize-and-simulate each network of a list, one at a time.
 
-    kappa_b comes from the closed form of synthesize_controls (one table
-    per network, a block of steps at a time), and the Bloch states go
-    through the step propagators of simulate_transfer, so results match
-    the scalar pipeline to roundoff.  The bound's int Gamma_d is exact
+    Each network runs the scalar pipeline, the schedule of
+    synthesize_controls (reporting the terminal dB instead of warning)
+    through the blocks of simulate_transfer, so success and b0 equal
+    theirs exactly; each block is reduced to its largest bound excess and
+    closed-form mismatch.  The bound's int Gamma_d is exact
     (_ReceiverFlow.dark_decay); the closed form's int (R0 + R.e_b) (over
     the RK4 stage states) is what RK4 gives for it as an extra ODE state.
     """
-    times = np.linspace(0.0, T, 2 * step_count(T, dt) + 1)
-    h = times[2] - times[0]
+    step_count(T, dt)  # T and dt are checked for an empty list too
     summaries = []
     for coeffs in coeffs_list:
-        cos_d, ratio, slope = _protocol_constants(coeffs)
-        flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
-        table = flow.table(kappa0 * T)
-        kb_end = flow.at(times[-1:], table)[0]
-        _require_pulse_end(kb_end)
-
-        def components(lo, hi):
-            kb = flow.at(times[lo:hi + 1], table)
-            hbz = _h_bz_of_kappa_b(kb, coeffs, kappa0, slope, h_az)
-            return kb, *_rj_arrays(
-                coeffs, kappa0, -coeffs.delta_plus, h_az, kb, hbz
-            )
-
+        protocol, flow = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, h_az)
+        h = protocol.times[2] - protocol.times[0]
         q_f = 0.0  # quadrature int (R0 + R.e_b) dt up to the block start
         excess, mismatch = [], []  # per block
-        for comps, y, stage_maps in _propagate(
-            components, len(times) // 2, h, np.array([1.0, 0.0, 0.0, 1.0])
-        ):
+        for comps, y, stage_maps in _bloch_blocks(coeffs, protocol)[1]:
             kb, r0, rx, ry, rz = comps[:5]
             stages = (y[:-1], *(np.einsum("...ij,...j->...i", s, y[:-1])
                                 for s in stage_maps))
@@ -977,7 +960,8 @@ def transfer_sweep(
             raise StepUnstable("transfer sweep diverged; reduce dt")
         summaries.append(SweepSummary(
             0.5 * float(y[-1, 0] - y[-1, 3]), float(np.max(excess)),
-            float(np.max(mismatch)), float(10.0 * np.log10(kb_end / kappa0)),
+            float(np.max(mismatch)),
+            float(10.0 * np.log10(protocol.kappa_b[-1] / kappa0)),
             float(y[-1, 0]),
         ))
     return summaries
@@ -1059,13 +1043,20 @@ def phase_tuned_network(seed: int, r2_min: float, r2_max: float, resid_max: floa
     draws; deterministic.  Bad inputs raise InvalidParameter.
     """
     rng = _sampler_rng(seed, r2_min, r2_max, resid_max)
-    for _ in range(200):
-        circs = _random_circulators(_draw_eps(rng, r2_min, r2_max), rng)
-        if not _in_class(circs, r2_min, r2_max).all():
-            continue
-        tuned = _tune_phase(*circs, lambda c: abs(dark_state_residual(c)))
-        if tuned is not None and tuned[0] < resid_max:
-            return tuned[1]
+    for start in range(0, 200, _DRAW_CHUNK):
+        # each try draws eps, H_a and H_b from the main stream, in this
+        # order; a chunk's circulators are one stacked eigvalsh and eigh
+        tries = [(_draw_eps(rng, r2_min, r2_max), _hermitian_draw(rng, 3),
+                  _hermitian_draw(rng, 3))
+                 for _ in range(min(_DRAW_CHUNK, 200 - start))]
+        eps, h_a, h_b = zip(*tries)
+        circs = perturbed_circulator(
+            np.array(eps)[:, None], _unit_spectral_norm(np.stack([h_a, h_b], axis=1))
+        )
+        for i in np.flatnonzero(_in_class(circs, r2_min, r2_max).all(axis=-1)):
+            tuned = _tune_phase(*circs[i], lambda c: abs(dark_state_residual(c)))
+            if tuned is not None and tuned[0] < resid_max:
+                return tuned[1]
     return None
 
 

@@ -16,7 +16,11 @@ from loopnet import (
     datasheet_circulator,
     ideal_circulator,
     network_to_dict,
+    oriented,
+    random_imperfect_network,
     save_network,
+    transfer_coefficients,
+    transfer_sweep,
     two_qubit_network,
 )
 from loopnet import cli
@@ -558,6 +562,22 @@ def test_transfer_sweep_records_failed_seeds(tmp_path, capsys):
     for r in rows[1:]:
         assert r[1:] == ["nan"] * 4 + ["WrongDirectionality"]
     assert "(1/3 seeds succeeded)" in capsys.readouterr().out
+
+
+def test_cli_sweep_matches_library_sweep(tmp_path, capsys):
+    """The success column of `transfer --random --swap-roles --sweep` equals
+    transfer_sweep on the same seeds' oriented coefficients, exactly; at
+    eps = 2.5 seeds 1 and 2 are swapped and seeds 0 and 3 are not."""
+    code = main(["transfer", "--random", "--swap-roles", "--sweep", "4",
+                 "--seed", "0", "--eps", "2.5", "--phase", "1.0",
+                 "--T", "10.0", "--dt", "2e-3", "-o", str(tmp_path)])
+    assert code == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [r[4] for r in rows] == ["0", "1", "1", "0"]
+    coeffs = [oriented(transfer_coefficients(
+        random_imperfect_network(2.5, 1.0, seed))) for seed in range(4)]
+    summaries = transfer_sweep(coeffs, 1.0, ratio_db=25.0, T=10.0, dt=2e-3)
+    assert [float(r[1]) for r in rows] == [s.success for s in summaries]
 
 
 def test_network_round_trips_through_cli_output(tmp_path, capsys):
