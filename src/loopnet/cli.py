@@ -460,7 +460,7 @@ def cmd_simulate(args) -> int:
     )
     print(
         f"wrote {out} (max trace drift {traj.max_trace_drift:.3e}, "
-        f"max herm drift {traj.max_herm_drift:.3e})"
+        f"generator herm residue {traj.max_herm_drift:.3e})"
     )
     return EXIT_OK
 

@@ -7,7 +7,10 @@ scheduled Hermitian control terms added to the system Hamiltonian.  The
 network routing (G, the l_eff coefficient rows) is time independent.
 
 Superoperators use the column-major vectorization convention:
-vec(A rho B) = (B.T kron A) vec(rho).
+vec(A rho B) = (B.T kron A) vec(rho).  integrate propagates the real
+coordinates of rho (rho_ii, Re rho_ij and Im rho_ij for i < j) under the
+real form T G T^-1 of each generator, so its states are Hermitian by
+construction.
 """
 
 from __future__ import annotations
@@ -212,19 +215,18 @@ class _GeneratorAssembler:
     dissipator sum [M^dag M]_jk (L_k rho L_j^dag - ...) decompose into
     fixed superoperators T_jk weighted by w_jk = c_j^* c_k.  As w_kj is
     w_jk^*, a pair j < k contributes Re w_jk (T_jk + T_kj) + Im w_jk
-    i (T_jk - T_kj), so every term has a real weight.  The terms are the
-    rows of `terms` (terms, D^4), stored as real numbers; the row of weight
-    1 holds every term without a scheduled factor, the scheduled Hamiltonian
-    terms follow.  The generators at n times are then one real
-    (n, terms) @ (terms, 2 D^4) product, equal to build_generator up to
-    roundoff.
+    i (T_jk - T_kj), so every term has a real weight.  The terms are
+    `terms` (terms, D^2, D^2); the term of weight 1 holds every term without
+    a scheduled factor, the scheduled Hamiltonian terms follow.  Their sum
+    with the weights equals build_generator up to roundoff; integrate takes
+    each term to real coordinates once, so its generators at n times are
+    one real (n, terms) @ (terms, D^4) product.
     """
 
     def __init__(self, model: EffectiveModel, controls: Controls):
         self.controls = controls
         d = model.h_sys.shape[0]
         eye = np.eye(d, dtype=complex)
-        self._dd = d * d
 
         # coupled ports: bare operator without the rate or phase prefactor
         ports = [k for k, op in enumerate(model.base_L) if np.any(op != 0)]
@@ -267,8 +269,7 @@ class _GeneratorAssembler:
                     continue
                 self.pairs.append((j, k))
                 rows += [t_jk] if k == j else [t_jk + t_kj, 1j * (t_jk - t_kj)]
-        self.terms = np.array([static, *rows]).reshape(1 + len(rows), -1)
-        self.terms = self.terms.view(float)
+        self.terms = np.array([static, *rows])
 
     def weights(self, times: np.ndarray):
         """Real weights (len(times), terms) of the rows of `terms` at each
@@ -290,17 +291,12 @@ class _GeneratorAssembler:
             columns += [w.real] if k == j else [w.real, w.imag]
         return np.stack(columns, axis=1), first_bad
 
-    def generators(self, weights: np.ndarray) -> np.ndarray:
-        """(n, D^2, D^2) generators for n rows of weights."""
-        gens = (weights @ self.terms).view(complex)
-        return gens.reshape(len(weights), self._dd, self._dd)
-
     def __call__(self, t: float) -> np.ndarray:
         """The (D^2, D^2) generator at time t."""
         weights, bad = self.weights(np.array([t], dtype=float))
         if bad is not None:
             raise _negative_kappa(bad[1], t)
-        return self.generators(weights)[0]
+        return np.tensordot(weights[0], self.terms, 1)
 
 
 def rk4_step_matrix(a_start, a_mid, a_end, h: float):
@@ -335,42 +331,126 @@ def rk4_step_matrix(a_start, a_mid, a_end, h: float):
     return p, (s1, s2, s3)
 
 
+def prefix_products(q: np.ndarray) -> np.ndarray:
+    """The inclusive prefix products Q_i = P_i ... P_0 of a stack of step
+    matrices q (m, n, n), in place.
+
+    The Brent-Kung scan: an up-sweep and a down-sweep over doubling
+    strides, at most 2 log2(m) levels of batched products and fewer than
+    2m products in all.  An unstable step overflows quietly; callers check
+    the states.
+    """
+    m = len(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 1  # up-sweep: q[i] = P_i ... P_i-2s+1 where i = -1 mod 2s
+        while 2 * s <= m:
+            t = q[2 * s - 1::2 * s]
+            t[...] = t @ q[s - 1:m - s:2 * s]
+            s *= 2
+        while s > 1:  # down-sweep: q[i] = P_i ... P_0 where i = -1 mod s
+            s //= 2
+            t = q[3 * s - 1::2 * s]
+            t[...] = t @ q[2 * s - 1:m - s:2 * s]
+    return q
+
+
+class _Coordinates:
+    """Real coordinates c of a Hermitian D x D matrix rho: the D entries
+    rho_ii, then Re rho_ij and then Im rho_ij for the pairs i < j.
+
+    c = T vec(rho) (column-major vec).  T and T^-1 have at most two entries
+    per row, so T A and A T^-1 are combinations of rows and of columns.  A
+    generator G that preserves Hermiticity becomes the real matrix T G T^-1.
+    """
+
+    def __init__(self, d: int):
+        i, j = np.triu_indices(d, 1)
+        n, dd = len(i), d * d
+        # vec positions of rho_ii, rho_ij and rho_ji
+        self._at = (np.arange(d) * (d + 1), i + d * j, j + d * i)
+        # A block's states carry -Im rho_ij and a 0 after c, in `width`
+        # columns, so that one gather (`take`) gives the interleaved real
+        # and imaginary parts of the row-major rho.
+        self.width = dd + n + 1
+        pair = np.zeros((d, d), dtype=np.intp)
+        pair[i, j] = pair[j, i] = d + np.arange(n)
+        upper = np.triu(np.ones((d, d), dtype=bool), 1)
+        diag = np.eye(d, dtype=bool)
+        re = np.where(diag, np.arange(d)[:, None], pair)
+        im = np.where(diag, self.width - 1,
+                      np.where(upper, pair + n, pair + dd - d))
+        self.take = np.stack([re, im], axis=-1).reshape(-1)
+        self.im_upper, self.im_lower = slice(d + n, dd), slice(dd, dd + n)
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """T a along the second-last axis."""
+        diag, up, lo = self._at
+        s, t = a[..., up, :], a[..., lo, :]
+        return np.concatenate(
+            [a[..., diag, :], 0.5 * (s + t), -0.5j * (s - t)], axis=-2)
+
+    def columns(self, a: np.ndarray) -> np.ndarray:
+        """a T^-1 along the last axis."""
+        diag, up, lo = self._at
+        s, t = a[..., up], a[..., lo]
+        return np.concatenate([a[..., diag], s + t, 1j * (s - t)], axis=-1)
+
+    def real_form(self, gens: np.ndarray):
+        """(Re T G T^-1, the largest |Im T G T^-1| relative to the largest
+        |Re T G T^-1| over generators (..., D^2, D^2))."""
+        g = self.rows(self.columns(gens))
+        re, im = (np.abs(x).max(axis=(-2, -1)) for x in (g.real, g.imag))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residue = np.where(im > 0, im / re, 0.0)
+        return np.ascontiguousarray(g.real), float(np.max(residue))
+
+    def observable_weights(self, ops) -> np.ndarray:
+        """(D^2, 2 n) real W: c @ W holds Re and Im of Tr(rho O) for each
+        of the n operators O, interleaved (a complex view)."""
+        # Tr(rho O) = vec(O^T) . vec(rho), and vec(O^T) is O read row-major
+        o = np.array([np.asarray(op, dtype=complex).reshape(-1) for op in ops])
+        return np.ascontiguousarray(self.columns(o).T).view(float)
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
     rhos: np.ndarray  # (n_samples, D, D)
     observables: dict
     max_trace_drift: float
+    # the generator's discarded imaginary residue in real coordinates
     max_herm_drift: float
 
 
-# complex elements of a block's states or generators: bounds memory and,
-# without controls, the depth of the squaring ladder P, P^2, P^4, ... that
-# a run builds once and every block reuses
+# float64 numbers in a block's states, or with controls in its generators:
+# bounds memory and, without controls, the depth of the squaring ladder P,
+# P^2, P^4, ... that a run builds once and every block reuses
 _BLOCK = 2**16
 
 # With controls, a block forms its m RK4 step matrices at once (three
-# batched D^2 x D^2 products a step) and then applies one matrix-vector
-# product per step, when the generator dimension D^2 is at most this;
-# above it, forming P (D^6 work a step) costs more than the four stages
-# per step it saves.  Measured on a 2-core x86-64 host, one BLAS thread, a
-# truncated oscillator with sampled kappa and Hamiltonian schedules, 1,000
-# steps, medians of 9 alternating pairs, us per step, stages -> matrices:
-# D^2 = 4: 30.8 -> 8.9; 9: 34.5 -> 16.5; 16: 38.7 -> 30.0 (faster in 9/9);
-# 25: 45.1 -> 68.1; 36: 50.2 -> 136.4; 64: 83.8 -> 391.3 (slower in 9/9).
-_STEP_MATRIX_MAX_DD = 16
+# batched D^2 x D^2 products a step) and their prefix products by a scan
+# (fewer than two products a step), when the generator dimension D^2 is at
+# most this; above it, forming P (D^6 work a step) costs more than the four
+# stages per step it saves.  Measured in real coordinates on a 2-core
+# x86-64 host, one BLAS thread, a truncated oscillator with sampled kappa
+# and Hamiltonian schedules, 1,000 steps, medians of 15 alternating pairs,
+# us per step, stages -> matrices: D^2 = 4: 15.6 -> 1.7; 9: 17.2 -> 4.9;
+# 16: 18.7 -> 9.7 (faster in 15/15); 25: 29.8 -> 25.7 (11/15); 36: 41.4 ->
+# 58.8; 64: 59.2 -> 140.5 (slower in 15/15).
+_STEP_MATRIX_MAX_DD = 25
 
 
-def _within_bounds(herm, trace):
-    """Hermiticity and trace drift within 100x tolerance (False for NaN);
-    elementwise for arrays."""
-    return (herm <= 100 * TOL_HERM_STEP) & (trace <= 100 * TOL_TRACE)
+def _within_bounds(entry, trace):
+    """Largest coordinate within 1 + 100x the trace tolerance (every entry
+    of a density matrix has modulus at most 1) and trace drift within 100x
+    tolerance (False for NaN); elementwise for arrays."""
+    return (entry <= 1.0 + 100 * TOL_TRACE) & (trace <= 100 * TOL_TRACE)
 
 
 def _check_inputs(rho: np.ndarray, observables: dict, d: int) -> None:
     """Raise InvalidParameter unless rho is a finite D x D matrix that is
-    Hermitian and of unit trace within the bounds every step is held to,
-    and every observable is D x D."""
+    Hermitian, of unit trace and with entries of modulus at most 1 within
+    the bounds every step is held to, and every observable is D x D."""
     if rho.shape != (d, d):
         raise InvalidParameter(
             f"rho0 has shape {rho.shape}, expected ({d}, {d}) for this model"
@@ -387,6 +467,12 @@ def _check_inputs(rho: np.ndarray, observables: dict, d: int) -> None:
     if not abs(trace - 1.0) <= 100 * TOL_TRACE:
         raise InvalidParameter(
             f"rho0 has trace {trace:.17g}, not 1 within {100 * TOL_TRACE:.0e}"
+        )
+    entry = np.abs(rho).max()
+    if not entry <= 1.0 + 100 * TOL_TRACE:
+        raise InvalidParameter(
+            f"rho0 has an entry of modulus {entry:.17g}, above 1 by more "
+            f"than {100 * TOL_TRACE:.0e}"
         )
     for name, op in observables.items():
         if np.shape(op) != (d, d):
@@ -405,38 +491,45 @@ def integrate(
     observables: dict | None = None,
     sample_stride: int = 1,
 ) -> Trajectory:
-    """Fixed-step RK4 propagation of the vectorized master equation.
+    """Fixed-step RK4 propagation of the master equation.
 
-    rho0 must be a finite D x D matrix, Hermitian and of unit trace within
-    the bounds each step is held to, and every observable D x D; otherwise
-    InvalidParameter names the defect before any step runs.
+    rho0 must be a finite D x D matrix, Hermitian, of unit trace and with
+    entries of modulus at most 1 within the bounds each step is held to,
+    and every observable D x D; otherwise InvalidParameter names the
+    defect before any step runs.
 
-    The steps run in blocks of about _BLOCK complex elements.  Without
-    controls the generator G is constant and a step applies one step
-    matrix, P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24; a block of m
-    steps takes ceil(log2(m + 1)) levels: the states known so far, y_0..
-    y_n-1, give y_n..y_2n-1 as one product with P^n.  The ladder P, P^2,
-    P^4, ... is squared once per run, as deep as the longest block needs,
-    and every block reuses it.  With controls the schedules are evaluated
-    on the half-step grid of a whole block at once, and the generators
-    there are one matrix product.  When D^2 <= _STEP_MATRIX_MAX_DD the
-    block's step matrices P_n (rk4_step_matrix) are formed at once and
-    each step is one product y_n+1 = P_n y_n; for a larger generator each
-    step applies the four RK4 stages.
+    The state is propagated in real coordinates c (_Coordinates: rho_ii,
+    Re rho_ij and Im rho_ij for i < j), from the Hermitian part of rho0,
+    under the real generator T G T^-1.  The imaginary part of T G T^-1 is
+    roundoff for a generator that preserves Hermiticity; its largest
+    modulus relative to the largest real entry is max_herm_drift, and one
+    above 100x TOL_HERM_STEP (a non-Hermitian Hamiltonian term) raises
+    InvalidParameter before any step runs.  Every stored state is
+    therefore Hermitian bit for bit.
 
-    Symmetrization happens once per block.  After a block, its largest
-    trace and Hermiticity drift are taken over the whole block; if either
-    exceeds 100x tolerance or is not finite, the per-step drifts name the
-    first such step, and the run raises StepUnstable there.  Then the
-    stored states are re-Hermitized, and the next block starts from the
-    re-Hermitized last state.  The first block is one step, so the
-    doubling starts from a re-Hermitized state.  Within a block the states
-    are not re-Hermitized, so a step's Hermiticity drift includes that of
-    the earlier steps in its block.  The stored states agree with RK4
-    re-Hermitized after every step to 1e-12.  The step count is rounded so
-    the grid lands exactly on t_final; trajectories are bit-for-bit
-    reproducible.  Observables are Tr(rho O) at the stored states, one
-    matrix-vector product each.
+    The steps run in blocks of about _BLOCK numbers.  Without controls the
+    generator G is constant and a step applies one step matrix,
+    P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24; a block of m steps takes
+    ceil(log2(m + 1)) levels: the states known so far, y_0..y_n-1, give
+    y_n..y_2n-1 as one product with P^n.  The ladder P, P^2, P^4, ... is
+    squared once per run, as deep as the longest block needs, and every
+    block reuses it.  With controls the schedules are evaluated on the
+    half-step grid of a whole block at once, and the generators there are
+    one real matrix product of weights and the transformed terms of
+    _GeneratorAssembler.  When D^2 <= _STEP_MATRIX_MAX_DD the block's step
+    matrices P_n (rk4_step_matrix) are formed at once, their prefix
+    products by prefix_products, and the states are one batched product;
+    for a larger generator each step applies the four RK4 stages.
+
+    After a block, its largest trace drift and its largest coordinate are
+    taken over the whole block; if the drift exceeds 100x TOL_TRACE, or a
+    coordinate exceeds 1 + 100x TOL_TRACE (no density matrix has an entry
+    of modulus above 1), or either is not finite, the per-step values name
+    the first such step, and the run raises StepUnstable there.  The step
+    count is rounded so the grid lands exactly on t_final; trajectories
+    are bit-for-bit reproducible.  rhos[0] is rho0 as given, and the later
+    states are gathered from the coordinates block by block.  Observables
+    are Tr(rho O), one real product with the coordinates per block.
     """
     n_steps = step_count(t_final, dt)
     if not sample_stride >= 1:
@@ -447,31 +540,47 @@ def integrate(
     observables = observables or {}
     _check_inputs(rho, observables, d)
     h = t_final / n_steps
+    co = _Coordinates(d)
+
+    if controls.ports or controls.hamiltonian:
+        assembler = _GeneratorAssembler(model, controls)
+        terms, herm = co.real_form(assembler.terms)
+        terms = terms.reshape(len(terms), dd * dd)
+        ladder = None
+        block = max(1, _BLOCK // (2 * dd * dd))
+    else:
+        gen, herm = co.real_form(build_generator(model, controls, 0.0))
+        ladder = [rk4_step_matrix(gen, gen, gen, h)[0]]  # ladder[j] = P^(2^j)
+        block = max(1, _BLOCK // dd)
+    if not herm <= 100 * TOL_HERM_STEP:
+        raise InvalidParameter(
+            "the generator does not preserve Hermiticity: its imaginary "
+            f"residue in real coordinates is {herm:.3e} of its largest entry, "
+            f"above {100 * TOL_HERM_STEP:.0e}; is every Hamiltonian term "
+            "Hermitian?"
+        )
 
     n_samples = 1 + n_steps // sample_stride + (n_steps % sample_stride != 0)
     times = np.empty(n_samples)
     rhos = np.empty((n_samples, d, d), dtype=complex)
+    rhos_f = rhos.reshape(n_samples, dd).view(float)  # (Re, Im) pairs
     times[0], rhos[0] = 0.0, rho
+    states = np.empty((min(block, n_steps) + 1, co.width))
+    states[:, -1] = 0.0
+    states[0, :dd] = co.rows(rho.reshape(dd, 1, order="F"))[:, 0].real
+    obs = np.empty((n_samples, len(observables)), dtype=complex)
+    obs_f = obs.view(float)
+    if observables:
+        weights_o = co.observable_weights(observables.values())
+        obs_f[0] = states[0, :dd] @ weights_o
     n_kept = 1
     max_trace_drift = abs(np.trace(rho).real - 1.0)
-    max_herm_drift = 0.0
 
-    if controls.ports or controls.hamiltonian:
-        assembler = _GeneratorAssembler(model, controls)
-        ladder = None
-        block = max(1, _BLOCK // (2 * dd * dd))
-    else:
-        gen = build_generator(model, controls, 0.0)
-        ladder = [rk4_step_matrix(gen, gen, gen, h)[0]]  # ladder[j] = P^(2^j)
-        block = max(1, _BLOCK // dd)
-
-    v = rho.reshape(-1, order="F")
     start = 0
     while start < n_steps:
-        m = min(block if start else 1, n_steps - start)
-        states = np.empty((m + 1, dd), dtype=complex)
-        states[0] = v
+        m = min(block, n_steps - start)
         kappa_error = None
+        y = states[:m + 1, :dd]
         if ladder is None:
             # generators at the half steps t_n, t_n + h/2, ..., t_n+m
             grid = np.empty(2 * m + 1)
@@ -481,75 +590,67 @@ def integrate(
             if bad is not None:  # run the steps before it, then raise
                 m = max(0, (bad[0] - 1) // 2)
                 kappa_error = _negative_kappa(bad[1], grid[bad[0]])
-            gens = assembler.generators(weights[:2 * m + 1])
+                y = y[:m + 1]
+            gens = (weights[:2 * m + 1] @ terms).reshape(-1, dd, dd)
             if dd <= _STEP_MATRIX_MAX_DD:
                 p = rk4_step_matrix(gens[:-1:2], gens[1::2], gens[2::2], h)[0]
-                for i in range(m):
-                    np.matmul(p[i], states[i], out=states[i + 1])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.matmul(prefix_products(p), y[0], out=y[1:])
             else:
                 for i in range(m):
-                    y = states[i]
+                    v = y[i]
                     g_mid = gens[2 * i + 1]
-                    k1 = gens[2 * i] @ y
-                    k2 = g_mid @ (y + 0.5 * h * k1)
-                    k3 = g_mid @ (y + 0.5 * h * k2)
-                    k4 = gens[2 * i + 2] @ (y + h * k3)
-                    states[i + 1] = y + (h / 6.0) * (
-                        k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    k1 = gens[2 * i] @ v
+                    k2 = g_mid @ (v + 0.5 * h * k1)
+                    k3 = g_mid @ (v + 0.5 * h * k2)
+                    k4 = gens[2 * i + 2] @ (v + h * k3)
+                    y[i + 1] = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            n, j = 1, 0  # states[:n] are known and n = 2^j
+            n, j = 1, 0  # y[:n] are known and n = 2^j
             while n <= m:
                 if j == len(ladder):
                     ladder.append(ladder[-1] @ ladder[-1])
                 k = min(n, m + 1 - n)
-                np.matmul(states[:k], ladder[j].T, out=states[n:n + k])
+                np.matmul(y[:k], ladder[j].T, out=y[n:n + k])
                 n, j = n + k, j + 1
 
-        # rho of each step: the column-major vec read row-major, transposed
-        rho_n = states[1:m + 1].reshape(m, d, d).transpose(0, 2, 1)
-        adj = rho_n.conj().transpose(0, 2, 1)
-        herm_max = np.abs(rho_n - adj).max(initial=0.0)
-        trace = np.abs(np.trace(rho_n, axis1=1, axis2=2).real - 1.0)
+        trace = np.abs(y[1:, :d] @ np.ones(d) - 1.0)
+        entry_max = np.abs(y[1:]).max(initial=0.0)
         trace_max = trace.max(initial=0.0)
-        if not _within_bounds(herm_max, trace_max):
-            herm = np.abs(rho_n - adj).max(axis=(1, 2))
-            i = int((~_within_bounds(herm, trace)).argmax())
+        if not _within_bounds(entry_max, trace_max):
+            entry = np.abs(y[1:]).max(axis=1)
+            i = int((~_within_bounds(entry, trace)).argmax())
             raise StepUnstable(
-                f"drift at step {start + i}: herm {herm[i]:.3e}, "
-                f"trace {trace[i]:.3e}; reduce dt"
+                f"drift at step {start + i}: largest |Re, Im rho_ij| "
+                f"{entry[i]:.9g}, trace {trace[i]:.3e}; reduce dt"
             )
         if kappa_error is not None:
             raise kappa_error
-        max_herm_drift = max(max_herm_drift, float(herm_max))
         max_trace_drift = max(max_trace_drift, float(trace_max))
 
         steps = np.arange(start + 1, start + m + 1)
         keep = (steps % sample_stride == 0) | (steps == n_steps)
         n_new = int(keep.sum())
         times[n_kept:n_kept + n_new] = steps[keep] * h
-        # re-Hermitized, 0.5 (rho + rho^dag): straight into rhos when every
-        # step is kept
-        out = rhos[n_kept:n_kept + m] if n_new == m else adj
-        np.add(adj, rho_n, out=out)
-        out *= 0.5
+        kept = states[1:m + 1]
+        np.negative(kept[:, co.im_upper], out=kept[:, co.im_lower])
         if n_new < m:
-            np.compress(keep, out, axis=0, out=rhos[n_kept:n_kept + n_new])
-        v = out[-1].reshape(-1, order="F")
+            kept = np.compress(keep, kept, axis=0)
+        np.take(kept, co.take, axis=1, out=rhos_f[n_kept:n_kept + n_new],
+                mode="clip")
+        if observables:
+            np.matmul(kept[:, :dd], weights_o,
+                      out=obs_f[n_kept:n_kept + n_new])
+        states[0] = states[m]
         n_kept += n_new
         start += m
 
-    # Tr(rho O) = sum_ij rho_ij O_ji: one matrix-vector product per observable
-    flat = rhos.reshape(n_samples, dd)
-    obs = {
-        name: flat @ np.asarray(op, dtype=complex).T.reshape(dd)
-        for name, op in observables.items()
-    }
     return Trajectory(
         times=times,
         rhos=rhos,
-        observables=obs,
+        observables={name: obs[:, k] for k, name in enumerate(observables)},
         max_trace_drift=max_trace_drift,
-        max_herm_drift=max_herm_drift,
+        max_herm_drift=herm,
     )
 
 

@@ -36,7 +36,13 @@ from .errors import (
     StepUnstable,
     WrongDirectionality,
 )
-from .lindblad import Controls, build_generator, rk4_step_matrix, step_count
+from .lindblad import (
+    Controls,
+    build_generator,
+    prefix_products,
+    rk4_step_matrix,
+    step_count,
+)
 from .network import (
     SIGMA_MINUS,
     Connection,
@@ -802,55 +808,39 @@ def _bloch_generator(r0, rx, ry, rz, jx, jy, jz):
 _BLOCK = 1024
 
 
-def _propagate(comps, h: float, y: np.ndarray):
-    """RK4 for the linear Bloch equations y' = A(t) y of one network.
+def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol):
+    """RK4 for the linear Bloch equations y' = A(t) y of one network under
+    protocol, from |ud>, in blocks of m <= _BLOCK steps.
 
-    comps: kappa_b and the R/J components (_rj_arrays) at the 2n + 1
-    half-step samples of n steps of size h, each (2n + 1,).  Step n applies
-    the step matrix P_n of rk4_step_matrix.  Within a block of m <= _BLOCK
-    steps the inclusive prefix products Q_i = P_i ... P_0 are formed in at
-    most 2 log2(m) levels of batched products with doubling strides, fewer
-    than 2m products in all (the Brent-Kung scan), and the block's states
-    are one batched product Q_i y_0, from the state y (4,) at step 0.
-    Yields per block: the slices of comps at its 2m + 1 samples,
-    y_n..y_n+m (m + 1, 4) and the stage maps (S1, S2, S3), each
-    (m, 4, 4)."""
-    n_steps = (len(comps[0]) - 1) // 2
+    A step spans two protocol samples (the midpoint is an exact protocol
+    value) and applies the step matrix P_n of rk4_step_matrix.  Within a
+    block the inclusive prefix products Q_i = P_i ... P_0 come from
+    prefix_products (the Brent-Kung scan), and the block's states are one
+    batched product Q_i y_0.  A block computes kappa_b and the R/J
+    components (_rj_arrays) from its own slices of the protocol.  Yields
+    per block: those components at its 2m + 1 samples, y_n..y_n+m
+    (m + 1, 4) and the stage maps (S1, S2, S3), each (m, 4, 4)."""
+    times = protocol.times
+    if (len(times) - 1) % 2 != 0:
+        raise InvalidParameter("protocol must have an even number of intervals")
+    h = times[2] - times[0]
+    n_steps = (len(times) - 1) // 2
+    y = np.array([1.0, 0.0, 0.0, 1.0])  # (b0, bx, by, bz) for |ud>
     for start in range(0, n_steps, _BLOCK):
         m = min(_BLOCK, n_steps - start)
-        block = [c[2 * start:2 * (start + m) + 1] for c in comps]
+        part = np.s_[2 * start:2 * (start + m) + 1]
+        kb = protocol.kappa_b[part]
+        block = kb, *_rj_arrays(coeffs, protocol.kappa_a, protocol.phase_diff,
+                                protocol.h_az, kb, protocol.h_bz[part])
         a = _bloch_generator(*block[1:])
         q, stage_maps = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)
         states = np.empty((m + 1, 4))
         states[0] = y
         # an unstable step overflows quietly; callers check the states
         with np.errstate(over="ignore", invalid="ignore"):
-            s = 1  # up-sweep: q[i] = P_i ... P_i-2s+1 where i = -1 mod 2s
-            while 2 * s <= m:
-                t = q[2 * s - 1::2 * s]
-                t[...] = t @ q[s - 1:m - s:2 * s]
-                s *= 2
-            while s > 1:  # down-sweep: q[i] = P_i ... P_0 where i = -1 mod s
-                s //= 2
-                t = q[3 * s - 1::2 * s]
-                t[...] = t @ q[2 * s - 1:m - s:2 * s]
-            np.matmul(q, y, out=states[1:])
+            np.matmul(prefix_products(q), y, out=states[1:])
         y = states[-1]
         yield block, states, stage_maps
-
-
-def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol):
-    """(kappa_b and the R/J components at every protocol sample, the blocks
-    of _propagate from |ud>) for the Bloch equations under protocol."""
-    times = protocol.times
-    if (len(times) - 1) % 2 != 0:
-        raise InvalidParameter("protocol must have an even number of intervals")
-    comps = protocol.kappa_b, *_rj_arrays(
-        coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
-        protocol.kappa_b, protocol.h_bz,
-    )
-    y0 = np.array([1.0, 0.0, 0.0, 1.0])  # (b0, bx, by, bz) for |ud>
-    return comps, _propagate(comps, times[2] - times[0], y0)
 
 
 def simulate_transfer(
@@ -861,16 +851,18 @@ def simulate_transfer(
 
     RK4 steps over pairs of protocol samples (midpoints are exact protocol
     values, no interpolation), applied as prefix products of the step
-    propagators (_propagate).  Checks the subradiant bound
+    propagators (_bloch_blocks).  Checks the subradiant bound
     b0(t) <= exp(-int Gamma_d) + 1e-6 at every sample.
     """
-    comps, blocks = _bloch_blocks(coeffs, protocol)
-    states = [y for _, y, _ in blocks]
+    states = [y for _, y, _ in _bloch_blocks(coeffs, protocol)]
     traj = np.concatenate([states[0][:1]] + [y[1:] for y in states])
     b0_traj, bvec_traj = traj[:, 0], traj[:, 1:]
 
     sample_times = protocol.times[::2]
-    r0_s, rx_s, ry_s, rz_s = (c[::2] for c in comps[1:5])
+    r0_s, rx_s, ry_s, rz_s = _rj_arrays(
+        coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
+        protocol.kappa_b[::2], protocol.h_bz[::2],
+    )[:4]
     gamma_d = 0.5 * (r0_s - np.sqrt(rx_s**2 + ry_s**2 + rz_s**2))
     dts = np.diff(sample_times)
     int_gd = np.cumsum(0.5 * (gamma_d[1:] + gamma_d[:-1]) * dts)
@@ -942,7 +934,7 @@ def transfer_sweep(
         h = protocol.times[2] - protocol.times[0]
         q_f = 0.0  # quadrature int (R0 + R.e_b) dt up to the block start
         excess, mismatch = [], []  # per block
-        for comps, y, stage_maps in _bloch_blocks(coeffs, protocol)[1]:
+        for comps, y, stage_maps in _bloch_blocks(coeffs, protocol):
             kb, r0, rx, ry, rz = comps[:5]
             stages = (y[:-1], *(np.einsum("...ij,...j->...i", s, y[:-1])
                                 for s in stage_maps))

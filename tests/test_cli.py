@@ -264,6 +264,20 @@ def test_simulate_bad_initial_state_is_schema_error(ideal_net_file, tmp_path,
     assert not out.exists()
 
 
+def test_simulate_past_the_stability_edge_is_physics_error(tmp_path, capsys):
+    """A dt whose RK4 step leaves the physical range exits 2 and names the
+    step, instead of writing an unphysical trajectory and exiting 0."""
+    net = tmp_path / "net.json"
+    save_network(random_imperfect_network(0.1, 2.0, 7), net)
+    out = tmp_path / "out"
+    assert main(["simulate", str(net), "--t-final", "13.79", "--dt", "1.379",
+                 "--initial", "excited", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "physics error [StepUnstable]: drift at step 0:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # -- output paths ---------------------------------------------------------------
 
 

@@ -202,12 +202,22 @@ def three_qubit_chain() -> Network:
     return Network(ports, blocks, systems, connections)
 
 
+def _step_within_bounds(rho):
+    """The per-step bounds of integrate on a Hermitian rho: trace drift
+    within 100x TOL_TRACE, and every real and imaginary part of an entry
+    (a density matrix has |rho_ij| <= 1) at most 1 + 100x TOL_TRACE."""
+    trace = abs(np.trace(rho).real - 1.0)
+    entry = max(np.abs(rho.real).max(), np.abs(rho.imag).max())
+    return (trace <= 100 * lindblad.TOL_TRACE
+            and entry <= 1.0 + 100 * lindblad.TOL_TRACE)
+
+
 def stepwise_rk4(model, controls, rho0, t_final, dt):
     """Independent oracle: RK4 over build_generator, one step at a time,
     re-Hermitized after every step.  Returns (times, rhos) of every step,
-    or the index of the first step whose drift exceeds the integrate
-    bounds.  Without controls the generator does not depend on t and is
-    built once."""
+    or the index of the first step whose re-Hermitized state is outside
+    the integrate bounds.  Without controls the generator does not depend
+    on t and is built once."""
     n_steps = max(1, int(round(t_final / dt)))
     h = t_final / n_steps
     d = rho0.shape[0]
@@ -227,12 +237,9 @@ def stepwise_rk4(model, controls, rho0, t_final, dt):
         k4 = g4 @ (v + h * k3)
         rho = (v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(
             d, d, order="F")
-        herm = np.abs(rho - dag(rho)).max()
-        trace = abs(np.trace(rho).real - 1.0)
-        if not (herm <= 100 * lindblad.TOL_HERM_STEP
-                and trace <= 100 * lindblad.TOL_TRACE):
-            return step
         rho = 0.5 * (rho + dag(rho))
+        if not _step_within_bounds(rho):
+            return step
         v = rho.reshape(-1, order="F")
         times.append((step + 1) * h)
         rhos.append(rho)
@@ -432,39 +439,84 @@ def test_schedule_on_matches_pointwise_calls():
 
 
 def test_drift_deep_in_a_block_names_the_first_bad_step():
-    """A dt just past the stability edge crosses the drift bound thousands
-    of steps into a block.  The error names the step and the drift values
-    that a per-step check of the same states finds: the states of the
-    second block come from the re-Hermitized first step by the same
-    doubling, states[n:2n] = states[:n] P^n."""
+    """A dt just past the stability edge crosses the step bounds thousands
+    of steps into a block.  The start is the steady state that a stable run
+    relaxes to, so the unstable mode (the decay of rho_00) starts at about
+    1e-18 and grows by 1.3% a step.  The error names the step and the
+    values that a per-step check of the same states finds: the states come
+    from the coordinates of rho0 by the same doubling,
+    states[n:2n] = states[:n] P^n."""
     model = contract_network(random_imperfect_network(0.1, 2.0, 7))
-    rho0 = random_state(4, 4)
-    n_steps, dt = 4000, 1.379
+    rho0 = integrate(model, Controls(), random_state(4, 4), 20.0, 5e-2).rhos[-1]
+    n_steps, dt = 4000, 1.382
     t_final = n_steps * dt
     h = t_final / n_steps  # the step integrate takes
-    first = integrate(model, Controls(), rho0, h, h).rhos[1]  # one block
-    gen = build_generator(model, Controls(), 0.0)
+    co = lindblad._Coordinates(4)
+    gen = co.real_form(build_generator(model, Controls(), 0.0))[0]
     power = lindblad.rk4_step_matrix(gen, gen, gen, h)[0]
-    m = min(n_steps - 1, lindblad._BLOCK // 16)
-    states = np.empty((m + 1, 16), dtype=complex)
-    states[0] = first.reshape(-1, order="F")
+    m = min(n_steps, lindblad._BLOCK // 16)
+    states = np.empty((m + 1, 16))
+    states[0] = co.rows(rho0.reshape(16, 1, order="F"))[:, 0].real
     n = 1
     while n <= m:
         k = min(n, m + 1 - n)
         np.matmul(states[:k], power.T, out=states[n:n + k])
         n, power = n + k, power @ power
+    traces = np.abs(states[1:, :4] @ np.ones(4) - 1.0)
     for i in range(m):
-        rho = states[i + 1].reshape(4, 4, order="F")
-        herm = np.abs(rho - dag(rho)).max()
-        trace = abs(np.trace(rho).real - 1.0)
-        if not (herm <= 100 * lindblad.TOL_HERM_STEP
+        entry, trace = np.abs(states[i + 1]).max(), traces[i]
+        if not (entry <= 1.0 + 100 * lindblad.TOL_TRACE
                 and trace <= 100 * lindblad.TOL_TRACE):
             break
     assert 1000 < i < m - 100
     with pytest.raises(StepUnstable) as info:
         integrate(model, Controls(), rho0, t_final, dt)
-    assert str(info.value) == (f"drift at step {1 + i}: herm {herm:.3e}, "
-                               f"trace {trace:.3e}; reduce dt")
+    assert str(info.value) == (f"drift at step {i}: largest |Re, Im rho_ij| "
+                               f"{entry:.9g}, trace {trace:.3e}; reduce dt")
+
+
+@pytest.mark.parametrize("n_steps", [10, 3000])
+def test_unphysical_states_past_the_stability_edge_raise(n_steps):
+    """At dt = 1.379 the RK4 step leaves the physical range at once: the
+    states once returned silently had max |rho_ij| = 2.33 and a smallest
+    eigenvalue of -1.54 after 10 steps (1.8e5 and -2.1e5 after 3,000),
+    while their trace and Hermiticity drift stayed below 1e-6 and 1e-8.
+    The bound on the coordinates catches them."""
+    model = contract_network(random_imperfect_network(0.1, 2.0, 7))
+    with pytest.raises(StepUnstable, match="^drift at step 0: "):
+        integrate(model, Controls(), random_state(4, 4), n_steps * 1.379,
+                  1.379)
+
+
+def test_non_hermitian_hamiltonian_term_is_invalid_parameter():
+    """A scheduled sigma_+ Hamiltonian term makes a generator that does
+    not preserve Hermiticity: its imaginary residue in real coordinates
+    names it before any step runs, instead of a drift at step 0."""
+    net = single_qubit_network()
+    controls = controls_from_network(
+        net, hamiltonian_terms=[(SIGMA_MINUS.T.astype(complex),
+                                 Schedule.constant(0.3))])
+    with pytest.raises(InvalidParameter, match="does not preserve Herm"):
+        integrate(contract_network(net), controls, basis_state(2, 0),
+                  t_final=1.0, dt=1e-2)
+
+
+@pytest.mark.parametrize("max_dd", [0, 64])
+@pytest.mark.parametrize("case", ["static-d4", "criterion-08", "scheduled-d8",
+                                  "step-schedule"])
+def test_stored_states_are_hermitian_bit_for_bit(case, max_dd, monkeypatch):
+    """rhos[0] is rho0 as given; every later state equals its conjugate
+    transpose exactly, on every branch and with a sample stride; the
+    generator's residue is roundoff."""
+    model, controls, rho0, t_final, dt = ORACLE_CASES[case]()
+    monkeypatch.setattr(lindblad, "_STEP_MATRIX_MAX_DD", max_dd)
+    for stride in (1, 3):
+        traj = integrate(model, controls, rho0, t_final, dt,
+                         sample_stride=stride)
+        assert np.array_equal(traj.rhos[0], rho0)
+        assert np.array_equal(traj.rhos[1:],
+                              traj.rhos[1:].conj().transpose(0, 2, 1))
+        assert traj.max_herm_drift < 1e-15
 
 
 @pytest.mark.parametrize("case", ["static-d8", "step-schedule"])
@@ -497,14 +549,15 @@ def _bad_inputs():
         ({"observables": {"big": np.eye(4)}},
          r"observable 'big' has shape \(4, 4\), expected \(2, 2\)"),
         ({"observables": {"P0": rho, "vec": np.ones(2)}}, "'vec'"),
+        ({"rho0": np.diag([2.0, -1.0])}, "entry of modulus 2,"),
     ]
 
 
 @pytest.mark.parametrize("bad, message", _bad_inputs())
 def test_bad_rho0_or_observable_is_invalid_parameter(bad, message):
-    """A wrong-shape, non-finite, non-Hermitian or unnormalized rho0 and a
-    wrong-shape observable raise InvalidParameter naming the defect before
-    any step runs."""
+    """A wrong-shape, non-finite, non-Hermitian or unnormalized rho0, one
+    with an entry of modulus above 1, and a wrong-shape observable raise
+    InvalidParameter naming the defect before any step runs."""
     model = contract_network(single_qubit_network())
     kwargs = {"rho0": basis_state(2, 0), "t_final": 1.0, "dt": 1e-2, **bad}
     with pytest.raises(InvalidParameter, match=message):

@@ -10,6 +10,7 @@ from scipy.integrate import quad, solve_ivp
 import loopnet.transfer
 
 from loopnet import (
+    ControlProtocol,
     Schedule,
     TransferCoefficients,
     b0_closed_form,
@@ -69,8 +70,8 @@ from loopnet.transfer import (
     coupled_qubit_ports,
     _protocol_constants,
     _ReceiverFlow,
+    _bloch_blocks,
     _bloch_generator,
-    _propagate,
     _rj_arrays,
     random_hermitian,
 )
@@ -731,19 +732,32 @@ def test_propagate_matches_sequential_steps(n_networks):
     """The prefix products of each block reproduce applying the step
     matrices one matmul at a time, <= 1e-13, over a full block (1,024
     steps, the deepest doubling level) and a partial last block, for each
-    of n_networks component histories run one network at a time."""
+    of n_networks kappa_b and h_bz histories run one network at a time.
+    Each block's components, computed from its own protocol slices, equal
+    those of the whole grid."""
     n_steps, h = 1324, 5e-3
     t = 0.5 * h * np.arange(2 * n_steps + 1)
+    coeffs = forward_coefficients(find_network_in_class(0.04, 0.15, 3))
     for phase in range(n_networks):
-        comps = [1.0 + 0.5 * np.sin(0.3 * t + phase)]  # kappa_b
-        comps += [1.0 + 0.5 * np.cos(t + phase)]  # R0
-        comps += [0.4 * np.sin((k + 1) * t + phase) for k in range(6)]  # R, J
-        y0 = np.array([1.0, 0.0, 0.3, 1.0])
-        blocks = list(_propagate(comps, h, y0))
+        protocol = ControlProtocol(
+            t, 1.0 + 0.5 * np.sin(0.3 * t + phase),
+            0.4 * np.sin(2.0 * t + phase), kappa_a=1.0 + 0.1 * phase,
+            phase_diff=0.3 * phase, h_az=0.2, ratio_db=25.0,
+        )
+        blocks = list(_bloch_blocks(coeffs, protocol))
         assert len(blocks[0][1]) - 1 == 1024
         assert n_steps % 1024 != 0  # a partial last block
+        y0 = np.array([1.0, 0.0, 0.0, 1.0])  # |ud>
+        assert np.array_equal(blocks[0][1][0], y0)
         states = np.concatenate([y0[None]] + [y[1:] for _, y, _ in blocks])
 
+        comps = (protocol.kappa_b, *_rj_arrays(
+            coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
+            protocol.kappa_b, protocol.h_bz))
+        for k, comp in enumerate(comps):
+            joined = np.concatenate([blocks[0][0][k][:1]]
+                                    + [b[k][1:] for b, _, _ in blocks])
+            assert np.array_equal(joined, comp)
         a = _bloch_generator(*comps[1:])
         p = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)[0]
         expect = np.empty((n_steps + 1, 4))
