@@ -393,12 +393,7 @@ def _initial_state(net: Network, spec: str) -> np.ndarray:
         return basis_state(d, _basis_index(spec[6:], d, "basis state"))
     path = Path(spec)
     if path.exists():
-        rho = _pairs_to_matrix(json.loads(path.read_text()))
-        if rho.shape != (d, d):
-            raise SchemaError(
-                f"initial state has shape {rho.shape}, expected {(d, d)}"
-            )
-        return rho
+        return _pairs_to_matrix(json.loads(path.read_text()))
     raise SchemaError(f"unknown initial state {spec!r}")
 
 
@@ -468,10 +463,17 @@ def cmd_simulate(args) -> int:
 # -- transfer -----------------------------------------------------------------
 
 
-def _transfer_network(args) -> Network:
-    if args.net is not None:
-        return load_network(args.net)
-    return random_imperfect_network(args.eps, args.phase, args.seed)
+def _transfer_parameters(args) -> dict:
+    """The manifest parameters that transfer and its sweep share."""
+    return {
+        "random": bool(args.random),
+        "eps": args.eps,
+        "phase": args.phase,
+        "kappa0": args.kappa0,
+        "ratio_db": args.ratio_db,
+        "T": args.T,
+        "dt": args.dt,
+    }
 
 
 def _run_transfer(net: Network, args):
@@ -496,7 +498,10 @@ def cmd_transfer(args) -> int:
     if args.sweep:
         return _cmd_transfer_sweep(args)
 
-    net = _transfer_network(args)
+    if args.net is not None:
+        net = load_network(args.net)
+    else:
+        net = random_imperfect_network(args.eps, args.phase, args.seed)
     outdir = _outdir(args)
     outputs = []
     if args.net is None:
@@ -525,14 +530,8 @@ def cmd_transfer(args) -> int:
         outdir,
         "transfer",
         {
+            **_transfer_parameters(args),
             "net": str(args.net) if args.net else None,
-            "random": bool(args.random),
-            "eps": args.eps,
-            "phase": args.phase,
-            "kappa0": args.kappa0,
-            "ratio_db": args.ratio_db,
-            "T": args.T,
-            "dt": args.dt,
             "swap_roles": swapped,
         },
         outputs,
@@ -553,11 +552,9 @@ def _cmd_transfer_sweep(args) -> int:
     seeds = [args.seed + i for i in range(args.sweep)]
 
     def one(seed):
-        local = argparse.Namespace(**vars(args))
-        local.seed = seed
         try:
-            net = _transfer_network(local)
-            coeffs, _, result, swapped = _run_transfer(net, local)
+            net = random_imperfect_network(args.eps, args.phase, seed)
+            coeffs, _, result, swapped = _run_transfer(net, args)
             return (
                 float(seed),
                 result.success,
@@ -585,17 +582,8 @@ def _cmd_transfer_sweep(args) -> int:
     write_manifest(
         outdir,
         "transfer-sweep",
-        {
-            "random": True,
-            "eps": args.eps,
-            "phase": args.phase,
-            "kappa0": args.kappa0,
-            "ratio_db": args.ratio_db,
-            "T": args.T,
-            "dt": args.dt,
-            "sweep": args.sweep,
-            "threads": args.threads,
-        },
+        {**_transfer_parameters(args), "sweep": args.sweep,
+         "threads": args.threads},
         [out.name],
         seed=args.seed,
     )

@@ -207,7 +207,7 @@ def build_generator(
 
 
 class _GeneratorAssembler:
-    """Fast exact generator assembly, at one time or at many at once.
+    """Fast exact generator assembly at many times at once.
 
     The generator is bilinear in the per-port scalars
     c_k(t) = sqrt(kappa_k(t)) e^{i phi_k(t)}: writing L_k = c_k Ltilde_k,
@@ -271,10 +271,10 @@ class _GeneratorAssembler:
                 rows += [t_jk] if k == j else [t_jk + t_kj, 1j * (t_jk - t_kj)]
         self.terms = np.array([static, *rows])
 
-    def weights(self, times: np.ndarray):
+    def weights(self, times: np.ndarray) -> np.ndarray:
         """Real weights (len(times), terms) of the rows of `terms` at each
-        time, and (index, port) of the first time whose kappa is negative or
-        NaN (None if there is none; weights from that time on are invalid)."""
+        time.  If a kappa is negative or NaN at some time, StepUnstable
+        names its port and the earliest such time instead."""
         c, first_bad = {}, None
         for k in self.scheduled:
             ctl = self.controls.ports[k]
@@ -284,19 +284,14 @@ class _GeneratorAssembler:
                 first_bad = (int(bad[0]), k)
             with np.errstate(invalid="ignore"):
                 c[k] = np.sqrt(kappa) * np.exp(1j * ctl.phi.on(times))
+        if first_bad is not None:
+            raise _negative_kappa(first_bad[1], times[first_bad[0]])
         columns = [np.ones(len(times))]
         columns += [s.on(times) for _, s in self.controls.hamiltonian]
         for j, k in self.pairs:
             w = np.conj(c.get(j, 1.0)) * c.get(k, 1.0)
             columns += [w.real] if k == j else [w.real, w.imag]
-        return np.stack(columns, axis=1), first_bad
-
-    def __call__(self, t: float) -> np.ndarray:
-        """The (D^2, D^2) generator at time t."""
-        weights, bad = self.weights(np.array([t], dtype=float))
-        if bad is not None:
-            raise _negative_kappa(bad[1], t)
-        return np.tensordot(weights[0], self.terms, 1)
+        return np.stack(columns, axis=1)
 
 
 def rk4_step_matrix(a_start, a_mid, a_end, h: float):
@@ -516,7 +511,9 @@ def integrate(
     block reuses it.  With controls the schedules are evaluated on the
     half-step grid of a whole block at once, and the generators there are
     one real matrix product of weights and the transformed terms of
-    _GeneratorAssembler.  When D^2 <= _STEP_MATRIX_MAX_DD the block's step
+    _GeneratorAssembler; a kappa that is negative or NaN on that grid
+    raises StepUnstable (its port and earliest half-step) before the block
+    steps.  When D^2 <= _STEP_MATRIX_MAX_DD the block's step
     matrices P_n (rk4_step_matrix) are formed at once, their prefix
     products by prefix_products, and the states are one batched product;
     for a larger generator each step applies the four RK4 stages.
@@ -579,19 +576,13 @@ def integrate(
     start = 0
     while start < n_steps:
         m = min(block, n_steps - start)
-        kappa_error = None
         y = states[:m + 1, :dd]
         if ladder is None:
             # generators at the half steps t_n, t_n + h/2, ..., t_n+m
             grid = np.empty(2 * m + 1)
             grid[::2] = np.arange(start, start + m + 1) * h
             grid[1::2] = grid[:-1:2] + 0.5 * h
-            weights, bad = assembler.weights(grid)
-            if bad is not None:  # run the steps before it, then raise
-                m = max(0, (bad[0] - 1) // 2)
-                kappa_error = _negative_kappa(bad[1], grid[bad[0]])
-                y = y[:m + 1]
-            gens = (weights[:2 * m + 1] @ terms).reshape(-1, dd, dd)
+            gens = (assembler.weights(grid) @ terms).reshape(-1, dd, dd)
             if dd <= _STEP_MATRIX_MAX_DD:
                 p = rk4_step_matrix(gens[:-1:2], gens[1::2], gens[2::2], h)[0]
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -624,8 +615,6 @@ def integrate(
                 f"drift at step {start + i}: largest |Re, Im rho_ij| "
                 f"{entry[i]:.9g}, trace {trace[i]:.3e}; reduce dt"
             )
-        if kappa_error is not None:
-            raise kappa_error
         max_trace_drift = max(max_trace_drift, float(trace_max))
 
         steps = np.arange(start + 1, start + m + 1)

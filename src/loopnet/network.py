@@ -149,6 +149,8 @@ class Network:
     allow_self_loops: bool = False
 
     def __post_init__(self):
+        if not self.ports:
+            raise SchemaError("a network needs at least one port")
         ids = sorted(p.id for p in self.ports)
         if ids != list(range(len(self.ports))):
             raise SchemaError("port ids must be 0..N-1, contiguous and unique")

@@ -140,11 +140,6 @@ def two_qubit_network(
     phi_a: float = 0.0,
     phi_b: float = 0.0,
     interconnect_phase: float | None = None,
-    qubit_phase_a: float = 0.0,
-    qubit_phase_b: float = 0.0,
-    dz_a: float = 0.05,
-    dz_b: float = 0.05,
-    length: float = 1.0,
     geometry: Geometry | None = None,
     h_az: float = 0.0,
     h_bz: float = 0.0,
@@ -153,11 +148,14 @@ def two_qubit_network(
 
     Ports: 0 = qubit a, 1..3 = circulator a, 4..6 = circulator b,
     7 = qubit b.  The qubits sit on circulator ports 1 and 5; ports 3 and 6
-    are the external ins/outs.  If interconnect_phase is given it overrides
-    the k0*length propagation phase on the line between the circulators.
+    are the external ins/outs.  The layout is fixed: each qubit (a mirror,
+    reflection 1) sits 0.05 from its circulator, and the line between the
+    circulators has length 1; geometry sets the delay scales.  If
+    interconnect_phase is given it overrides the line's propagation phase
+    k0 * 1.
     """
     geometry = geometry or Geometry(k0=0.0, v_p=1.0, kappa0=max(kappa_a, kappa_b))
-    za, zb = dz_a, dz_a + length
+    za, zb = 0.05, 1.05
     ports = [
         Port(0, "qubit_a", 0.0),
         Port(1, "circ_a", za),
@@ -166,25 +164,22 @@ def two_qubit_network(
         Port(4, "circ_b", zb),
         Port(5, "circ_b", zb),
         Port(6, "circ_b", zb),
-        Port(7, "qubit_b", zb + dz_b),
+        Port(7, "qubit_b", zb + 0.05),
     ]
     blocks = [
-        ScatteringBlock("qubit_a", np.array([[np.exp(1j * qubit_phase_a)]])),
+        ScatteringBlock("qubit_a", np.ones((1, 1), dtype=complex)),
         ScatteringBlock("circ_a", np.asarray(circulator_a, dtype=complex)),
         ScatteringBlock("circ_b", np.asarray(circulator_b, dtype=complex)),
-        ScatteringBlock("qubit_b", np.array([[np.exp(1j * qubit_phase_b)]])),
+        ScatteringBlock("qubit_b", np.ones((1, 1), dtype=complex)),
     ]
-    line_phase = (
-        interconnect_phase
-        if interconnect_phase is not None
-        else geometry.k0 * length
-    )
+    line_phase = geometry.k0 if interconnect_phase is None else interconnect_phase
+    stub_phase = geometry.k0 * 0.05
     connections = [
-        Connection(0, 1, phase=geometry.k0 * dz_a),
-        Connection(1, 0, phase=geometry.k0 * dz_a),
+        Connection(0, 1, phase=stub_phase),
+        Connection(1, 0, phase=stub_phase),
         *(Connection(a, b, phase=line_phase) for a, b in _LINE),
-        Connection(5, 7, phase=geometry.k0 * dz_b),
-        Connection(7, 5, phase=geometry.k0 * dz_b),
+        Connection(5, 7, phase=stub_phase),
+        Connection(7, 5, phase=stub_phase),
     ]
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     systems = [
@@ -509,7 +504,6 @@ class ControlProtocol:
     kappa_a: float
     phase_diff: float  # phi_a - phi_b, fixed to -delta_plus
     h_az: float
-    ratio_db: float
 
     @property
     def T(self) -> float:
@@ -692,8 +686,7 @@ def _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, h_az):
     h_bz = (kb * (coeffs.eta_b * slope - coeffs.t_bb.imag)
             - kappa0 * (coeffs.eta_a * slope - coeffs.t_aa.imag) + h_az)
     protocol = ControlProtocol(times, kb, h_bz, kappa_a=kappa0,
-                               phase_diff=-coeffs.delta_plus, h_az=h_az,
-                               ratio_db=ratio_db)
+                               phase_diff=-coeffs.delta_plus, h_az=h_az)
     return protocol, flow
 
 
@@ -784,14 +777,16 @@ def rescale_protocol(
 
 @dataclass
 class TransferResult:
+    """simulate_transfer's Bloch trajectory at the protocol's step times
+    (its even samples).  The drive components R0 and R are not kept:
+    _rj_arrays gives them from the protocol's kappa_b[::2] and h_bz[::2]."""
+
     times: np.ndarray
     b0: np.ndarray
     bvec: np.ndarray  # (n, 3)
     success_traj: np.ndarray  # population of |du> over time
     dark_bound: np.ndarray  # exp(-int Gamma_d)
     success: float
-    r0_traj: np.ndarray
-    rvec_traj: np.ndarray
 
 
 def _bloch_generator(r0, rx, ry, rz, jx, jy, jz):
@@ -884,8 +879,6 @@ def simulate_transfer(
         success_traj=success_traj,
         dark_bound=dark_bound,
         success=float(success_traj[-1]),
-        r0_traj=r0_s,
-        rvec_traj=np.stack([rx_s, ry_s, rz_s], axis=1),
     )
 
 
@@ -915,7 +908,6 @@ def transfer_sweep(
     ratio_db: float = 25.0,
     T: float = 20.0,
     dt: float = 2e-4,
-    h_az: float = 0.0,
 ) -> list:
     """Synthesize-and-simulate each network of a list, one at a time.
 
@@ -930,7 +922,7 @@ def transfer_sweep(
     step_count(T, dt)  # T and dt are checked for an empty list too
     summaries = []
     for coeffs in coeffs_list:
-        protocol, flow = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, h_az)
+        protocol, flow = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, 0.0)
         h = protocol.times[2] - protocol.times[0]
         q_f = 0.0  # quadrature int (R0 + R.e_b) dt up to the block start
         excess, mismatch = [], []  # per block

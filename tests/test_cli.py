@@ -102,6 +102,22 @@ def test_validate_duplicate_connection_is_schema_error(
     assert "schema error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{net}"], ["contract", "{net}"], ["paths", "{net}"],
+    ["transfer", "--net", "{net}"],
+], ids=["validate", "contract", "paths", "transfer"])
+def test_empty_network_is_schema_error(argv, tmp_path, capsys):
+    """A network without ports exits 1 with a one-line schema error, not a
+    traceback from a reduction over its 0 x 0 S."""
+    net = tmp_path / "empty.json"
+    net.write_text(json.dumps({"ports": [], "blocks": []}))
+    out = tmp_path / "out"
+    assert main([a.format(net=net) for a in argv] + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "schema error [SchemaError]: a network needs at least one port\n")
+    assert not out.exists()
+
+
 def test_missing_file_is_schema_error(capsys):
     assert main(["validate", "/nonexistent/net.json"]) == 1
 
@@ -264,6 +280,21 @@ def test_simulate_bad_initial_state_is_schema_error(ideal_net_file, tmp_path,
     assert not out.exists()
 
 
+def test_simulate_wrong_shape_initial_state_is_schema_error(ideal_net_file,
+                                                           tmp_path, capsys):
+    """integrate rejects an --initial matrix of the wrong shape, naming
+    both shapes, before any output is written."""
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(_state_rows(np.eye(3) / 3)))
+    out = tmp_path / "out"
+    assert main(["simulate", str(ideal_net_file), "--t-final", "0.1",
+                 "--initial", str(state), "-o", str(out)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "schema error [InvalidParameter]" in err
+    assert "(3, 3)" in err and "(4, 4)" in err
+    assert not out.exists()
+
+
 def test_simulate_past_the_stability_edge_is_physics_error(tmp_path, capsys):
     """A dt whose RK4 step leaves the physical range exits 2 and names the
     step, instead of writing an unphysical trajectory and exiting 0."""
@@ -400,19 +431,30 @@ def test_transfer_wrong_direction_suggests_swap(tmp_path, capsys):
     assert code == 0
 
 
+def test_transfer_one_qubit_network_is_physics_error(tmp_path, capsys):
+    net = tmp_path / "single.json"
+    save_network(single_qubit_network(), net)
+    out = tmp_path / "out"
+    assert main(["transfer", "--net", str(net), "-o", str(out)]) == 2
+    assert "physics error [NotTwoQubitNetwork]" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
     # kappa_b(0) = 1e8 kappa0 at dt = 1e-3: the first Bloch RK4 steps
     # amplify, so b0 leaves the subradiant bound; reported without a stray
-    # numpy warning on the way
-    code = main(["transfer", "--random", "--swap-roles", "--ratio-db", "80",
-                 "--T", "2", "-o", str(tmp_path)])
+    # numpy warning on the way.  T = 2 is short: the pulse is incomplete
+    with pytest.warns(UserWarning, match="kappa_b.*incomplete"):
+        code = main(["transfer", "--random", "--swap-roles", "--ratio-db",
+                     "80", "--T", "2", "-o", str(tmp_path)])
     assert code == 2
     assert "BoundViolated" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")
 @pytest.mark.parametrize("eps", ["1e15", "1e20", "1e300",
                                  "1.7976931348623157e+308"])
 def test_transfer_huge_eps_builds_unitary_circulators(eps, tmp_path, capsys):
@@ -578,6 +620,7 @@ def test_transfer_sweep_records_failed_seeds(tmp_path, capsys):
     assert "(1/3 seeds succeeded)" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")
 def test_cli_sweep_matches_library_sweep(tmp_path, capsys):
     """The success column of `transfer --random --swap-roles --sweep` equals
     transfer_sweep on the same seeds' oriented coefficients, exactly; at

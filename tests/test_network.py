@@ -46,6 +46,15 @@ def two_port(element="a", ids=(0, 1)):
     return [Port(ids[0], element), Port(ids[1], element)]
 
 
+def test_network_needs_a_port():
+    """An empty network is a schema error, not a failure of the first
+    reduction over its 0 x 0 S."""
+    with pytest.raises(SchemaError, match="at least one port"):
+        Network([], [])
+    with pytest.raises(SchemaError, match="at least one port"):
+        network_from_dict({"ports": [], "blocks": []})
+
+
 def test_port_ids_must_be_contiguous():
     with pytest.raises(SchemaError):
         Network([Port(0, "a"), Port(2, "a")],

@@ -495,8 +495,11 @@ def test_b0_closed_form_matches_ode():
     protocol = synthesize_controls(coeffs, 1.0, ratio_db=25.0, T=20.0,
                                    dt=2e-4)
     result = simulate_transfer(coeffs, protocol)
-    closed = b0_closed_form(result.times, result.bvec, result.r0_traj,
-                            result.rvec_traj, 1.0)
+    r0, rx, ry, rz = _rj_arrays(
+        coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
+        protocol.kappa_b[::2], protocol.h_bz[::2])[:4]
+    closed = b0_closed_form(result.times, result.bvec, r0,
+                            np.stack([rx, ry, rz], axis=1), 1.0)
     assert np.abs(closed - result.b0).max() < 1e-6
 
 
@@ -742,7 +745,7 @@ def test_propagate_matches_sequential_steps(n_networks):
         protocol = ControlProtocol(
             t, 1.0 + 0.5 * np.sin(0.3 * t + phase),
             0.4 * np.sin(2.0 * t + phase), kappa_a=1.0 + 0.1 * phase,
-            phase_diff=0.3 * phase, h_az=0.2, ratio_db=25.0,
+            phase_diff=0.3 * phase, h_az=0.2,
         )
         blocks = list(_bloch_blocks(coeffs, protocol))
         assert len(blocks[0][1]) - 1 == 1024
@@ -795,6 +798,30 @@ def test_simulate_transfer_divergence_is_step_unstable():
         simulate_transfer(c, protocol)
 
 
+def test_simulate_transfer_odd_interval_count_is_invalid_parameter():
+    """An RK4 step spans two protocol samples: a protocol with an odd
+    number of intervals is an input error, not a truncated run."""
+    c = perfect_coeffs()
+    protocol = synthesize_controls(c, 1.0, ratio_db=25.0, T=10.0, dt=1e-2)
+    odd = dataclasses.replace(protocol, times=protocol.times[:-1],
+                              kappa_b=protocol.kappa_b[:-1],
+                              h_bz=protocol.h_bz[:-1])
+    with pytest.raises(InvalidParameter, match="even number of intervals"):
+        simulate_transfer(c, odd)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transfer_sweep_non_finite_state_is_step_unstable():
+    """A sweep whose final Bloch state is not finite raises StepUnstable
+    instead of returning NaN summaries.  An unstable dt alone does not get
+    there: the kappa_b(T) > 0 check bounds kappa0 T, and with it the growth
+    of unstable steps, far below overflow.  So a NaN Im t_bb feeds NaN into
+    h_bz and J_z."""
+    c = dataclasses.replace(perfect_coeffs(), t_bb=complex(0.0, math.nan))
+    with pytest.raises(StepUnstable, match="transfer sweep diverged"):
+        transfer_sweep([c], 1.0, T=1.0, dt=1e-3)
+
+
 def test_e_b_tracks_dark_direction():
     """After the initial transient (kappa0 t > 5) the Bloch direction stays
     anti-aligned with e_R to < 1e-3 rad at 25 dB."""
@@ -804,9 +831,12 @@ def test_e_b_tracks_dark_direction():
     for c in cases:
         protocol = synthesize_controls(c, 1.0, ratio_db=25.0, T=20.0, dt=1e-3)
         result = simulate_transfer(c, protocol)
+        rvec = np.stack(_rj_arrays(
+            c, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
+            protocol.kappa_b[::2], protocol.h_bz[::2])[1:4], axis=1)
         bn = np.linalg.norm(result.bvec, axis=1)
-        rn = np.linalg.norm(result.rvec_traj, axis=1)
-        cosang = -np.einsum("ti,ti->t", result.bvec, result.rvec_traj) / (bn * rn)
+        rn = np.linalg.norm(rvec, axis=1)
+        cosang = -np.einsum("ti,ti->t", result.bvec, rvec) / (bn * rn)
         angles = np.arccos(np.clip(cosang, -1.0, 1.0))
         assert angles[result.times > 5.0].max() < 1e-3
 
