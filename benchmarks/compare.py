@@ -21,6 +21,12 @@ The report goes to BENCH_<W>.json (or FILE) and holds:
   that run's `--durations=10` report;
 - src_lines: the line count of src/loopnet/*.py on each tree (the total
   of `wc -l`);
+- minor_faults_per_request: the minor page faults of each request of
+  workload seed 1 on each tree, read from getrusage(RUSAGE_SELF).ru_minflt
+  just before and after the request runs (its check and clean-up are not
+  counted), in a child process that runs the tree's own
+  perfbench/workloads.py in-process; request 0 warms up and is left out of
+  the median, the mean and the per-request list;
 - with --scheduled, a scheduled Lindblad run on a chain of one, two and
   three imperfect circulators with a qubit on each (D^2 = 4, 16 and 64:
   sampled kappa on every qubit port and a sampled Hamiltonian term,
@@ -46,6 +52,7 @@ SEEDS = [7, 101, 102, 103, 104, 105, 106, 107, 108, 7919]
 HELD_OUT = 7919
 SCHEDULED_T, SCHEDULED_DT, SCHEDULED_REPEATS = 2.0, 5e-3, 3
 SCHEDULED_QUBITS = (1, 2, 3)  # D^2 = 4, 16 and 64
+FAULT_REQUESTS = 40
 
 
 def child_env(tree: Path | None = None) -> dict:
@@ -97,6 +104,51 @@ def src_lines(tree: Path) -> int:
     """Newlines in src/loopnet/*.py, the total that `wc -l` prints."""
     return sum(path.read_bytes().count(b"\n")
                for path in (tree / "src" / "loopnet").glob("*.py"))
+
+
+def faults_worker(workload: str, n_requests: int) -> None:
+    """Minor page faults of requests 1..n_requests of `workload` at seed 1,
+    run in-process from perfbench/workloads.py of the tree in the working
+    directory; prints them as JSON."""
+    import resource
+
+    tree = Path.cwd()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    from workloads import WORKLOADS, CountingSink
+
+    def minflt() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    counts = []
+    with tempfile.TemporaryDirectory() as scratch:
+        work = WORKLOADS[workload](1, Path(scratch), CountingSink())
+        work.setup()
+        for index in range(n_requests + 1):
+            request = work.request(index)
+            before = minflt()
+            try:
+                request.run()
+            except Exception:  # the paired runs report failed requests
+                pass
+            counts.append(minflt() - before)
+            work.cleanup(request)
+    print(json.dumps(counts[1:]))
+
+
+def minor_faults(trees: dict, workload: str) -> dict:
+    here = str(Path(__file__).resolve().parent)
+    code = (f"import sys; sys.path.insert(0, {here!r}); import compare; "
+            f"compare.faults_worker({workload!r}, {FAULT_REQUESTS})")
+    report = {}
+    for side, tree in trees.items():
+        out = subprocess.run([sys.executable, "-c", code], cwd=tree,
+                             env=child_env(), capture_output=True, text=True,
+                             check=True).stdout
+        counts = json.loads(out.strip().splitlines()[-1])
+        report[side] = {"median": statistics.median(counts),
+                        "mean": statistics.fmean(counts),
+                        "per_request": counts}
+    return report
 
 
 def scheduled_worker(n_qubits: int, out_path: str) -> None:
@@ -261,6 +313,7 @@ def main(argv=None) -> int:
         },
         "paired_untraced": paired,
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+        "minor_faults_per_request": minor_faults(trees, args.workload),
     }
     tier1_runs = {side: tier1(tree) for side, tree in trees.items()}
     report["tier1_wall_s"] = {side: run[0] for side, run in tier1_runs.items()}

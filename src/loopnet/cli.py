@@ -5,7 +5,9 @@ All commands write their outputs plus a run manifest (manifest.json) into
 the bytes of "%.17g", so that re-running a command with identical inputs
 reproduces byte-identical files; an integer kernel produces them for 0 and
 1e-11 < |x| < 1e15, reading the ASCII digits of 4-digit groups from a
-table, and "%.17g" itself for every other value.  Exit codes:
+table, and "%.17g" itself for every other value.  A table is formatted in
+blocks of about _BLOCK values, all in one workspace that each write_csv
+call allocates once.  Exit codes:
 0 success, 1 schema/usage error or an output directory or file that cannot
 be made or written, 2 physics-validity error (non-unitary block,
 non-convergent loop, wrong directionality, ...).
@@ -78,9 +80,9 @@ _EXP = np.array([101, 45, 48, 48], np.int8)[:, None]  # "e-XX" for -11 <= e < -4
 _EXP_E = np.array([0, 0, 0, -1], np.int8)[:, None]
 _EXP_TENS = np.array([0, 0, 1, -10], np.int8)[:, None]
 _CELL = 29  # sign, "0.000", 17 digits and a point, "e-XX", separator
-# _DIGITS4[k, g]: ASCII digit k of g = 0..9999 written with four digits
-_DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, 10**4) + np.uint8(48)
-_BLOCK = 1024  # rows per block
+# _DIGITS4[g]: the four ASCII digits of g = 0..9999 as one 4-byte word
+_DIGITS4 = np.array([b"%04d" % g for g in range(10**4)]).view(np.uint32)
+_BLOCK = 5120  # values per block: a whole table is written fastest near here
 
 
 def _scaled(m, q, e):
@@ -96,12 +98,14 @@ def _scaled(m, q, e):
     s = (-(k + q)).astype(_U)
     t = (lo >> s) | (hi << (_U(64) - s))
     rem, half = lo & ((_U(1) << s) - _U(1)), _U(1) << (s - _U(1))
-    return t + ((rem > half) | ((rem == half) & (t & _U(1) == 1))), t
+    return t + (rem + (t & _U(1)) > half), t
 
 
-def _g17(x: np.ndarray, width: int) -> np.ndarray:
-    """(width, x.size) uint8 whose column i is the bytes of "%.17g" % x[i]
-    padded with NUL; the last byte of every column is left free.
+def _g17(x: np.ndarray, cells: np.ndarray, digits: np.ndarray) -> None:
+    """Fill cells (width, x.size) uint8 so that column i is the bytes of
+    "%.17g" % x[i] padded with NUL; rows 28 and up of a kernel-formatted
+    column and the last row are left as they are.  digits (19, x.size)
+    uint8 is scratch.
 
     0 and 1e-11 < |x| < 1e15 are formatted here in integer arithmetic
     (the double nearest 1e-11 lies below 10**-11): the 17 digits d are a
@@ -109,7 +113,6 @@ def _g17(x: np.ndarray, width: int) -> np.ndarray:
     from the table _DIGITS4.  Every other value is formatted by "%.17g"
     itself."""
     n = x.size
-    cells = np.zeros((width, n), np.uint8)
     a = np.abs(x)
     zero = a == 0
     fast = zero | ((a > 1e-11) & (a < 1e15))
@@ -135,14 +138,14 @@ def _g17(x: np.ndarray, width: int) -> np.ndarray:
     d = d.astype(np.int64)
     lead = d // 10**16
     rest = d - lead * 10**16
-    half = rest // 10**8
-    v = np.stack([half, rest - half * 10**8])
-    w = v // 10**4
-    groups = w[0], v[0] - w[0] * 10**4, w[1], v[1] - w[1] * 10**4
-    digits = np.zeros((19, n), np.uint8)
+    high = rest // 10**8
+    low = rest - high * 10**8
+    g0, g2 = high // 10**4, low // 10**4
+    groups = g0, high - g0 * 10**4, g2, low - g2 * 10**4
     digits[1] = lead + 48
     for row, g in zip((2, 6, 10, 14), groups):
-        np.take(_DIGITS4, g, axis=1, out=digits[row:row + 4])
+        words = np.take(_DIGITS4, g)
+        digits[row:row + 4] = words.view(np.uint8).reshape(n, 4).T
     # the index of the last nonzero digit, -1 for d = 0
     last = ((digits[1:18] != 48) * _SLOT[1:]).max(axis=0) - 1
     e = e.astype(np.int8)
@@ -159,35 +162,42 @@ def _g17(x: np.ndarray, width: int) -> np.ndarray:
     cells[24:28] = expo * (_EXP + e * _EXP_E + (e <= -10) * _EXP_TENS)
     i = np.flatnonzero(~fast)
     if i.size:
+        width = len(cells)
         text = np.array([b"%.17g" % v for v in x[i].tolist()], f"S{width - 1}")
         cells[:-1, i] = text.view(np.uint8).reshape(i.size, width - 1).T
-    return cells
 
 
 def write_csv(path: Path, header: list, columns: list) -> None:
     """CSV with LF line endings; each column holds strings or numbers, and a
     number is written as the exact bytes of "%.17g" (see _g17).
 
-    Blocks of rows are laid out as NUL-padded cells of one width, one
-    separator byte each, and the padding is deleted by bytes.translate."""
+    The rows go in blocks of about _BLOCK values (whole rows), and every
+    block reuses one workspace allocated once per call: the block's values,
+    its NUL-padded cells of one width with one separator byte each, and the
+    digit planes.  The block's row-major bytes, with the padding deleted by
+    bytes.translate, are written out."""
     n_rows = len(columns[0]) if columns else 0
-    values = np.zeros((n_rows, len(columns)))
-    text = {}
-    for j, c in enumerate(columns):
-        if len(c) and isinstance(c[0], str):
-            text[j] = np.array([s.encode() for s in c])
-        else:
-            values[:, j] = c
+    text = {j: np.array([s.encode() for s in c]) for j, c in enumerate(columns)
+            if len(c) and isinstance(c[0], str)}
     width = max([_CELL] + [s.itemsize + 1 for s in text.values()])
+    rows = max(1, min(n_rows, _BLOCK // max(len(columns), 1)))
+    values = np.zeros((rows, len(columns)))
+    cells = np.zeros((width, values.size), np.uint8)
+    digits = np.zeros((19, values.size), np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for r0 in range(0, n_rows, _BLOCK):
-            block = values[r0:r0 + _BLOCK]
-            grid = _g17(block.ravel(), width).reshape(width, *block.shape)
+        for r0 in range(0, n_rows, rows):
+            block = values[:min(rows, n_rows - r0)]
+            for j, c in enumerate(columns):
+                if j not in text:
+                    block[:, j] = c[r0:r0 + rows]
+            size = block.size
+            _g17(block.ravel(), cells[:, :size], digits[:, :size])
+            grid = cells[:, :size].reshape(width, *block.shape)
             for j, s in text.items():
                 grid[:-1, :, j] = 0
                 grid[:s.itemsize, :, j] = (
-                    s[r0:r0 + _BLOCK].view(np.uint8).reshape(len(block), -1).T
+                    s[r0:r0 + rows].view(np.uint8).reshape(len(block), -1).T
                 )
             grid[-1] = ord(",")
             grid[-1, :, -1] = ord("\n")

@@ -294,29 +294,33 @@ class _GeneratorAssembler:
         return np.stack(columns, axis=1)
 
 
-def rk4_step_matrix(a_start, a_mid, a_end, h: float):
+def rk4_step_matrix(a_start, a_mid, a_end, h: float, out=None):
     """One classical RK4 step of y' = A(t) y as a matrix, over leading axes.
 
     a_start, a_mid, a_end: A at t, t + h/2 and t + h.  Returns the step
     matrix P = I + h/6 (K1 + 2K2 + 2K3 + K4), K1 = A(t), K2 = A(t + h/2) S1,
     K3 = A(t + h/2) S2, K4 = A(t + h) S3, and the stage maps (S1, S2, S3),
     S1 = I + h/2 K1, S2 = I + h/2 K2, S3 = I + h K3, which take y_n to the
-    RK4 stage states.  For a constant A, P = sum_{k<=4} (hA)^k / k!.
+    RK4 stage states.  For a constant A, P = sum_{k<=4} (hA)^k / k!.  out
+    holds five arrays shaped like a_start that receive P, S1, S2, S3 and a
+    scratch K3 (five new arrays when None).
 
     Each sum is accumulated in place, in the order of the formulas, so the
     result is bit-identical to evaluating them term by term.
     """
+    if out is None:
+        out = [np.empty(a_start.shape) for _ in range(5)]
+    p, s1, s2, s3, k3 = out
     eye = np.eye(a_start.shape[-1])
-    s1 = (0.5 * h) * a_start
+    np.multiply(0.5 * h, a_start, out=s1)
     s1 += eye
-    k2 = a_mid @ s1
-    s2 = (0.5 * h) * k2
+    np.matmul(a_mid, s1, out=p)  # K2
+    np.multiply(0.5 * h, p, out=s2)
     s2 += eye
-    k3 = a_mid @ s2
-    s3 = h * k3
+    np.matmul(a_mid, s2, out=k3)
+    np.multiply(h, k3, out=s3)
     s3 += eye
-    p = k2  # K1 + 2 K2 + 2 K3 + K4, then I + h/6 (...)
-    p *= 2.0
+    p *= 2.0  # K1 + 2 K2 + 2 K3 + K4, then I + h/6 (...)
     p += a_start
     k3 *= 2.0
     p += k3

@@ -37,6 +37,7 @@ from .errors import (
     WrongDirectionality,
 )
 from .lindblad import (
+    TOL_TRACE,
     Controls,
     build_generator,
     prefix_products,
@@ -789,13 +790,15 @@ class TransferResult:
     success: float
 
 
-def _bloch_generator(r0, rx, ry, rz, jx, jy, jz):
+def _bloch_generator(r0, rx, ry, rz, jx, jy, jz, out=None):
     """A of the Bloch equations d/dt (b0, bx, by, bz) = A (b0, bx, by, bz)
-    (the linear map of bloch_rhs), stacked over the components' shape."""
+    (the linear map of bloch_rhs), over the components' shape, written into
+    out (allocated when None)."""
+    out = np.empty(np.shape(r0) + (4, 4)) if out is None else out
     d, x, y, z = (-0.5 * c for c in (r0, rx, ry, rz))
-    return np.stack(
-        [d, x, y, z, x, d, -jz, jy, y, jz, d, -jx, z, -jy, jx, d], axis=-1
-    ).reshape(np.shape(r0) + (4, 4))
+    np.stack([d, x, y, z, x, d, -jz, jy, y, jz, d, -jx, z, -jy, jx, d],
+             axis=-1, out=out.reshape(np.shape(r0) + (16,)))
+    return out
 
 
 # step propagators formed at once: bounds memory, and a block's prefix
@@ -803,7 +806,16 @@ def _bloch_generator(r0, rx, ry, rz, jx, jy, jz):
 _BLOCK = 1024
 
 
-def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol):
+def _bloch_workspace(n_steps: int) -> tuple:
+    """The arrays _bloch_blocks writes the blocks of an n_steps run into:
+    the generators, rk4_step_matrix's five outputs and the states."""
+    m = min(_BLOCK, n_steps)
+    a = np.empty((2 * m + 1, 4, 4))
+    return a, [np.empty((m, 4, 4)) for _ in range(5)], np.empty((m + 1, 4))
+
+
+def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol,
+                  workspace=None):
     """RK4 for the linear Bloch equations y' = A(t) y of one network under
     protocol, from |ud>, in blocks of m <= _BLOCK steps.
 
@@ -814,28 +826,42 @@ def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol):
     batched product Q_i y_0.  A block computes kappa_b and the R/J
     components (_rj_arrays) from its own slices of the protocol.  Yields
     per block: those components at its 2m + 1 samples, y_n..y_n+m
-    (m + 1, 4) and the stage maps (S1, S2, S3), each (m, 4, 4)."""
+    (m + 1, 4) and the stage maps (S1, S2, S3), each (m, 4, 4), in the
+    arrays of workspace (new when None), which the next block overwrites.
+
+    Raises StepUnstable before stepping when kappa0 kappa_b overflows, or
+    when kappa_b eta_b is so large against kappa0 eta_a that
+    R0 + Rz = 2 kappa0 eta_a cancels to roundoff."""
     times = protocol.times
     if (len(times) - 1) % 2 != 0:
         raise InvalidParameter("protocol must have an even number of intervals")
     h = times[2] - times[0]
     n_steps = (len(times) - 1) // 2
-    y = np.array([1.0, 0.0, 0.0, 1.0])  # (b0, bx, by, bz) for |ud>
+    kappa0, kb_max = protocol.kappa_a, float(protocol.kappa_b.max())
+    if not math.isfinite(kappa0 * kb_max):
+        raise StepUnstable(f"kappa0 * kappa_b = {kappa0:.3g} * {kb_max:.3g} "
+                           "is not finite; lower kappa0")
+    if kb_max * coeffs.eta_b * np.finfo(float).eps >= kappa0 * coeffs.eta_a:
+        raise StepUnstable(
+            f"kappa_b = {kb_max:.3g} is beyond double precision at kappa0 = "
+            f"{kappa0:.3g}: R0 + Rz = 2 kappa0 eta_a cancels to roundoff; "
+            "lower ratio_db")
+    a, work, states = workspace or _bloch_workspace(n_steps)
+    states[0] = (1.0, 0.0, 0.0, 1.0)  # (b0, bx, by, bz) for |ud>
     for start in range(0, n_steps, _BLOCK):
         m = min(_BLOCK, n_steps - start)
         part = np.s_[2 * start:2 * (start + m) + 1]
         kb = protocol.kappa_b[part]
-        block = kb, *_rj_arrays(coeffs, protocol.kappa_a, protocol.phase_diff,
+        block = kb, *_rj_arrays(coeffs, kappa0, protocol.phase_diff,
                                 protocol.h_az, kb, protocol.h_bz[part])
-        a = _bloch_generator(*block[1:])
-        q, stage_maps = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)
-        states = np.empty((m + 1, 4))
-        states[0] = y
+        g = _bloch_generator(*block[1:], out=a[:2 * m + 1])
+        q, stage_maps = rk4_step_matrix(g[:-1:2], g[1::2], g[2::2], h,
+                                        out=[w[:m] for w in work])
         # an unstable step overflows quietly; callers check the states
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(prefix_products(q), y, out=states[1:])
-        y = states[-1]
-        yield block, states, stage_maps
+            np.matmul(prefix_products(q), states[0], out=states[1:m + 1])
+        yield block, states[:m + 1], stage_maps
+        states[0] = states[m]
 
 
 def simulate_transfer(
@@ -849,8 +875,11 @@ def simulate_transfer(
     propagators (_bloch_blocks).  Checks the subradiant bound
     b0(t) <= exp(-int Gamma_d) + 1e-6 at every sample.
     """
-    states = [y for _, y, _ in _bloch_blocks(coeffs, protocol)]
-    traj = np.concatenate([states[0][:1]] + [y[1:] for y in states])
+    traj = np.empty((len(protocol.times) // 2 + 1, 4))
+    start = 0
+    for _, y, _ in _bloch_blocks(coeffs, protocol):
+        traj[start:start + len(y)] = y
+        start += len(y) - 1
     b0_traj, bvec_traj = traj[:, 0], traj[:, 1:]
 
     sample_times = protocol.times[::2]
@@ -919,14 +948,19 @@ def transfer_sweep(
     (_ReceiverFlow.dark_decay); the closed form's int (R0 + R.e_b) (over
     the RK4 stage states) is what RK4 gives for it as an extra ODE state.
     """
-    step_count(T, dt)  # T and dt are checked for an empty list too
+    # T and dt are checked for an empty list too; one workspace serves all
+    workspace = _bloch_workspace(step_count(T, dt))
     summaries = []
     for coeffs in coeffs_list:
         protocol, flow = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, 0.0)
         h = protocol.times[2] - protocol.times[0]
         q_f = 0.0  # quadrature int (R0 + R.e_b) dt up to the block start
         excess, mismatch = [], []  # per block
-        for comps, y, stage_maps in _bloch_blocks(coeffs, protocol):
+        for comps, y, stage_maps in _bloch_blocks(coeffs, protocol, workspace):
+            top = np.abs(y[1:]).max()
+            if not top <= 1.0 + 100 * TOL_TRACE:
+                raise StepUnstable(f"transfer sweep diverged: a Bloch state "
+                                   f"has |y| = {top:.3g} > 1; reduce dt")
             kb, r0, rx, ry, rz = comps[:5]
             stages = (y[:-1], *(np.einsum("...ij,...j->...i", s, y[:-1])
                                 for s in stage_maps))
@@ -940,8 +974,6 @@ def transfer_sweep(
             mismatch.append(np.abs(y[1:, 0] - np.exp(-0.5 * q_f)).max())
             q_f = q_f[-1]
 
-        if not np.all(np.isfinite(y[-1])):
-            raise StepUnstable("transfer sweep diverged; reduce dt")
         summaries.append(SweepSummary(
             0.5 * float(y[-1, 0] - y[-1, 3]), float(np.max(excess)),
             float(np.max(mismatch)),

@@ -494,6 +494,24 @@ def test_transfer_overflowing_ratio_db_is_physics_error(tmp_path, capsys):
     assert "StepUnstable" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, name", [
+    # kappa_b(0) = 1e50 kappa0: R0 + Rz = 2 kappa0 eta_a is below roundoff
+    (["--ratio-db", "500", "--T", "20"], "ratio_db"),
+    # kappa0 kappa_b overflows
+    (["--kappa0", "1e200", "--T", "2e-199", "--dt", "1e-201"], "kappa0"),
+])
+def test_transfer_receiver_start_beyond_double_precision(argv, name, tmp_path,
+                                                          capsys):
+    code = main(["transfer", "--random", "--swap-roles", *argv,
+                 "-o", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("physics error [StepUnstable]")
+    assert len(err.splitlines()) == 1 and name in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_transfer_underflowing_ratio_db_is_physics_error(tmp_path, capsys):
     # kappa0 * 10^(dB/10) underflows to 0: no divide warning, no all-zero

@@ -747,7 +747,9 @@ def test_propagate_matches_sequential_steps(n_networks):
             0.4 * np.sin(2.0 * t + phase), kappa_a=1.0 + 0.1 * phase,
             phase_diff=0.3 * phase, h_az=0.2,
         )
-        blocks = list(_bloch_blocks(coeffs, protocol))
+        # a block's states live in an array that the next block overwrites
+        blocks = [(comps, y.copy(), maps)
+                  for comps, y, maps in _bloch_blocks(coeffs, protocol)]
         assert len(blocks[0][1]) - 1 == 1024
         assert n_steps % 1024 != 0  # a partial last block
         y0 = np.array([1.0, 0.0, 0.0, 1.0])  # |ud>
@@ -820,6 +822,34 @@ def test_transfer_sweep_non_finite_state_is_step_unstable():
     c = dataclasses.replace(perfect_coeffs(), t_bb=complex(0.0, math.nan))
     with pytest.raises(StepUnstable, match="transfer sweep diverged"):
         transfer_sweep([c], 1.0, T=1.0, dt=1e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")
+@pytest.mark.parametrize("kappa0, args, match", [
+    (1.0, dict(ratio_db=500.0, T=20.0, dt=1e-3), "lower ratio_db"),
+    (1e200, dict(T=2e-199, dt=1e-201), "lower kappa0"),
+])
+def test_receiver_start_beyond_double_precision_is_step_unstable(
+        kappa0, args, match):
+    """A receiver start whose R0 + Rz = 2 kappa0 eta_a cancels to roundoff,
+    or whose kappa0 kappa_b overflows, is rejected before any step, by the
+    sweep and by simulate_transfer alike."""
+    c = perfect_coeffs()
+    with pytest.raises(StepUnstable, match=match):
+        transfer_sweep([c], kappa0, **args)
+    protocol = synthesize_controls(c, kappa0, **args)
+    with pytest.raises(StepUnstable, match=match):
+        simulate_transfer(c, protocol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transfer_sweep_unphysical_state_is_step_unstable():
+    """dt = 6 is unstable: the Bloch state leaves |y| <= 1 in the first
+    block, and the sweep raises there instead of returning a success of
+    -5.5e157."""
+    with pytest.raises(StepUnstable, match="diverged.*reduce dt"):
+        transfer_sweep([perfect_coeffs()], 1.0, T=700.0, dt=6.0)
 
 
 def test_e_b_tracks_dark_direction():

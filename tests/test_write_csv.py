@@ -7,8 +7,10 @@ cover both paths of the writer: the integer kernel (0 and
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +97,50 @@ def test_tables_across_blocks_and_wide_strings(tmp_path):
     assert_exact(tmp_path, ["name", "a", "t", "tiny", "error"], columns)
     assert_exact(tmp_path, ["name", "a"], [["w" * 200], [0.5]])
     assert_exact(tmp_path, ["a", "b"], [[], np.array([])])
+
+
+def block_rows(n_cols: int) -> int:
+    return _BLOCK // n_cols  # a block holds about _BLOCK values
+
+
+@pytest.mark.parametrize("text", [False, True])
+@pytest.mark.parametrize("n_cols", [1, 3, 5, 7])
+def test_tables_at_the_block_boundaries(tmp_path, n_cols, text):
+    """The shapes the CLI writes (and one with a text column) at one and
+    two blocks, and one row either side of each block boundary."""
+    rows = block_rows(n_cols + text)
+    rng = np.random.default_rng(n_cols)
+    for n_rows in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows,
+                   2 * rows + 1):
+        scale = 10.0 ** rng.integers(-14, 17, (n_cols, n_rows))
+        columns = list(rng.normal(size=(n_cols, n_rows)) * scale)
+        if text:
+            columns.insert(1, [f"p{k}" * (k % 4) for k in range(n_rows)])
+        assert_exact(tmp_path, [f"c{j}" for j in range(len(columns))], columns)
+
+
+def traced_peak(path, columns) -> int:
+    """The peak traced memory write_csv allocates over its inputs."""
+    tracemalloc.start()
+    try:
+        write_csv(path, [f"c{j}" for j in range(len(columns))], columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_workspace_does_not_grow_with_the_table(tmp_path):
+    """Every block is formatted in one workspace allocated per call: the
+    peak memory of a 20-block table is that of a 2-block table (to 1 kB:
+    a few Python ints), and stays below 1.5 MB for the 7-column trajectory
+    shape.  The first call also makes numpy's lazy one-time allocations."""
+    rng = np.random.default_rng(3)
+    rows = block_rows(7)
+    peaks = [traced_peak(tmp_path / "x.csv",
+                         [rng.normal(size=n_blocks * rows) for _ in range(7)])
+             for n_blocks in (2, 2, 20)]
+    assert abs(peaks[2] - peaks[1]) < 1e3
+    assert max(peaks) < 1.5e6
 
 
 # NUL is the writer's padding; the CLI's strings are ASCII names
