@@ -61,12 +61,10 @@ from .paths import (
 from .transfer import (
     ControlProtocol,
     RescaledProtocol,
-    RJComponents,
     SweepSummary,
     TransferCoefficients,
     TransferResult,
     b0_closed_form,
-    bloch_rhs,
     circulator_reflectances,
     collective_rates,
     coupled_qubit_ports,
@@ -84,7 +82,6 @@ from .transfer import (
     predict_transfer,
     random_imperfect_network,
     rescale_protocol,
-    rj_components,
     simulate_transfer,
     specialized_master_equation,
     swap_roles,

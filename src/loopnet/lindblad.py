@@ -330,15 +330,16 @@ def rk4_step_matrix(a_start, a_mid, a_end, h: float, out=None):
     return p, (s1, s2, s3)
 
 
-def prefix_products(q: np.ndarray) -> np.ndarray:
-    """The inclusive prefix products Q_i = P_i ... P_0 of a stack of step
-    matrices q (m, n, n), in place.
-
-    The Brent-Kung scan: an up-sweep and a down-sweep over doubling
-    strides, at most 2 log2(m) levels of batched products and fewer than
-    2m products in all.  An unstable step overflows quietly; callers check
-    the states.
-    """
+def _rk4_block(gens, y, h: float, out=None):
+    """RK4 over a block of m steps of y' = A(t) y: gens holds A at the half
+    steps t_0, t_0 + h/2, ..., t_m, and y (m + 1, n) receives y_1..y_m from
+    y[0].  The step matrices P_n (rk4_step_matrix, into out) become their
+    prefix products Q_i = P_i ... P_0 in place by the Brent-Kung scan (at
+    most 2 log2(m) levels of batched products, fewer than 2m in all), and
+    y_i+1 = Q_i y_0 is one batched product.  Returns the stage maps; an
+    unstable step overflows quietly, for _check_block to find."""
+    q, stage_maps = rk4_step_matrix(gens[:-1:2], gens[1::2], gens[2::2], h,
+                                    out=out)
     m = len(q)
     with np.errstate(over="ignore", invalid="ignore"):
         s = 1  # up-sweep: q[i] = P_i ... P_i-2s+1 where i = -1 mod 2s
@@ -350,7 +351,29 @@ def prefix_products(q: np.ndarray) -> np.ndarray:
             s //= 2
             t = q[3 * s - 1::2 * s]
             t[...] = t @ q[2 * s - 1:m - s:2 * s]
-    return q
+        np.matmul(q, y[0], out=y[1:])
+    return stage_maps
+
+
+def _check_block(y, start: int, trace=None) -> float:
+    """Raise StepUnstable at the first bad step of a block of states y[1:]
+    after steps start, start + 1, ...: a coordinate not finite or above
+    1 + 100x TOL_TRACE in modulus (no density matrix entry or Bloch
+    component exceeds 1), or, where given, a per-step trace drift above
+    100x TOL_TRACE.  Two whole-block reductions, searched step by step
+    only on failure.  Returns the block's largest trace drift."""
+    entry = np.abs(y[1:]).max()
+    drift = 0.0 if trace is None else trace.max(initial=0.0)
+    if entry <= 1.0 + 100 * TOL_TRACE and drift <= 100 * TOL_TRACE:
+        return float(drift)
+    entry = np.abs(y[1:]).max(axis=1)
+    ok = entry <= 1.0 + 100 * TOL_TRACE
+    if trace is not None:
+        ok &= trace <= 100 * TOL_TRACE
+    i = int((~ok).argmax())
+    detail = f"largest |y| {entry[i]:.9g}" if trace is None else (
+        f"largest |Re, Im rho_ij| {entry[i]:.9g}, trace {trace[i]:.3e}")
+    raise StepUnstable(f"drift at step {start + i}: {detail}; reduce dt")
 
 
 class _Coordinates:
@@ -439,13 +462,6 @@ _BLOCK = 2**16
 _STEP_MATRIX_MAX_DD = 25
 
 
-def _within_bounds(entry, trace):
-    """Largest coordinate within 1 + 100x the trace tolerance (every entry
-    of a density matrix has modulus at most 1) and trace drift within 100x
-    tolerance (False for NaN); elementwise for arrays."""
-    return (entry <= 1.0 + 100 * TOL_TRACE) & (trace <= 100 * TOL_TRACE)
-
-
 def _check_inputs(rho: np.ndarray, observables: dict, d: int) -> None:
     """Raise InvalidParameter unless rho is a finite D x D matrix that is
     Hermitian, of unit trace and with entries of modulus at most 1 within
@@ -517,20 +533,17 @@ def integrate(
     one real matrix product of weights and the transformed terms of
     _GeneratorAssembler; a kappa that is negative or NaN on that grid
     raises StepUnstable (its port and earliest half-step) before the block
-    steps.  When D^2 <= _STEP_MATRIX_MAX_DD the block's step
-    matrices P_n (rk4_step_matrix) are formed at once, their prefix
-    products by prefix_products, and the states are one batched product;
-    for a larger generator each step applies the four RK4 stages.
+    steps.  When D^2 <= _STEP_MATRIX_MAX_DD the block runs through
+    _rk4_block; for a larger generator each step applies the four RK4
+    stages.
 
-    After a block, its largest trace drift and its largest coordinate are
-    taken over the whole block; if the drift exceeds 100x TOL_TRACE, or a
-    coordinate exceeds 1 + 100x TOL_TRACE (no density matrix has an entry
-    of modulus above 1), or either is not finite, the per-step values name
-    the first such step, and the run raises StepUnstable there.  The step
-    count is rounded so the grid lands exactly on t_final; trajectories
-    are bit-for-bit reproducible.  rhos[0] is rho0 as given, and the later
-    states are gathered from the coordinates block by block.  Observables
-    are Tr(rho O), one real product with the coordinates per block.
+    Every block, in each of the three branches, passes _check_block with
+    its trace drift, or the run raises StepUnstable at its first bad step.
+    The step count is rounded so the grid lands exactly on t_final;
+    trajectories are bit-for-bit reproducible.  rhos[0] is rho0 as given,
+    and the later states are gathered from the coordinates block by block.
+    Observables are Tr(rho O), one real product with the coordinates per
+    block.
     """
     n_steps = step_count(t_final, dt)
     if not sample_stride >= 1:
@@ -588,9 +601,7 @@ def integrate(
             grid[1::2] = grid[:-1:2] + 0.5 * h
             gens = (assembler.weights(grid) @ terms).reshape(-1, dd, dd)
             if dd <= _STEP_MATRIX_MAX_DD:
-                p = rk4_step_matrix(gens[:-1:2], gens[1::2], gens[2::2], h)[0]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.matmul(prefix_products(p), y[0], out=y[1:])
+                _rk4_block(gens, y, h)
             else:
                 for i in range(m):
                     v = y[i]
@@ -610,16 +621,7 @@ def integrate(
                 n, j = n + k, j + 1
 
         trace = np.abs(y[1:, :d] @ np.ones(d) - 1.0)
-        entry_max = np.abs(y[1:]).max(initial=0.0)
-        trace_max = trace.max(initial=0.0)
-        if not _within_bounds(entry_max, trace_max):
-            entry = np.abs(y[1:]).max(axis=1)
-            i = int((~_within_bounds(entry, trace)).argmax())
-            raise StepUnstable(
-                f"drift at step {start + i}: largest |Re, Im rho_ij| "
-                f"{entry[i]:.9g}, trace {trace[i]:.3e}; reduce dt"
-            )
-        max_trace_drift = max(max_trace_drift, float(trace_max))
+        max_trace_drift = max(max_trace_drift, _check_block(y, start, trace))
 
         steps = np.arange(start + 1, start + m + 1)
         keep = (steps % sample_stride == 0) | (steps == n_steps)

@@ -37,11 +37,10 @@ from .errors import (
     WrongDirectionality,
 )
 from .lindblad import (
-    TOL_TRACE,
     Controls,
+    _check_block,
+    _rk4_block,
     build_generator,
-    prefix_products,
-    rk4_step_matrix,
     step_count,
 )
 from .network import (
@@ -223,9 +222,10 @@ def circulator_reflectances(network: Network) -> np.ndarray:
 def _sampler_rng(seed, r2_min=0.0, r2_max=1.0, resid_max=1.0, kappa0=1.0,
                  ratio_db=0.0) -> np.random.Generator:
     """default_rng(seed) if 0 <= r2_min <= r2_max <= 1, seed >= 0, resid_max
-    and kappa0 are finite and > 0 and ratio_db is finite; else InvalidParameter."""
+    and kappa0 are finite and > 0 and ratio_db is finite and above the
+    -40 dB end of predict_transfer's pulse; else InvalidParameter."""
     if not (0 <= r2_min <= r2_max <= 1 and seed >= 0 and 0 < resid_max < math.inf
-            and 0 < kappa0 < math.inf and abs(ratio_db) < math.inf):
+            and 0 < kappa0 < math.inf and -40.0 < ratio_db < math.inf):
         raise InvalidParameter(f"sampler input out of range: {locals()}")
     return np.random.default_rng(seed)
 
@@ -405,29 +405,6 @@ def collective_rates(
     return gamma_bright, gamma_dark, theta, varphi
 
 
-@dataclass(frozen=True)
-class RJComponents:
-    """Pauli components of the feeding operator R and spin-exchange J
-    in the single-excitation subspace (rad/s)."""
-
-    r0: float
-    rx: float
-    ry: float
-    rz: float
-    j0: float
-    jx: float
-    jy: float
-    jz: float
-
-    @property
-    def rvec(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz])
-
-    @property
-    def jvec(self) -> np.ndarray:
-        return np.array([self.jx, self.jy, self.jz])
-
-
 def _rj_arrays(coeffs, kappa0, phase_diff, h_az, kb, hbz):
     """R and J components along a schedule (general phi_a - phi_b)."""
     chi_p = phase_diff + coeffs.delta_plus
@@ -441,30 +418,6 @@ def _rj_arrays(coeffs, kappa0, phase_diff, h_az, kb, hbz):
     jy = root * coeffs.beta_minus * np.cos(chi_m)
     jz = kappa0 * coeffs.t_aa.imag - kb * coeffs.t_bb.imag + h_az - hbz
     return r0, rx, ry, rz, jx, jy, jz
-
-
-def rj_components(
-    coeffs: TransferCoefficients,
-    kappa_a: float,
-    kappa_b: float,
-    phi_a: float = 0.0,
-    phi_b: float = 0.0,
-    h_az: float = 0.0,
-    h_bz: float = 0.0,
-) -> RJComponents:
-    r0, rx, ry, rz, jx, jy, jz = _rj_arrays(
-        coeffs, kappa_a, phi_a - phi_b, h_az, kappa_b, h_bz
-    )
-    j0 = kappa_a * coeffs.t_aa.imag + kappa_b * coeffs.t_bb.imag
-    return RJComponents(r0, rx, ry, rz, j0, jx, jy, jz)
-
-
-def bloch_rhs(b0: float, bvec: np.ndarray, rj: RJComponents):
-    """Time derivatives of the single-excitation Bloch state."""
-    rvec, jvec = rj.rvec, rj.jvec
-    db0 = -0.5 * rj.r0 * b0 - 0.5 * float(rvec @ bvec)
-    dbvec = np.cross(jvec, bvec) - 0.5 * rj.r0 * bvec - 0.5 * b0 * rvec
-    return db0, dbvec
 
 
 def b0_closed_form(
@@ -791,9 +744,9 @@ class TransferResult:
 
 
 def _bloch_generator(r0, rx, ry, rz, jx, jy, jz, out=None):
-    """A of the Bloch equations d/dt (b0, bx, by, bz) = A (b0, bx, by, bz)
-    (the linear map of bloch_rhs), over the components' shape, written into
-    out (allocated when None)."""
+    """A of the Bloch equations b0' = -(R0 b0 + R.b)/2 and b' = J x b -
+    (R0 b + b0 R)/2, d/dt (b0, b) = A (b0, b), over the components' shape,
+    written into out (allocated when None)."""
     out = np.empty(np.shape(r0) + (4, 4)) if out is None else out
     d, x, y, z = (-0.5 * c for c in (r0, rx, ry, rz))
     np.stack([d, x, y, z, x, d, -jz, jy, y, jz, d, -jx, z, -jy, jx, d],
@@ -817,17 +770,15 @@ def _bloch_workspace(n_steps: int) -> tuple:
 def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol,
                   workspace=None):
     """RK4 for the linear Bloch equations y' = A(t) y of one network under
-    protocol, from |ud>, in blocks of m <= _BLOCK steps.
+    protocol, from |ud>, in blocks of m <= _BLOCK steps of lindblad's
+    _rk4_block, each passing _check_block before it is yielded.
 
     A step spans two protocol samples (the midpoint is an exact protocol
-    value) and applies the step matrix P_n of rk4_step_matrix.  Within a
-    block the inclusive prefix products Q_i = P_i ... P_0 come from
-    prefix_products (the Brent-Kung scan), and the block's states are one
-    batched product Q_i y_0.  A block computes kappa_b and the R/J
-    components (_rj_arrays) from its own slices of the protocol.  Yields
-    per block: those components at its 2m + 1 samples, y_n..y_n+m
-    (m + 1, 4) and the stage maps (S1, S2, S3), each (m, 4, 4), in the
-    arrays of workspace (new when None), which the next block overwrites.
+    value).  A block computes kappa_b and the R/J components (_rj_arrays)
+    from its own slices of the protocol.  Yields per block: those
+    components at its 2m + 1 samples, y_n..y_n+m (m + 1, 4) and the stage
+    maps (S1, S2, S3), each (m, 4, 4), in the arrays of workspace (new when
+    None), which the next block overwrites.
 
     Raises StepUnstable before stepping when kappa0 kappa_b overflows, or
     when kappa_b eta_b is so large against kappa0 eta_a that
@@ -855,12 +806,10 @@ def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol,
         block = kb, *_rj_arrays(coeffs, kappa0, protocol.phase_diff,
                                 protocol.h_az, kb, protocol.h_bz[part])
         g = _bloch_generator(*block[1:], out=a[:2 * m + 1])
-        q, stage_maps = rk4_step_matrix(g[:-1:2], g[1::2], g[2::2], h,
-                                        out=[w[:m] for w in work])
-        # an unstable step overflows quietly; callers check the states
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(prefix_products(q), states[0], out=states[1:m + 1])
-        yield block, states[:m + 1], stage_maps
+        y = states[:m + 1]
+        stage_maps = _rk4_block(g, y, h, out=[w[:m] for w in work])
+        _check_block(y, start)
+        yield block, y, stage_maps
         states[0] = states[m]
 
 
@@ -871,9 +820,8 @@ def simulate_transfer(
     """Integrate the Bloch equations from |ud> under a synthesized protocol.
 
     RK4 steps over pairs of protocol samples (midpoints are exact protocol
-    values, no interpolation), applied as prefix products of the step
-    propagators (_bloch_blocks).  Checks the subradiant bound
-    b0(t) <= exp(-int Gamma_d) + 1e-6 at every sample.
+    values, no interpolation), run and checked by _bloch_blocks.  Checks
+    the subradiant bound b0(t) <= exp(-int Gamma_d) + 1e-6 at every sample.
     """
     traj = np.empty((len(protocol.times) // 2 + 1, 4))
     start = 0
@@ -892,8 +840,6 @@ def simulate_transfer(
     int_gd = np.cumsum(0.5 * (gamma_d[1:] + gamma_d[:-1]) * dts)
     dark_bound = np.exp(-np.concatenate([[0.0], int_gd]))
 
-    if not np.all(np.isfinite(traj)):
-        raise StepUnstable("Bloch integration diverged; reduce dt")
     excess = float((b0_traj - dark_bound).max())
     if not excess <= 1e-6:
         raise BoundViolated(
@@ -942,11 +888,12 @@ def transfer_sweep(
 
     Each network runs the scalar pipeline, the schedule of
     synthesize_controls (reporting the terminal dB instead of warning)
-    through the blocks of simulate_transfer, so success and b0 equal
-    theirs exactly; each block is reduced to its largest bound excess and
-    closed-form mismatch.  The bound's int Gamma_d is exact
-    (_ReceiverFlow.dark_decay); the closed form's int (R0 + R.e_b) (over
-    the RK4 stage states) is what RK4 gives for it as an extra ODE state.
+    through the checked blocks of simulate_transfer (_bloch_blocks), so
+    success, b0 and any StepUnstable equal theirs exactly; each block is
+    reduced to its largest bound excess and closed-form mismatch.  The
+    bound's int Gamma_d is exact (_ReceiverFlow.dark_decay); the closed
+    form's int (R0 + R.e_b) (over the RK4 stage states) is what RK4 gives
+    for it as an extra ODE state.
     """
     # T and dt are checked for an empty list too; one workspace serves all
     workspace = _bloch_workspace(step_count(T, dt))
@@ -957,10 +904,6 @@ def transfer_sweep(
         q_f = 0.0  # quadrature int (R0 + R.e_b) dt up to the block start
         excess, mismatch = [], []  # per block
         for comps, y, stage_maps in _bloch_blocks(coeffs, protocol, workspace):
-            top = np.abs(y[1:]).max()
-            if not top <= 1.0 + 100 * TOL_TRACE:
-                raise StepUnstable(f"transfer sweep diverged: a Bloch state "
-                                   f"has |y| = {top:.3g} > 1; reduce dt")
             kb, r0, rx, ry, rz = comps[:5]
             stages = (y[:-1], *(np.einsum("...ij,...j->...i", s, y[:-1])
                                 for s in stage_maps))
@@ -992,9 +935,15 @@ def predict_transfer(
 
     The bound is exp(-int Gamma_d dt) over the whole synthesized kappa_b
     flow, from kappa_b(0) down to 0 (_ReceiverFlow.dark_decay); the duration
-    is the exact time of the flow to reach kappa0 at -40 dB.  Floats for one
-    network; arrays over the networks for array-field coefficients.
+    is the exact time of the flow to reach kappa0 at -40 dB, so a start at
+    or below -40 dB, which never reaches it, raises InvalidParameter.
+    Floats for one network; arrays over the networks for array-field
+    coefficients.
     """
+    if ratio_db <= -40.0:
+        raise InvalidParameter(
+            f"ratio_db = {ratio_db:g} starts at or below the -40 dB that ends "
+            "the pulse: the flow never reaches it, so it has no duration")
     cos_d, ratio, _ = _protocol_constants(coeffs)
     flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
     bound = np.exp(-flow.dark_decay(0.0))

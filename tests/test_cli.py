@@ -443,13 +443,14 @@ def test_transfer_one_qubit_network_is_physics_error(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transfer_divergent_integration_is_physics_error(tmp_path, capsys):
     # kappa_b(0) = 1e8 kappa0 at dt = 1e-3: the first Bloch RK4 steps
-    # amplify, so b0 leaves the subradiant bound; reported without a stray
-    # numpy warning on the way.  T = 2 is short: the pulse is incomplete
+    # amplify, so the Bloch state leaves |y| <= 1 and the block check
+    # raises; reported without a stray numpy warning on the way.  T = 2 is
+    # short: the pulse is incomplete
     with pytest.warns(UserWarning, match="kappa_b.*incomplete"):
         code = main(["transfer", "--random", "--swap-roles", "--ratio-db",
                      "80", "--T", "2", "-o", str(tmp_path)])
     assert code == 2
-    assert "BoundViolated" in capsys.readouterr().err
+    assert "StepUnstable" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 

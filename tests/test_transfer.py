@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from loopnet import (
     TransferCoefficients,
     b0_closed_form,
     basis_state,
-    bloch_rhs,
     circulator_reflectances,
     collective_rates,
     contract_network,
@@ -35,7 +35,6 @@ from loopnet import (
     predict_transfer,
     random_imperfect_network,
     rescale_protocol,
-    rj_components,
     routing_matrices,
     simulate_transfer,
     specialized_master_equation,
@@ -241,6 +240,8 @@ def test_transfer_coefficients_rejects_ill_conditioning_like_contract(
     (phase_tuned_adverse_network, (0, math.inf)),
     (phase_tuned_adverse_network, (0, 1.0, math.nan)),
     (phase_tuned_adverse_network, (0, 1.0, -math.inf)),
+    (phase_tuned_adverse_network, (0, 1.0, -40.0)),
+    (phase_tuned_adverse_network, (0, 1.0, -300.0)),
     (phase_tuned_adverse_network, (-1,)),
 ], ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)))
 def test_sampler_rejects_bad_input_before_drawing(sampler, args, monkeypatch):
@@ -402,6 +403,43 @@ def test_swap_roles_involution_and_sign_flip():
     assert s.eta_a == c.eta_b and s.beta_plus == c.beta_plus
 
 
+@dataclasses.dataclass(frozen=True)
+class RJComponents:
+    """Pauli components of the feeding operator R and spin-exchange J
+    in the single-excitation subspace (rad/s)."""
+
+    r0: float
+    rx: float
+    ry: float
+    rz: float
+    jx: float
+    jy: float
+    jz: float
+
+    @property
+    def rvec(self) -> np.ndarray:
+        return np.array([self.rx, self.ry, self.rz])
+
+    @property
+    def jvec(self) -> np.ndarray:
+        return np.array([self.jx, self.jy, self.jz])
+
+
+def rj_components(coeffs, kappa_a, kappa_b, phi_a=0.0, phi_b=0.0, h_az=0.0,
+                  h_bz=0.0) -> RJComponents:
+    return RJComponents(*_rj_arrays(coeffs, kappa_a, phi_a - phi_b, h_az,
+                                    kappa_b, h_bz))
+
+
+def bloch_rhs(b0: float, bvec: np.ndarray, rj: RJComponents):
+    """Time derivatives of the single-excitation Bloch state: the scalar
+    oracle of _bloch_generator."""
+    rvec, jvec = rj.rvec, rj.jvec
+    db0 = -0.5 * rj.r0 * b0 - 0.5 * float(rvec @ bvec)
+    dbvec = np.cross(jvec, bvec) - 0.5 * rj.r0 * bvec - 0.5 * b0 * rvec
+    return db0, dbvec
+
+
 def test_rj_components_match_collective_rates():
     net = random_imperfect_network(0.3, 0.7, 8)
     c = transfer_coefficients(net)
@@ -460,6 +498,20 @@ def test_bloch_rhs_pure_precession():
     db0, dbv = bloch_rhs(0.5, b, rj_zero_r)
     assert db0 == 0.0
     assert float(b @ dbv) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_bloch_generator_matches_bloch_rhs(rng):
+    """_bloch_generator(...) @ y is bloch_rhs at a non-planar R with every
+    J component nonzero, where all 16 entries of A are live."""
+    c = transfer_coefficients(random_imperfect_network(0.3, 1.1, 23))
+    # kappa_a = 1.4, phi_a - phi_b = 0.5, h_az = 0.3, kappa_b = 0.9, h_bz = -0.1
+    comps = _rj_arrays(c, 1.4, 0.5, 0.3, 0.9, -0.1)
+    rj = RJComponents(*comps)
+    a = _bloch_generator(*comps)
+    assert np.count_nonzero(a) == 16
+    for y in rng.standard_normal((5, 4)):
+        db0, dbv = bloch_rhs(y[0], y[1:], rj)
+        assert np.abs(a @ y - [db0, *dbv]).max() <= 1e-14
 
 
 def test_decoupling_identity(rng):
@@ -814,13 +866,14 @@ def test_simulate_transfer_odd_interval_count_is_invalid_parameter():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transfer_sweep_non_finite_state_is_step_unstable():
-    """A sweep whose final Bloch state is not finite raises StepUnstable
-    instead of returning NaN summaries.  An unstable dt alone does not get
-    there: the kappa_b(T) > 0 check bounds kappa0 T, and with it the growth
-    of unstable steps, far below overflow.  So a NaN Im t_bb feeds NaN into
-    h_bz and J_z."""
+    """A sweep whose Bloch state is not finite raises StepUnstable at the
+    first such step instead of returning NaN summaries.  An unstable dt
+    alone does not get there: the kappa_b(T) > 0 check bounds kappa0 T, and
+    with it the growth of unstable steps, far below overflow.  So a NaN
+    Im t_bb feeds NaN into h_bz and J_z."""
     c = dataclasses.replace(perfect_coeffs(), t_bb=complex(0.0, math.nan))
-    with pytest.raises(StepUnstable, match="transfer sweep diverged"):
+    with pytest.raises(StepUnstable,
+                       match=r"^drift at step 0: largest \|y\| nan; reduce dt$"):
         transfer_sweep([c], 1.0, T=1.0, dt=1e-3)
 
 
@@ -844,12 +897,20 @@ def test_receiver_start_beyond_double_precision_is_step_unstable(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_transfer_sweep_unphysical_state_is_step_unstable():
-    """dt = 6 is unstable: the Bloch state leaves |y| <= 1 in the first
-    block, and the sweep raises there instead of returning a success of
-    -5.5e157."""
-    with pytest.raises(StepUnstable, match="diverged.*reduce dt"):
-        transfer_sweep([perfect_coeffs()], 1.0, T=700.0, dt=6.0)
+def test_divergent_bloch_run_has_one_verdict():
+    """dt = 6 is unstable: the Bloch state leaves |y| <= 1 at the first
+    step.  The sweep and simulate_transfer run the same checked blocks, so
+    both raise the same StepUnstable there, instead of a sweep success of
+    -5.5e157 or a b0 above the subradiant bound by 7e173."""
+    c = perfect_coeffs()
+    with pytest.raises(StepUnstable) as sweep:
+        transfer_sweep([c], 1.0, T=700.0, dt=6.0)
+    protocol = synthesize_controls(c, 1.0, T=700.0, dt=6.0)
+    with pytest.raises(StepUnstable) as single:
+        simulate_transfer(c, protocol)
+    assert str(single.value) == str(sweep.value)
+    assert re.fullmatch(r"drift at step 0: largest \|y\| 174\.\d+; reduce dt",
+                        str(sweep.value))
 
 
 def test_e_b_tracks_dark_direction():
@@ -1086,6 +1147,19 @@ def test_transfer_sweep_of_no_networks():
 def test_predict_transfer_rejects_unusable_start(kappa0, ratio_db):
     with pytest.raises(StepUnstable):
         predict_transfer(perfect_coeffs(), kappa0, ratio_db)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ratio_db", [-40.0, -41.0, -100.0, -150.0, -300.0])
+def test_start_at_or_below_the_pulse_end_is_invalid(ratio_db):
+    """The duration is the flow's time to reach -40 dB, which a start at or
+    below it never does: these starts once gave -3.5e-15, -26.8 or -inf
+    (with a divide-by-zero warning) and a bound of about 1.  The adverse
+    sampler, which scores phases with predict_transfer, rejects them before
+    its first draw (test_sampler_rejects_bad_input_before_drawing)."""
+    c = oriented(transfer_coefficients(find_network_in_class(0.04, 0.15, 3)))
+    with pytest.raises(InvalidParameter, match="never reaches it"):
+        predict_transfer(c, 1.0, ratio_db)
 
 
 def test_rescale_protocol_equivalence():
