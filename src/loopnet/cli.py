@@ -593,7 +593,7 @@ def _cmd_transfer_sweep(args) -> int:
         outdir,
         "transfer-sweep",
         {**_transfer_parameters(args), "sweep": args.sweep,
-         "threads": args.threads},
+         "swap_roles": bool(args.swap_roles), "threads": args.threads},
         [out.name],
         seed=args.seed,
     )

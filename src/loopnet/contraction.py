@@ -50,7 +50,7 @@ class RoutingMatrices:
     G: np.ndarray  # (1 - SW)^{-1}
     T: np.ndarray  # SW G = G - 1, pure network contribution
     converged: bool  # spectral_radius_SW < 1 - DELTA_CONV
-    accepted: bool  # converged and cond <= cond_max
+    accepted: bool  # converged and cond <= COND_MAX
 
     @cached_property
     def spectral_radius_SW(self) -> float:
@@ -107,15 +107,11 @@ def _certified_convergent(sw: np.ndarray) -> np.ndarray:
             p = p @ p
 
 
-def routing_matrices(
-    S: np.ndarray,
-    W: np.ndarray,
-    cond_max: float = COND_MAX,
-) -> RoutingMatrices:
+def routing_matrices(S: np.ndarray, W: np.ndarray) -> RoutingMatrices:
     """Invert 1 - SW and judge the loop; the only place either is done.
 
     S and W are (N, N) or stacks (B, N, N).  An entry is accepted when
-    rho(SW) < 1 - DELTA_CONV and cond(1 - SW) <= cond_max; only entries
+    rho(SW) < 1 - DELTA_CONV and cond(1 - SW) <= COND_MAX; only entries
     that pass the rho test are solved.  The rho test is the certificate of
     _certified_convergent; eigvals runs only on the entries it leaves
     undecided.  Rejection does not raise here: the verdict is returned in
@@ -132,9 +128,9 @@ def routing_matrices(
     g[converged] = np.linalg.solve(a[converged], one)
     # ||1 - SW||_F ||G||_F >= cond(1 - SW): the SVD only where that fails
     bound = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(g, axis=(-2, -1))
-    cond_ok = bound <= cond_max
+    cond_ok = bound <= COND_MAX
     if np.any(converged & ~cond_ok):
-        cond_ok = np.linalg.cond(a) <= cond_max
+        cond_ok = np.linalg.cond(a) <= COND_MAX
     accepted = converged & cond_ok
     g[~accepted] = np.nan
     return RoutingMatrices(
@@ -146,12 +142,10 @@ def routing_matrices(
     )
 
 
-def accepted_routing(
-    S: np.ndarray, W: np.ndarray, cond_max: float = COND_MAX
-) -> RoutingMatrices:
+def accepted_routing(S: np.ndarray, W: np.ndarray) -> RoutingMatrices:
     """routing_matrices of one (S, W) pair; raises NonConvergentLoop or
     SingularMatrix where it rejects the loop."""
-    routing = routing_matrices(S, W, cond_max=cond_max)
+    routing = routing_matrices(S, W)
     if not routing.converged:
         raise NonConvergentLoop(routing.spectral_radius_SW)
     if not routing.accepted:
@@ -164,10 +158,9 @@ def contract(
     W: np.ndarray,
     L: list,
     H_sys: np.ndarray,
-    cond_max: float = COND_MAX,
 ) -> EffectiveModel:
     """Effective (S_eff, L_eff, H_eff, H_loss) for the connected network."""
-    routing = accepted_routing(S, W, cond_max=cond_max)
+    routing = accepted_routing(S, W)
     _, x_i, _, x_o = internal_projectors(W)
     ext_in, ext_out = (np.flatnonzero(x.diagonal()).tolist() for x in (x_i, x_o))
     # the projector product, not G[ext_out]: it turns G's -0.0 into +0.0

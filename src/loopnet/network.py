@@ -395,12 +395,9 @@ def assemble_H_sys(network: Network) -> np.ndarray:
 # -- JSON file format ----------------------------------------------------
 
 
-def _complex_to_pair(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _matrix_to_pairs(m: np.ndarray):
-    return [[_complex_to_pair(z) for z in row] for row in np.asarray(m)]
+    a = np.asarray(m, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _pairs_to_matrix(rows) -> np.ndarray:
@@ -531,5 +528,4 @@ def load_network(path) -> Network:
 
 def save_network(network: Network, path) -> None:
     with open(path, "w") as fh:
-        json.dump(network_to_dict(network), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(network_to_dict(network), indent=2) + "\n")

@@ -25,9 +25,9 @@ from .network import (
     internal_projectors,
 )
 
-DEFAULT_RECORD_CAP = 1_000_000
+RECORD_CAP = 1_000_000  # enumerate_paths raises PathExplosion past this
 DEFAULT_WEIGHT_THRESHOLD = 0.05
-MAX_ORDER = 200  # validity_check walks at most this many traversals
+MAX_ORDER = 200  # the deepest walk: enumerate_paths refuses a larger max_order
 
 
 @dataclass(frozen=True)
@@ -56,93 +56,71 @@ class ValidityReport:
         return not self.violating_paths
 
 
-def _port_positions(network: Network) -> list:
-    # Missing coordinates count as z = 0 for delay arithmetic; validity_check
-    # insists on explicit geometry before trusting the numbers.
-    return [p.position_z if p.position_z is not None else 0.0 for p in network.ports]
-
-
-class _Enumerator:
-    def __init__(self, sw, z, v_p, max_order, min_weight, cap):
-        self.sw = sw
-        self.z = z
-        self.v_p = v_p
-        self.max_order = max_order
-        self.min_weight = min_weight
-        self.cap = cap
-        self.records: list = []
-        n = sw.shape[0]
-        self.hops = [
-            [(j, sw[j, k]) for j in range(n) if abs(sw[j, k]) > 0.0]
-            for k in range(n)
-        ]
-
-    def _emit(self, record: PathRecord):
-        self.records.append(record)
-        if len(self.records) > self.cap:
-            raise PathExplosion(f"more than {self.cap} path records")
-
-    def extend(self, seq, weight, delay, n, from_source):
-        if n >= self.max_order:
-            return
-        k = seq[-1]
-        for j, amp in self.hops[k]:
-            w = weight * amp
-            if abs(w) < self.min_weight:
-                continue
-            tau = delay + abs(self.z[j] - self.z[k]) / self.v_p
-            new_seq = seq + (j,)
-            self._emit(PathRecord(new_seq, n + 1, w, tau, from_source))
-            self.extend(new_seq, w, tau, n + 1, from_source)
-
-
 def violates(record: PathRecord, tau_min: float, weight_threshold: float) -> bool:
     """The weak-loop test of one path: slow (delay >= tau_min) and heavy
     (|w| >= weight_threshold)."""
     return record.delay >= tau_min and abs(record.weight) >= weight_threshold
 
 
-def enumerate_paths(
-    network: Network,
-    max_order: int,
-    min_weight: float,
-    record_cap: int = DEFAULT_RECORD_CAP,
-) -> list:
-    """All weighted paths up to max_order traversals of the network.
+def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list:
+    """All weighted paths up to max_order <= MAX_ORDER traversals.
 
-    Two families are walked with the same machinery: paths entering at an
-    external input (first factor an S matrix element, zero traversals) and
-    paths emitted by a coupled source port (entry weight 1, hops are S W
-    matrix elements).  Every prefix of a longer path is itself recorded, so
-    consumers filter on the terminal port.  Depth-first with weight pruning;
-    deterministic.
+    Two families share one walk.  A path entering at an external input
+    takes its first hop through S (an S matrix element, zero traversals);
+    a path emitted by a coupled source port starts with weight 1 and takes
+    its first hop through SW.  Every later hop is an S W matrix element and
+    one traversal.  Every prefix of a longer path is itself recorded, just
+    before its extensions, so consumers filter on the terminal port.
+    Depth-first with weight pruning; deterministic.
     """
-    if not (max_order >= 0 and 0 <= min_weight < math.inf):
+    if not (0 <= max_order <= MAX_ORDER and 0 <= min_weight < math.inf):
         raise InvalidParameter(
-            f"need max_order >= 0 and a finite min_weight >= 0, got "
-            f"{max_order!r} and {min_weight!r}"
+            f"need 0 <= max_order <= {MAX_ORDER} and a finite min_weight "
+            f">= 0, got {max_order!r} and {min_weight!r}"
         )
     s = assemble_S(network)
     w = assemble_W(network)
-    z = _port_positions(network)
+    # the nonzero entries (j, m[j, k]) of each column k of S and of SW
+    s_hops, sw_hops = (
+        [[(j, m[j, k]) for j in np.flatnonzero(m[:, k]).tolist()]
+         for k in range(network.n_ports)]
+        for m in (s, s @ w)
+    )
+    # Missing coordinates count as z = 0 for delay arithmetic; validity_check
+    # insists on explicit geometry before trusting the numbers.
+    z = [p.position_z if p.position_z is not None else 0.0 for p in network.ports]
     v_p = network.geometry.v_p
-    n = network.n_ports
+    records: list = []
 
-    enum = _Enumerator(s @ w, z, v_p, max_order, min_weight, record_cap)
-
-    for p in sorted({port for sys in network.systems for port in sys.couplings}):
-        enum.extend((p,), 1.0 + 0.0j, 0.0, 0, from_source=True)
-
-    for k in external_ports(w)[0]:
-        for j in range(n):
-            amp = s[j, k]
-            if abs(amp) < min_weight or abs(amp) == 0.0:
+    def walk(seq, weight, delay, n, hops, from_source):
+        # each hop out of seq[-1] makes a path of n traversals, recorded
+        # just before its extensions through SW.  weight None: the path
+        # leaves an external input, and its first S element is its whole
+        # weight ((1 + 0j) * amp can flip the sign of a zero part)
+        if n > max_order:
+            return
+        k = seq[-1]
+        for j, amp in hops[k]:
+            w_j = amp if weight is None else weight * amp
+            if abs(w_j) < min_weight:
                 continue
-            tau = abs(z[j] - z[k]) / v_p
-            enum._emit(PathRecord((k, j), 0, amp, tau, False))
-            enum.extend((k, j), amp, tau, 0, from_source=False)
+            tau = delay + abs(z[j] - z[k]) / v_p
+            path = seq + (j,)
+            records.append(PathRecord(path, n, w_j, tau, from_source))
+            if len(records) > RECORD_CAP:
+                raise PathExplosion(f"more than {RECORD_CAP} path records")
+            walk(path, w_j, tau, n + 1, sw_hops, from_source)
 
-    return enum.records
+    try:
+        for p in sorted({port for sys in network.systems for port in sys.couplings}):
+            walk((p,), 1.0 + 0.0j, 0.0, 1, sw_hops, True)
+        for k in external_ports(w)[0]:
+            walk((k,), None, 0.0, 0, s_hops, False)
+    finally:
+        # walk refers to itself: break the cycle, or it keeps the records
+        # alive after the caller drops them, until a full gc collection
+        del walk
+    return records
 
 
 def truncated_series_oracle(S: np.ndarray, W: np.ndarray, L, n_terms: int):

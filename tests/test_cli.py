@@ -27,7 +27,7 @@ from loopnet import cli
 from loopnet.cli import EXIT_SCHEMA, build_parser, main, write_csv
 from loopnet.paths import enumerate_paths
 
-from conftest import single_qubit_network
+from conftest import fabry_perot, single_qubit_network
 
 
 @pytest.fixture
@@ -201,6 +201,20 @@ def test_paths_contains_named_routes(fast_net_file, tmp_path):
     # sorted by descending weight
     weights = [float(r[4]) for r in rows]
     assert weights == sorted(weights, reverse=True)
+
+
+def test_paths_beyond_max_order_is_schema_error(tmp_path, capsys):
+    """A walk deeper than paths.MAX_ORDER traversals is refused with one
+    line, where an unpruned cavity path once recursed into a traceback."""
+    net = tmp_path / "fp.json"
+    save_network(fabry_perot(0.9, 0.3), net)
+    out = tmp_path / "out"
+    assert main(["paths", str(net), "--max-order", "1500", "--min-weight",
+                 "0", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("schema error [InvalidParameter]: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 # -- simulate -----------------------------------------------------------------
@@ -637,6 +651,22 @@ def test_transfer_sweep_records_failed_seeds(tmp_path, capsys):
     for r in rows[1:]:
         assert r[1:] == ["nan"] * 4 + ["WrongDirectionality"]
     assert "(1/3 seeds succeeded)" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")
+def test_sweep_manifest_records_swap_roles(tmp_path, capsys):
+    # the same seeds give other rows and exits with --swap-roles, so the
+    # manifest must tell the two runs apart
+    argv = ["transfer", "--random", "--sweep", "3", "--seed", "0",
+            "--eps", "2.5", "--phase", "1.0", "--T", "2", "--dt", "5e-3"]
+    parameters = {}
+    for swap, code in ((False, 2), (True, 0)):
+        out = tmp_path / f"swap{swap:d}"
+        assert main(argv + ["--swap-roles"] * swap + ["-o", str(out)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        parameters[swap] = manifest["parameters"]
+        assert parameters[swap].pop("swap_roles") is swap
+    assert parameters[False] == parameters[True]
 
 
 @pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")

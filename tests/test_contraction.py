@@ -6,6 +6,7 @@ import pytest
 from loopnet import (
     contract,
     contract_network,
+    contraction,
     dissipative_hamiltonian,
     effective_L_operators,
     ideal_circulator,
@@ -258,10 +259,11 @@ def test_convergence_certificate_matches_eigvals(rng):
             assert single.spectral_radius_SW == routing.spectral_radius_SW[k]
 
 
-def test_singular_rejection(rng):
+def test_singular_rejection(rng, monkeypatch):
     s, w = random_sw_pair(rng, 4)
+    monkeypatch.setattr(contraction, "COND_MAX", 1.0)
     with pytest.raises(SingularMatrix):
-        contract(s, w, random_L(rng, 4, 2), np.zeros((2, 2)), cond_max=1.0)
+        contract(s, w, random_L(rng, 4, 2), np.zeros((2, 2)))
 
 
 def test_routing_diagnostics(rng):

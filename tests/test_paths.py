@@ -1,5 +1,7 @@
 """Path enumeration, series convergence and the weak-loop validity check."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,16 @@ from loopnet import (
     two_qubit_network,
     validity_check,
 )
+from loopnet import paths
 from loopnet.errors import InvalidParameter, MissingGeometry, PathExplosion
-from loopnet.network import Connection, Network, assemble_S, assemble_W
+from loopnet.network import (
+    Connection,
+    Network,
+    assemble_S,
+    assemble_W,
+    external_ports,
+)
+from loopnet.paths import MAX_ORDER
 
 from conftest import fabry_perot
 
@@ -90,10 +100,64 @@ def test_source_paths_start_with_unit_weight():
         assert abs(r.weight - sw[j, k]) < 1e-15
 
 
-def test_record_cap_raises():
+def test_record_cap_raises(monkeypatch):
     net = two_qubit_network(datasheet_circulator(), datasheet_circulator())
+    monkeypatch.setattr(paths, "RECORD_CAP", 50)
     with pytest.raises(PathExplosion):
-        enumerate_paths(net, max_order=40, min_weight=1e-12, record_cap=50)
+        enumerate_paths(net, max_order=40, min_weight=1e-12)
+
+
+@pytest.mark.parametrize("net", [
+    two_qubit_network(datasheet_circulator(), datasheet_circulator()),
+    fabry_perot(0.5, 0.7),
+], ids=["datasheet", "fabry_perot"])
+def test_path_sums_are_the_series_terms(net):
+    """Without pruning, the records summed by (traversals n, first port,
+    last port) are the terms of the multi-traversal series: (SW)^n for
+    source ports (n >= 1) and (SW)^n S for external inputs.  A dropped or a
+    doubled path shows as a wrong sum."""
+    s, w = assemble_S(net), assemble_W(net)
+    sums = {}
+    for r in enumerate_paths(net, max_order=4, min_weight=0.0):
+        key = (r.from_source, r.n_traversals, r.port_sequence[0],
+               r.port_sequence[-1])
+        sums[key] = sums.get(key, 0.0) + r.weight
+    sources = sorted({p for sys in net.systems for p in sys.couplings})
+    families = [(True, sources, np.eye(net.n_ports)),
+                (False, external_ports(w)[0], s)]
+    for from_source, starts, entry in families:
+        for n in range(from_source, 5):
+            term = np.linalg.matrix_power(s @ w, n) @ entry
+            got = [[sums.pop((from_source, n, k, j), 0.0) for k in starts]
+                   for j in range(net.n_ports)]
+            np.testing.assert_allclose(got, term[:, starts], rtol=0,
+                                       atol=1e-14)
+    assert not sums  # no record outside the two families
+
+
+def test_walk_leaves_no_reference_cycle():
+    # the recursive walk refers to itself; left as a cycle, it would keep
+    # every record alive after the caller drops them, until a full collection
+    net = two_qubit_network(datasheet_circulator(), datasheet_circulator())
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_paths(net, max_order=6, min_weight=1e-4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_enumerate_paths_refuses_walks_deeper_than_max_order(monkeypatch):
+    net = fabry_perot(0.9, 0.3)
+    assert len(enumerate_paths(net, MAX_ORDER, 0.0)) == 804
+
+    def no_walk(network):
+        raise AssertionError("assembled S for a refused walk")
+
+    monkeypatch.setattr(paths, "assemble_S", no_walk)
+    with pytest.raises(InvalidParameter, match="max_order <= 200"):
+        enumerate_paths(net, MAX_ORDER + 1, 0.0)
 
 
 def test_validity_check_flags_slow_heavy_paths():

@@ -216,10 +216,8 @@ def test_transfer_coefficients_rejects_loops_like_contract():
 def test_transfer_coefficients_rejects_ill_conditioning_like_contract(
         monkeypatch):
     # a unitary network's 1 - SW is never near singular, so judge it
-    # against cond_max = 1, which every loop exceeds
-    judge = contraction.routing_matrices
-    monkeypatch.setattr(contraction, "routing_matrices",
-                        lambda s, w, cond_max: judge(s, w, cond_max=1.0))
+    # against COND_MAX = 1, which every loop exceeds
+    monkeypatch.setattr(contraction, "COND_MAX", 1.0)
     net = two_qubit_network(ideal_circulator(), ideal_circulator())
     _same_error(net, SingularMatrix)
 
