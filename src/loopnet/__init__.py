@@ -70,7 +70,6 @@ from .transfer import (
     coupled_qubit_ports,
     dark_state_residual,
     datasheet_circulator,
-    extract_coefficients,
     feeding_operator,
     find_network_in_class,
     oriented,

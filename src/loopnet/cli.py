@@ -44,6 +44,7 @@ from .network import (
     embed_operator,
     internal_projectors,
     load_network,
+    read_json,
     save_network,
     unitarity_deviation,
 )
@@ -403,7 +404,7 @@ def _initial_state(net: Network, spec: str) -> np.ndarray:
         return basis_state(d, _basis_index(spec[6:], d, "basis state"))
     path = Path(spec)
     if path.exists():
-        return _pairs_to_matrix(json.loads(path.read_text()))
+        return _pairs_to_matrix(read_json(path))
     raise SchemaError(f"unknown initial state {spec!r}")
 
 
@@ -702,9 +703,6 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except (SchemaError, InvalidParameter) as exc:
         print(f"schema error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except json.JSONDecodeError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:
         where = "output" if getattr(args, "writing", False) else "schema"

@@ -27,6 +27,10 @@ class PortCoverageGap(SchemaError):
     """Scattering blocks do not cover every port exactly once."""
 
 
+class InvalidPortId(SchemaError):
+    """A port id is not an integer naming one of the network's N ports."""
+
+
 class DuplicateConnection(SchemaError):
     """An output or input port appears in more than one connection."""
 

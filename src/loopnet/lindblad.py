@@ -436,8 +436,8 @@ class _Coordinates:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    rhos: np.ndarray  # (n_samples, D, D)
+    times: np.ndarray  # every step: n_steps + 1 times from 0 to t_final
+    rhos: np.ndarray  # (n_steps + 1, D, D)
     observables: dict
     max_trace_drift: float
     # the generator's discarded imaginary residue in real coordinates
@@ -504,7 +504,6 @@ def integrate(
     t_final: float,
     dt: float,
     observables: dict | None = None,
-    sample_stride: int = 1,
 ) -> Trajectory:
     """Fixed-step RK4 propagation of the master equation.
 
@@ -546,8 +545,6 @@ def integrate(
     block.
     """
     n_steps = step_count(t_final, dt)
-    if not sample_stride >= 1:
-        raise InvalidParameter("sample_stride must be a positive integer")
     d = model.h_sys.shape[0]
     dd = d * d
     rho = np.array(rho0, dtype=complex)
@@ -574,20 +571,18 @@ def integrate(
             "Hermitian?"
         )
 
-    n_samples = 1 + n_steps // sample_stride + (n_steps % sample_stride != 0)
-    times = np.empty(n_samples)
-    rhos = np.empty((n_samples, d, d), dtype=complex)
-    rhos_f = rhos.reshape(n_samples, dd).view(float)  # (Re, Im) pairs
-    times[0], rhos[0] = 0.0, rho
+    times = np.arange(n_steps + 1) * h
+    rhos = np.empty((n_steps + 1, d, d), dtype=complex)
+    rhos_f = rhos.reshape(n_steps + 1, dd).view(float)  # (Re, Im) pairs
+    rhos[0] = rho
     states = np.empty((min(block, n_steps) + 1, co.width))
     states[:, -1] = 0.0
     states[0, :dd] = co.rows(rho.reshape(dd, 1, order="F"))[:, 0].real
-    obs = np.empty((n_samples, len(observables)), dtype=complex)
+    obs = np.empty((n_steps + 1, len(observables)), dtype=complex)
     obs_f = obs.view(float)
     if observables:
         weights_o = co.observable_weights(observables.values())
         obs_f[0] = states[0, :dd] @ weights_o
-    n_kept = 1
     max_trace_drift = abs(np.trace(rho).real - 1.0)
 
     start = 0
@@ -623,21 +618,13 @@ def integrate(
         trace = np.abs(y[1:, :d] @ np.ones(d) - 1.0)
         max_trace_drift = max(max_trace_drift, _check_block(y, start, trace))
 
-        steps = np.arange(start + 1, start + m + 1)
-        keep = (steps % sample_stride == 0) | (steps == n_steps)
-        n_new = int(keep.sum())
-        times[n_kept:n_kept + n_new] = steps[keep] * h
-        kept = states[1:m + 1]
-        np.negative(kept[:, co.im_upper], out=kept[:, co.im_lower])
-        if n_new < m:
-            kept = np.compress(keep, kept, axis=0)
-        np.take(kept, co.take, axis=1, out=rhos_f[n_kept:n_kept + n_new],
+        new = states[1:m + 1]
+        np.negative(new[:, co.im_upper], out=new[:, co.im_lower])
+        np.take(new, co.take, axis=1, out=rhos_f[start + 1:start + m + 1],
                 mode="clip")
         if observables:
-            np.matmul(kept[:, :dd], weights_o,
-                      out=obs_f[n_kept:n_kept + n_new])
+            np.matmul(new[:, :dd], weights_o, out=obs_f[start + 1:start + m + 1])
         states[0] = states[m]
-        n_kept += n_new
         start += m
 
     return Trajectory(

@@ -17,13 +17,16 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     DuplicateConnection,
+    InvalidPortId,
     NonUnitaryBlock,
     PhaseAndDistanceBothGiven,
     PortCoverageGap,
@@ -151,15 +154,31 @@ class Network:
     def __post_init__(self):
         if not self.ports:
             raise SchemaError("a network needs at least one port")
-        ids = sorted(p.id for p in self.ports)
-        if ids != list(range(len(self.ports))):
-            raise SchemaError("port ids must be 0..N-1, contiguous and unique")
+        self._validate_port_ids()
         self._validate_numbers()
         self._validate_blocks()
         self._validate_connections()
         self._validate_systems()
 
     # -- validation ------------------------------------------------------
+
+    def _validate_port_ids(self):
+        """Port ids are unique, and they, both ends of every connection and
+        every coupling's port are integers (not bools) in 0..N-1: a float
+        or a bool indexes the assembled matrices as another port or not at
+        all, and a negative id wraps around."""
+        n = self.n_ports
+        ids = [("port id", p.id) for p in self.ports]
+        ids += [(f"connection {c.from_port}->{c.to_port}: port", i)
+                for c in self.connections for i in (c.from_port, c.to_port)]
+        ids += [(f"coupling of {s.element_id!r}: port", i)
+                for s in self.systems for i in s.couplings]
+        for what, i in ids:
+            if (isinstance(i, bool) or not isinstance(i, numbers.Integral)
+                    or not 0 <= i < n):
+                raise InvalidPortId(f"{what} {i!r} is not an integer in 0..{n - 1}")
+        if len({p.id for p in self.ports}) != n:
+            raise InvalidPortId("port ids must be 0..N-1, contiguous and unique")
 
     def _validate_blocks(self):
         covered: list[int] = []
@@ -517,13 +536,17 @@ def network_from_dict(data: dict) -> Network:
     )
 
 
+def read_json(path):
+    """The JSON value in a file, read as bytes (UTF-8, -16 or -32);
+    SchemaError if it does not decode or parse."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
 def load_network(path) -> Network:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-    return network_from_dict(data)
+    return network_from_dict(read_json(path))
 
 
 def save_network(network: Network, path) -> None:

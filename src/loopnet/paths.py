@@ -5,7 +5,7 @@ Every multi-traversal path through the network is an alternating product of
 W hops (propagation, with delay) and S hops (instantaneous scattering).  A
 path is recorded by the sequence of output ports it visits; its weight is
 the product of the corresponding S W matrix elements and its delay the sum
-of inter-port distances divided by the phase velocity.
+of the lengths of the connections it crosses divided by the phase velocity.
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list
     its first hop through SW.  Every later hop is an S W matrix element and
     one traversal.  Every prefix of a longer path is itself recorded, just
     before its extensions, so consumers filter on the terminal port.
-    Depth-first with weight pruning; deterministic.
+    Depth-first with weight pruning; deterministic.  A traversal adds the
+    delay connection_distance / v_p of the connection it crosses (0 where
+    that is None, which validity_check refuses), an S hop none.
     """
     if not (0 <= max_order <= MAX_ORDER and 0 <= min_weight < math.inf):
         raise InvalidParameter(
@@ -86,13 +88,16 @@ def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list
          for k in range(network.n_ports)]
         for m in (s, s @ w)
     )
-    # Missing coordinates count as z = 0 for delay arithmetic; validity_check
-    # insists on explicit geometry before trusting the numbers.
-    z = [p.position_z if p.position_z is not None else 0.0 for p in network.ports]
-    v_p = network.geometry.v_p
+    # sw_delays[k]: the delay of the connection that leaves output port k
+    sw_delays = [0.0] * network.n_ports
+    for c in network.connections:
+        length = network.connection_distance(c)
+        if length is not None:
+            sw_delays[c.from_port] = length / network.geometry.v_p
+    s_delays = [0.0] * network.n_ports
     records: list = []
 
-    def walk(seq, weight, delay, n, hops, from_source):
+    def walk(seq, weight, delay, n, hops, delays, from_source):
         # each hop out of seq[-1] makes a path of n traversals, recorded
         # just before its extensions through SW.  weight None: the path
         # leaves an external input, and its first S element is its whole
@@ -100,22 +105,22 @@ def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list
         if n > max_order:
             return
         k = seq[-1]
+        tau = delay + delays[k]
         for j, amp in hops[k]:
             w_j = amp if weight is None else weight * amp
             if abs(w_j) < min_weight:
                 continue
-            tau = delay + abs(z[j] - z[k]) / v_p
             path = seq + (j,)
             records.append(PathRecord(path, n, w_j, tau, from_source))
             if len(records) > RECORD_CAP:
                 raise PathExplosion(f"more than {RECORD_CAP} path records")
-            walk(path, w_j, tau, n + 1, sw_hops, from_source)
+            walk(path, w_j, tau, n + 1, sw_hops, sw_delays, from_source)
 
     try:
         for p in sorted({port for sys in network.systems for port in sys.couplings}):
-            walk((p,), 1.0 + 0.0j, 0.0, 1, sw_hops, True)
+            walk((p,), 1.0 + 0.0j, 0.0, 1, sw_hops, sw_delays, True)
         for k in external_ports(w)[0]:
-            walk((k,), None, 0.0, 0, s_hops, False)
+            walk((k,), None, 0.0, 0, s_hops, s_delays, False)
     finally:
         # walk refers to itself: break the cycle, or it keeps the records
         # alive after the caller drops them, until a full gc collection

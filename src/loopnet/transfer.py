@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .contraction import (
-    EffectiveModel,
     accepted_routing,
     contract_network,
     routing_matrices,
@@ -219,13 +218,10 @@ def circulator_reflectances(network: Network) -> np.ndarray:
     return np.array(refl)
 
 
-def _sampler_rng(seed, r2_min=0.0, r2_max=1.0, resid_max=1.0, kappa0=1.0,
-                 ratio_db=0.0) -> np.random.Generator:
-    """default_rng(seed) if 0 <= r2_min <= r2_max <= 1, seed >= 0, resid_max
-    and kappa0 are finite and > 0 and ratio_db is finite and above the
-    -40 dB end of predict_transfer's pulse; else InvalidParameter."""
-    if not (0 <= r2_min <= r2_max <= 1 and seed >= 0 and 0 < resid_max < math.inf
-            and 0 < kappa0 < math.inf and -40.0 < ratio_db < math.inf):
+def _sampler_rng(seed, r2_min, r2_max, resid_max=1.0) -> np.random.Generator:
+    """default_rng(seed) if 0 <= r2_min <= r2_max <= 1, seed >= 0 and
+    resid_max is finite and > 0; else InvalidParameter."""
+    if not (0 <= r2_min <= r2_max <= 1 and seed >= 0 and 0 < resid_max < math.inf):
         raise InvalidParameter(f"sampler input out of range: {locals()}")
     return np.random.default_rng(seed)
 
@@ -242,25 +238,21 @@ def _in_class(circulators, r2_min: float, r2_max: float) -> np.ndarray:
 
 
 _DRAW_CHUNK = 64  # sampler tries drawn and tested at once
+CLASS_TRIES = 2000  # find_network_in_class raises NetworkNotFound past this
 
 
-def find_network_in_class(
-    r2_min: float,
-    r2_max: float,
-    seed: int,
-    max_tries: int = 2000,
-) -> Network:
+def find_network_in_class(r2_min: float, r2_max: float, seed: int) -> Network:
     """Rejection-sample an imperfect network whose retro-reflections all fall
-    inside [r2_min, r2_max], with a random interconnect phase;
-    deterministic for a fixed seed."""
+    inside [r2_min, r2_max], with a random interconnect phase, in at most
+    CLASS_TRIES tries; deterministic for a fixed seed."""
     rng = _sampler_rng(seed, r2_min, r2_max)
-    for start in range(0, max_tries, _DRAW_CHUNK):
+    for start in range(0, CLASS_TRIES, _DRAW_CHUNK):
         # each try draws eps, its phase and the seed of its own stream from
         # the main stream, in this order; circulator a of a chunk's tries is
         # one stacked eigvalsh and eigh
         tries = [(_draw_eps(rng, r2_min, r2_max), rng.uniform(0.0, 2.0 * np.pi),
                   np.random.default_rng(int(rng.integers(0, 2**63 - 1))))
-                 for _ in range(min(_DRAW_CHUNK, max_tries - start))]
+                 for _ in range(min(_DRAW_CHUNK, CLASS_TRIES - start))]
         eps, phases, subs = zip(*tries)
         h_a = _unit_spectral_norm(np.array([_hermitian_draw(s, 3) for s in subs]))
         circ_a = perturbed_circulator(np.array(eps), h_a)
@@ -273,7 +265,7 @@ def find_network_in_class(
                                          interconnect_phase=phases[i])
     raise NetworkNotFound(
         f"no network with reflectances in [{r2_min}, {r2_max}] "
-        f"after {max_tries} tries"
+        f"after {CLASS_TRIES} tries"
     )
 
 
@@ -321,9 +313,8 @@ class TransferCoefficients:
 
 
 def _coefficients_from_T(t, qubit_ports):
-    """Coefficients of T (N, N), or with array fields of a stack (B, N, N)."""
-    if len(qubit_ports) != 2:
-        raise NotTwoQubitNetwork(f"expected 2 qubit ports, got {qubit_ports}")
+    """Coefficients of T (N, N), or with array fields of a stack (B, N, N),
+    at the two ports of coupled_qubit_ports."""
     pa, pb = qubit_ports
 
     def entry(j, k):
@@ -332,13 +323,6 @@ def _coefficients_from_T(t, qubit_ports):
     return TransferCoefficients.from_t(
         entry(pa, pa), entry(pa, pb), entry(pb, pa), entry(pb, pb)
     )
-
-
-def extract_coefficients(
-    model: EffectiveModel, qubit_ports: tuple
-) -> TransferCoefficients:
-    """Read the network contribution at the two qubit ports off T."""
-    return _coefficients_from_T(model.routing.T, qubit_ports)
 
 
 def coupled_qubit_ports(network: Network) -> tuple:
@@ -1026,24 +1010,21 @@ def phase_tuned_network(seed: int, r2_min: float, r2_max: float, resid_max: floa
 
 
 ADVERSE_R2 = (0.42, 0.84)  # retro-reflectance class of the adverse networks
+ADVERSE_TRIES = 40  # circulator pairs phase_tuned_adverse_network tunes
 
 
-def phase_tuned_adverse_network(
-    seed: int,
-    kappa0: float = 1.0,
-    ratio_db: float = 25.0,
-    max_tries: int = 400,
-):
+def phase_tuned_adverse_network(seed: int):
     """Strongly reflective network tuned to a mid-range predicted success.
 
     Circulators with every retro-reflectance in ADVERSE_R2, interconnect
     phase chosen so that cos(delta_+ - delta_-) falls inside [-0.20, -0.10],
     both Purcell factors lie in [0.05, 5] and the predicted success
-    (predict_transfer, with kappa0 and ratio_db) is closest to 0.55 while
+    (predict_transfer at kappa0 = 1 and 25 dB) is closest to 0.55 while
     staying inside [0.45, 0.65], with the pulse completing within 18.
-    Returns (coefficients, network, phase) or None.
+    Returns (coefficients, network, phase), or None when none of
+    ADVERSE_TRIES circulator pairs is admissible.
     """
-    rng = _sampler_rng(seed, *ADVERSE_R2, kappa0=kappa0, ratio_db=ratio_db)
+    rng = _sampler_rng(seed, *ADVERSE_R2)
     eps_grid = np.linspace(0.8, 3.0, 23)
 
     def reflective_circulator():
@@ -1061,13 +1042,13 @@ def phase_tuned_adverse_network(
         ok = ((-0.20 <= cos_d) & (cos_d <= -0.10) & (c.beta_plus >= 1e-6)
               & (0.05 <= c.eta_a) & (c.eta_a <= 5.0)
               & (0.05 <= c.eta_b) & (c.eta_b <= 5.0))
-        est, t_total = predict_transfer(c.take(ok), kappa0, ratio_db)
+        est, t_total = predict_transfer(c.take(ok), 1.0, 25.0)
         fit = (t_total <= 18.0) & (0.45 <= est) & (est <= 0.65)
         values = np.full(len(ok), np.inf)
         values[ok] = np.where(fit, np.abs(est - 0.55), np.inf)
         return values
 
-    for _ in range(max_tries):
+    for _ in range(ADVERSE_TRIES):
         circ_a = reflective_circulator()
         circ_b = reflective_circulator()
         if circ_a is None or circ_b is None:
@@ -1202,7 +1183,7 @@ def verify_specialized_generator(
     generic = build_generator(model, Controls(), 0.0)
 
     pa, pb = coupled_qubit_ports(network)
-    coeffs = extract_coefficients(model, (pa, pb))
+    coeffs = _coefficients_from_T(model.routing.T, (pa, pb))
     couplings = {
         port: c
         for sys in network.systems

@@ -255,7 +255,7 @@ def test_criterion_10_reflectance_class_success():
                          48, 50, 51, 56, 58, 59, 63, 68, 70, 73]
         adverse = []
         for seed in adverse_seeds:
-            found = phase_tuned_adverse_network(seed, max_tries=40)
+            found = phase_tuned_adverse_network(seed)
             if found is not None:
                 adverse.append(found[0])
         assert len(adverse) >= 20

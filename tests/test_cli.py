@@ -15,6 +15,7 @@ from loopnet import (
     Geometry,
     datasheet_circulator,
     ideal_circulator,
+    network_from_dict,
     network_to_dict,
     oriented,
     random_imperfect_network,
@@ -131,6 +132,150 @@ def test_non_finite_coupling_is_schema_error(ideal_net_file, tmp_path, capsys):
     for command in ("validate", "contract"):
         assert main([command, str(bad), "-o", str(out)]) == 1
         assert "schema error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _edited_net_file(tmp_path, net, edit):
+    """net saved as JSON after edit(data) changed its dict in place."""
+    data = network_to_dict(net)
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _set(*keys_and_value, self_loops=False):
+    """An edit that sets data[k0][k1]... to the last argument, and
+    allow_self_loops if self_loops."""
+    *keys, value = keys_and_value
+
+    def edit(data):
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        data["allow_self_loops"] |= self_loops
+    return edit
+
+
+def _cavity():
+    return fabry_perot(0.5, 0.7)
+
+
+@pytest.mark.parametrize("command", ["validate", "contract"])
+@pytest.mark.parametrize("net, edit", [
+    (_cavity, _set("connections", 0, "to", -1, self_loops=True)),
+    (_cavity, _set("connections", 0, "to", 99)),
+    (_cavity, _set("connections", 0, "to", 99, self_loops=True)),
+    (_cavity, _set("connections", 0, "from", 1.0)),
+    (_cavity, _set("connections", 0, "to", True)),
+    (_cavity, _set("ports", 1, "id", 1.0)),
+    (single_qubit_network, _set("systems", 0, "couplings", 0, "port", 0.0)),
+], ids=["to=-1,self-loops", "to=99", "to=99,self-loops", "from=1.0",
+        "to=true", "id=1.0", "coupling-port=0.0"])
+def test_bad_port_id_is_schema_error(command, net, edit, tmp_path, capsys):
+    """Every port id in a network file is an int naming one of its N ports,
+    whatever allow_self_loops says: -1 once wrapped to port 3 and exited 0
+    with another network's model, 99 and 1.0 ended in an IndexError or
+    TypeError traceback, and true was read as port 1."""
+    path = _edited_net_file(tmp_path, net(), edit)
+    out = tmp_path / "out"
+    assert main([command, str(path), "-o", str(out)]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("schema error [InvalidPortId]: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b'{"ports": "\xe9"}', b"[["],
+                         ids=["utf-16-bom", "latin-1", "truncated"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "{file}"],
+    ["contract", "{file}"],
+    ["paths", "{file}"],
+    ["transfer", "--net", "{file}"],
+    ["simulate", "{net}", "--t-final", "0.1", "--initial", "{file}"],
+], ids=["validate", "contract", "paths", "transfer", "simulate-initial"])
+def test_unreadable_json_is_schema_error(argv, content, ideal_net_file,
+                                         tmp_path, capsys):
+    """A network or --initial file that is not UTF-8 JSON is one tagged
+    schema error line: it once ended in a UnicodeDecodeError traceback, or
+    for --initial in an untagged line."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [a.format(file=bad, net=ideal_net_file) for a in argv]
+    assert main(argv + ["-o", str(out)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("schema error [SchemaError]: invalid JSON: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def _ideal_network():
+    return two_qubit_network(ideal_circulator(), ideal_circulator())
+
+
+def _qutrit_network():
+    """single_qubit_network with a three-level system in place of the
+    qubit."""
+    lowering = np.diag([1.0, 1.0], k=-1).astype(complex)
+    data = network_to_dict(single_qubit_network())
+    data["systems"][0].update(
+        dim=3, hamiltonian=_state_rows(np.zeros((3, 3))),
+        couplings=[{"port": 0, "op": _state_rows(lowering), "kappa": 1.0}],
+    )
+    return network_from_dict(data)
+
+
+@pytest.mark.parametrize("net, edit, argv, code, message", [
+    (lambda: fabry_perot(1.0, 0.3), None, ["validate", "{net}"], 2,
+     "FAIL NonConvergentLoop"),
+    (_ideal_network, None, ["transfer", "--sweep", "2", "--net", "{net}"], 1,
+     "schema error [SchemaError]: --sweep requires --random"),
+    (_ideal_network, None, ["simulate", "{net}", "--t-final", "0.1",
+                            "--initial", "nosuch"], 1,
+     "schema error [SchemaError]: unknown initial state 'nosuch'"),
+    (_qutrit_network, None, ["simulate", "{net}", "--t-final", "0.1",
+                             "--observables", "X"], 1,
+     "schema error [SchemaError]: Pauli 'X' on non-qubit system 'qubit'"),
+    (_cavity, None, ["simulate", "{net}", "--t-final", "0.1"], 1,
+     "schema error [SchemaError]: network has no local systems"),
+    (_ideal_network, _set("blocks", 0, "element", "nosuch"),
+     ["validate", "{net}"], 1, "schema error [PortCoverageGap]: block for unknown"),
+    (_ideal_network, _set("systems", 0, "hamiltonian", [[[0, 0]]]),
+     ["validate", "{net}"], 1, "schema error [DimensionMismatch]: hamiltonian of"),
+    (_ideal_network,
+     _set("systems", 0, "couplings", 0, "op", [[[0, 0]]]),
+     ["validate", "{net}"], 1, "schema error [DimensionMismatch]: coupling operator"),
+    (_ideal_network, _set("ports", 0, "z", "far"), ["validate", "{net}"], 1,
+     "schema error [SchemaError]: z of port 0 is not finite"),
+    (_ideal_network, _set("blocks", 0, "matrix", [[1]]),
+     ["validate", "{net}"], 1, "schema error [SchemaError]: malformed complex matrix"),
+    (_ideal_network,
+     _set("systems", 0, "couplings", 0, "op", "sigma_w"), ["validate", "{net}"], 1,
+     "schema error [SchemaError]: unknown operator name 'sigma_w'"),
+], ids=["non-convergent-loop", "sweep-with-net", "unknown-initial",
+        "pauli-on-qutrit", "simulate-without-systems", "unknown-element",
+        "hamiltonian-shape", "coupling-shape", "z-not-a-number",
+        "malformed-matrix", "unknown-operator"])
+def test_input_faults_are_one_line(net, edit, argv, code, message, tmp_path,
+                                   capsys):
+    """Input faults and a non-convergent loop end in their exit code and
+    one line that names them, never in a traceback: stderr for an error,
+    validate's last stdout line for its FAIL verdict."""
+    path = _edited_net_file(tmp_path, net(), edit or (lambda data: None))
+    out = tmp_path / "out"
+    assert main([a.format(net=path) for a in argv] + ["-o", str(out)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if code == EXIT_SCHEMA:
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(message)
+    else:
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == message
     assert not out.exists()
 
 

@@ -56,12 +56,10 @@ def test_trace_hermiticity_positivity():
                             kappa_a=1.0, kappa_b=0.5, h_az=0.4)
     model = contract_network(net)
     rho0 = np.full((4, 4), 0.25, dtype=complex)  # pure superposition state
-    traj = integrate(model, Controls(), rho0, t_final=10.0, dt=1e-3,
-                     sample_stride=100)
+    traj = integrate(model, Controls(), rho0, t_final=10.0, dt=1e-3)
     assert traj.max_trace_drift < 1e-8
     assert traj.max_herm_drift < 1e-10
-    for rho in traj.rhos:
-        assert np.linalg.eigvalsh(rho).min() > -1e-8
+    assert np.linalg.eigvalsh(traj.rhos).min() > -1e-8
 
 
 def test_generator_linearity(rng):
@@ -144,8 +142,7 @@ def test_step_halving_convergence():
     rho0 = np.full((4, 4), 0.25, dtype=complex)
 
     def final_rho(dt):
-        return integrate(model, Controls(), rho0, t_final=2.0, dt=dt,
-                         sample_stride=10**9).rhos[-1]
+        return integrate(model, Controls(), rho0, t_final=2.0, dt=dt).rhos[-1]
 
     ref = final_rho(1e-3)
     err_coarse = np.abs(final_rho(0.2) - ref).max()
@@ -337,10 +334,8 @@ def oracle_run(case):
 
 
 @pytest.mark.parametrize("block_steps", [None, 5])
-@pytest.mark.parametrize("sample_stride", [1, 7, 10**9])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_integrate_matches_stepwise_rk4(case, sample_stride, block_steps,
-                                        monkeypatch):
+def test_integrate_matches_stepwise_rk4(case, block_steps, monkeypatch):
     """Block-wise integrate against the step-by-step RK4 oracle: <= 1e-12
     on every stored rho and identical sample times, with the default
     blocks and with 5-step blocks (restarts from re-Hermitized states)."""
@@ -349,14 +344,10 @@ def test_integrate_matches_stepwise_rk4(case, sample_stride, block_steps,
         dd = rho0.size
         per_step = 2 * dd * dd if controls.ports else dd
         monkeypatch.setattr(lindblad, "_BLOCK", block_steps * per_step)
-    n_steps = len(times) - 1
-    kept = [0] + [k for k in range(1, n_steps + 1)
-                  if k % sample_stride == 0 or k == n_steps]
-    traj = integrate(model, controls, rho0, t_final, dt,
-                     sample_stride=sample_stride)
-    assert np.array_equal(traj.times, times[kept])
-    assert traj.rhos.shape == rhos[kept].shape
-    assert np.abs(traj.rhos - rhos[kept]).max() <= 1e-12
+    traj = integrate(model, controls, rho0, t_final, dt)
+    assert np.array_equal(traj.times, times)
+    assert traj.rhos.shape == rhos.shape
+    assert np.abs(traj.rhos - rhos).max() <= 1e-12
 
 
 @pytest.mark.parametrize("max_dd", [0, 64])
@@ -410,7 +401,7 @@ def test_invalid_parameters_raise_typed_error():
     model = contract_network(single_qubit_network())
     for bad in ({"dt": 0.0}, {"dt": -1e-3}, {"dt": np.nan},
                 {"t_final": np.inf}, {"t_final": -1.0},
-                {"sample_stride": 0}, {"t_final": 1e300, "dt": 1e-300},
+                {"t_final": 1e300, "dt": 1e-300},
                 {"t_final": 1e10, "dt": 1e-2}):
         kwargs = {"t_final": 1.0, "dt": 1e-2, **bad}
         with pytest.raises(InvalidParameter) as info:
@@ -507,17 +498,14 @@ def test_non_hermitian_hamiltonian_term_is_invalid_parameter():
                                   "step-schedule"])
 def test_stored_states_are_hermitian_bit_for_bit(case, max_dd, monkeypatch):
     """rhos[0] is rho0 as given; every later state equals its conjugate
-    transpose exactly, on every branch and with a sample stride; the
-    generator's residue is roundoff."""
+    transpose exactly, on every branch; the generator's residue is
+    roundoff."""
     model, controls, rho0, t_final, dt = ORACLE_CASES[case]()
     monkeypatch.setattr(lindblad, "_STEP_MATRIX_MAX_DD", max_dd)
-    for stride in (1, 3):
-        traj = integrate(model, controls, rho0, t_final, dt,
-                         sample_stride=stride)
-        assert np.array_equal(traj.rhos[0], rho0)
-        assert np.array_equal(traj.rhos[1:],
-                              traj.rhos[1:].conj().transpose(0, 2, 1))
-        assert traj.max_herm_drift < 1e-15
+    traj = integrate(model, controls, rho0, t_final, dt)
+    assert np.array_equal(traj.rhos[0], rho0)
+    assert np.array_equal(traj.rhos[1:], traj.rhos[1:].conj().transpose(0, 2, 1))
+    assert traj.max_herm_drift < 1e-15
 
 
 @pytest.mark.parametrize("case", ["static-d8", "step-schedule"])
@@ -528,8 +516,7 @@ def test_observables_match_einsum(case):
     ops = {f"op{k}": rng.standard_normal((d, d))
            + 1j * rng.standard_normal((d, d)) for k in range(3)}
     ops["P0"] = basis_state(d, 0)
-    traj = integrate(model, controls, rho0, t_final, dt, observables=ops,
-                     sample_stride=3)
+    traj = integrate(model, controls, rho0, t_final, dt, observables=ops)
     for name, op in ops.items():
         expected = np.einsum("tij,ji->t", traj.rhos, op)
         assert np.abs(traj.observables[name] - expected).max() <= 1e-15

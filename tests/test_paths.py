@@ -69,6 +69,31 @@ def test_delay_additivity_and_prefix_weights():
                 assert abs(prefix.weight * hop - r.weight) < 1e-14
 
 
+@pytest.mark.parametrize("with_z", [False, True])
+def test_delays_are_connection_lengths(with_z):
+    """A traversal takes Network.connection_distance / v_p of the
+    connection it crosses, the explicit distance before port positions.
+    With distance 5 and no port z this cavity once had every delay 0 and
+    passed validity_check; with z = 0 and 1 as well, its delays were 1, 2,
+    3, ... instead of 5, 10, 15, ..."""
+    cavity = fabry_perot(0.9, 0.0)
+    net = Network(
+        [type(p)(p.id, p.element_id, p.position_z if with_z else None)
+         for p in cavity.ports],
+        cavity.blocks,
+        connections=[Connection(1, 2, distance=5.0),
+                     Connection(2, 1, distance=5.0)],
+    )
+    records = enumerate_paths(net, max_order=6, min_weight=1e-3)
+    assert {r.n_traversals for r in records} == set(range(7))
+    for r in records:
+        assert r.delay == 5.0 * r.n_traversals
+    report = validity_check(net, tau_min=0.5)
+    assert not report.valid
+    assert len(report.violating_paths) == len(
+        validity_check(cavity, tau_min=0.5).violating_paths) == 66
+
+
 def test_path_sum_converges_to_s_eff():
     net = fabry_perot(0.5, 0.7)
     model = contract_network(net)

@@ -20,7 +20,6 @@ from loopnet import (
     collective_rates,
     contract_network,
     controls_from_network,
-    extract_coefficients,
     dark_state_residual,
     datasheet_circulator,
     find_network_in_class,
@@ -114,13 +113,14 @@ def test_random_imperfect_network_deterministic():
         assert np.abs(np.asarray(ba.matrix) - np.asarray(bb.matrix)).max() == 0
 
 
-def test_find_network_in_class_reflectances():
+def test_find_network_in_class_reflectances(monkeypatch):
     net = find_network_in_class(0.04, 0.15, seed=11)
     r2 = circulator_reflectances(net)
     assert r2.min() >= 0.04 and r2.max() <= 0.15
     # an unreachable class is a typed error that old RuntimeError callers catch
+    monkeypatch.setattr(loopnet.transfer, "CLASS_TRIES", 5)
     with pytest.raises(NetworkNotFound) as info:
-        find_network_in_class(0.9, 0.95, seed=11, max_tries=5)
+        find_network_in_class(0.9, 0.95, seed=11)
     assert isinstance(info.value, LoopnetError)
     assert isinstance(info.value, RuntimeError)
 
@@ -147,14 +147,16 @@ def test_find_network_in_class_matches_drawing_both_circulators():
         assert network_to_dict(got) == network_to_dict(want), seed
 
 
-def test_find_network_in_class_max_tries_across_chunks():
-    """The tries are drawn and judged in chunks, but max_tries still counts
-    single tries: seed 4 first accepts at try 178 (third chunk of 64)."""
+def test_find_network_in_class_max_tries_across_chunks(monkeypatch):
+    """The tries are drawn and judged in chunks, but CLASS_TRIES still
+    counts single tries: seed 4 first accepts at try 178 (third chunk of
+    64)."""
+    want = network_to_dict(find_network_in_class(0.04, 0.15, 4))
+    monkeypatch.setattr(loopnet.transfer, "CLASS_TRIES", 177)
     with pytest.raises(NetworkNotFound):
-        find_network_in_class(0.04, 0.15, 4, max_tries=177)
-    got = find_network_in_class(0.04, 0.15, 4, max_tries=178)
-    assert network_to_dict(got) == network_to_dict(
-        find_network_in_class(0.04, 0.15, 4))
+        find_network_in_class(0.04, 0.15, 4)
+    monkeypatch.setattr(loopnet.transfer, "CLASS_TRIES", 178)
+    assert network_to_dict(find_network_in_class(0.04, 0.15, 4)) == want
 
 
 def test_phase_tuned_network_matches_drawing_one_try_at_a_time():
@@ -194,8 +196,8 @@ def test_transfer_coefficients_match_the_effective_model():
     nets = [find_network_in_class(0.04, 0.15, seed) for seed in range(20)]
     nets.append(phase_tuned_network(3, 0.04, 0.15, 1.5e-3)[1])
     for net in nets:
-        want = extract_coefficients(contract_network(net),
-                                    coupled_qubit_ports(net))
+        want = loopnet.transfer._coefficients_from_T(
+            contract_network(net).routing.T, coupled_qubit_ports(net))
         assert transfer_coefficients(net) == want
 
 
@@ -233,13 +235,6 @@ def test_transfer_coefficients_rejects_ill_conditioning_like_contract(
     (phase_tuned_network, (0, 0.04, 0.15, 0.0)),
     (phase_tuned_network, (0, math.nan, 0.15, 1.5e-3)),
     (phase_tuned_network, (-1, 0.04, 0.15, 1.5e-3)),
-    (phase_tuned_adverse_network, (0, math.nan)),
-    (phase_tuned_adverse_network, (0, 0.0)),
-    (phase_tuned_adverse_network, (0, math.inf)),
-    (phase_tuned_adverse_network, (0, 1.0, math.nan)),
-    (phase_tuned_adverse_network, (0, 1.0, -math.inf)),
-    (phase_tuned_adverse_network, (0, 1.0, -40.0)),
-    (phase_tuned_adverse_network, (0, 1.0, -300.0)),
     (phase_tuned_adverse_network, (-1,)),
 ], ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)))
 def test_sampler_rejects_bad_input_before_drawing(sampler, args, monkeypatch):
@@ -673,7 +668,7 @@ def test_kappa_b_at_matches_bisection(kappa0, db, T, dt):
     relative in kappa_b, or one ulp of ln(kappa_b/kappa0) where that is
     coarser (|ln x| >= 128), and times = [0] alone gives kappa_b(0).  Ideal
     circulators (s = 0), criterion-09 networks and an adverse network."""
-    cases = [perfect_coeffs(), phase_tuned_adverse_network(4, max_tries=40)[0]]
+    cases = [perfect_coeffs(), phase_tuned_adverse_network(4)[0]]
     cases += [forward_coefficients(find_network_in_class(0.04, 0.15, s))
               for s in (0, 1, 4)]
     times = np.linspace(0.0, T, 2 * step_count(T, dt) + 1)
@@ -1039,7 +1034,7 @@ def test_dark_decay_matches_quad():
     pool = [forward_coefficients(find_network_in_class(0.04, 0.15, s))
             for s in range(12)]
     pool += [phase_tuned_network(s, 0.04, 0.15, 1.5e-3)[0] for s in (1, 2)]
-    pool += [phase_tuned_adverse_network(s, max_tries=40)[0]
+    pool += [phase_tuned_adverse_network(s)[0]
              for s in (4, 6, 7)]
     base = pool[0]
     product = base.eta_a * base.eta_b
@@ -1109,7 +1104,7 @@ def scalar_adverse_score(c):
 @pytest.mark.parametrize("sampler, args, scalar_score", [
     (phase_tuned_network, (0.04, 0.15, 1.5e-3),
      lambda c: abs(dark_state_residual(c))),
-    (phase_tuned_adverse_network, (1.0, 25.0, 40), scalar_adverse_score),
+    (phase_tuned_adverse_network, (), scalar_adverse_score),
 ])
 def test_tune_phase_matches_scalar_loop(sampler, args, scalar_score,
                                         monkeypatch):
@@ -1152,9 +1147,7 @@ def test_predict_transfer_rejects_unusable_start(kappa0, ratio_db):
 def test_start_at_or_below_the_pulse_end_is_invalid(ratio_db):
     """The duration is the flow's time to reach -40 dB, which a start at or
     below it never does: these starts once gave -3.5e-15, -26.8 or -inf
-    (with a divide-by-zero warning) and a bound of about 1.  The adverse
-    sampler, which scores phases with predict_transfer, rejects them before
-    its first draw (test_sampler_rejects_bad_input_before_drawing)."""
+    (with a divide-by-zero warning) and a bound of about 1."""
     c = oriented(transfer_coefficients(find_network_in_class(0.04, 0.15, 3)))
     with pytest.raises(InvalidParameter, match="never reaches it"):
         predict_transfer(c, 1.0, ratio_db)
@@ -1197,7 +1190,7 @@ def test_rescale_protocol_equivalence():
         ],
     )
     traj = integrate(model, controls, basis_state(4, 1), t_final=t_final,
-                     dt=1e-3, sample_stride=10**9)
+                     dt=1e-3)
     assert traj.rhos[-1][2, 2].real == pytest.approx(expected, abs=1e-5)
 
 
