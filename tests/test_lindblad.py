@@ -334,11 +334,16 @@ def oracle_run(case):
 
 
 @pytest.mark.parametrize("block_steps", [None, 5])
+@pytest.mark.parametrize("stride", [1, 7, 10**9])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_integrate_matches_stepwise_rk4(case, block_steps, monkeypatch):
+def test_integrate_matches_stepwise_rk4(case, stride, block_steps,
+                                        monkeypatch):
     """Block-wise integrate against the step-by-step RK4 oracle: <= 1e-12
     on every stored rho and identical sample times, with the default
-    blocks and with 5-step blocks (restarts from re-Hermitized states)."""
+    blocks and with 5-step blocks (restarts from re-Hermitized states).
+    integrate stores every step; stride thins both trajectories to steps
+    0, stride, 2 stride, ... and the last, as a caller keeps fewer states
+    (stride 1 compares them all, 10**9 the first and the last)."""
     model, controls, rho0, t_final, dt, (times, rhos) = oracle_run(case)
     if block_steps is not None:
         dd = rho0.size
@@ -347,7 +352,10 @@ def test_integrate_matches_stepwise_rk4(case, block_steps, monkeypatch):
     traj = integrate(model, controls, rho0, t_final, dt)
     assert np.array_equal(traj.times, times)
     assert traj.rhos.shape == rhos.shape
-    assert np.abs(traj.rhos - rhos).max() <= 1e-12
+    n_steps = len(times) - 1
+    kept = [0] + [k for k in range(1, n_steps + 1)
+                  if k % stride == 0 or k == n_steps]
+    assert np.abs(traj.rhos[kept] - rhos[kept]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("max_dd", [0, 64])
