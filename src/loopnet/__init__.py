@@ -14,7 +14,6 @@ from .contraction import (
     contract,
     contract_network,
     dissipative_hamiltonian,
-    effective_L_operators,
     routing_matrices,
     verify_inversion_identities,
 )
@@ -65,7 +64,6 @@ from .transfer import (
     TransferCoefficients,
     TransferResult,
     b0_closed_form,
-    circulator_reflectances,
     collective_rates,
     coupled_qubit_ports,
     dark_state_residual,

@@ -72,7 +72,6 @@ class EffectiveModel:
     s_eff: np.ndarray  # (n_ext_out, n_ext_in)
     l_eff_coeffs: np.ndarray  # (n_ext_out, N); L_eff_j = sum_k (X_o G)_jk L_k
     h_eff: np.ndarray  # (D, D), Hermitian
-    h_loss: np.ndarray  # (D, D), non-Hermitian
     h_sys: np.ndarray
     base_L: list
     routing: RoutingMatrices
@@ -147,9 +146,15 @@ def accepted_routing(S: np.ndarray, W: np.ndarray) -> RoutingMatrices:
     SingularMatrix where it rejects the loop."""
     routing = routing_matrices(S, W)
     if not routing.converged:
-        raise NonConvergentLoop(routing.spectral_radius_SW)
+        raise NonConvergentLoop(
+            "loop is not weak: spectral radius of S@W is "
+            f"{routing.spectral_radius_SW:.6f}; the zero-delay contraction "
+            "is physically invalid"
+        )
     if not routing.accepted:
-        raise SingularMatrix(routing.cond)
+        raise SingularMatrix(
+            f"1 - S@W is numerically singular (cond ~ {routing.cond:.3e})"
+        )
     return routing
 
 
@@ -159,7 +164,7 @@ def contract(
     L: list,
     H_sys: np.ndarray,
 ) -> EffectiveModel:
-    """Effective (S_eff, L_eff, H_eff, H_loss) for the connected network."""
+    """Effective (S_eff, L_eff, H_eff) for the connected network."""
     routing = accepted_routing(S, W)
     _, x_i, _, x_o = internal_projectors(W)
     ext_in, ext_out = (np.flatnonzero(x.diagonal()).tolist() for x in (x_i, x_o))
@@ -173,16 +178,10 @@ def contract(
     h_net = np.einsum("jk,jab,kbc->ac", k_mat, l_dag, l_arr) / 2j
     h_eff = np.asarray(H_sys, dtype=complex) + h_net
 
-    l_eff_ops = np.einsum("jk,kab->jab", l_eff_coeffs, l_arr)
-    l_eff_dag = l_eff_ops.conj().transpose(0, 2, 1)
-    damping = np.einsum("jab,jbc->ac", l_eff_dag, l_eff_ops)
-    h_loss = h_eff - 0.5j * damping
-
     return EffectiveModel(
         s_eff=s_eff,
         l_eff_coeffs=l_eff_coeffs,
         h_eff=h_eff,
-        h_loss=h_loss,
         h_sys=np.asarray(H_sys, dtype=complex),
         base_L=[np.asarray(op, dtype=complex) for op in L],
         routing=routing,
@@ -198,12 +197,6 @@ def contract_network(network: Network) -> EffectiveModel:
     ell = assemble_L(network)
     h_sys = assemble_H_sys(network) if network.systems else np.zeros((1, 1), complex)
     return contract(s, w, ell, h_sys)
-
-
-def effective_L_operators(model: EffectiveModel) -> list:
-    """Materialize each effective Lindblad operator as a dense matrix."""
-    l_arr = np.array(model.base_L)
-    return list(np.einsum("jk,kab->jab", model.l_eff_coeffs, l_arr))
 
 
 def verify_inversion_identities(S: np.ndarray, W: np.ndarray) -> dict:
@@ -240,8 +233,12 @@ def dissipative_hamiltonian(model: EffectiveModel) -> np.ndarray:
     network_term = np.einsum("jk,jab,kbc->ac", model.routing.T, l_dag, l_arr)
     h = model.h_sys - 0.5j * direct - 1j * network_term
 
+    l_eff = np.einsum("jk,kab->jab", model.l_eff_coeffs, l_arr)
+    damping = np.einsum("jab,jbc->ac", l_eff.conj().transpose(0, 2, 1), l_eff)
     scale = max(1.0, float(np.abs(h).max()))
-    residual = float(np.abs(h - model.h_loss).max())
+    residual = float(np.abs(h - (model.h_eff - 0.5j * damping)).max())
     if residual > 1e-9 * scale:
-        raise IdentityViolation(residual)
+        raise IdentityViolation(
+            f"internal identity violated (residual {residual:.3e})"
+        )
     return h

@@ -14,13 +14,7 @@ class SchemaError(LoopnetError):
 
 
 class NonUnitaryBlock(LoopnetError):
-    def __init__(self, element_id, deviation):
-        self.element_id = element_id
-        self.deviation = deviation
-        super().__init__(
-            f"scattering block {element_id!r} is not unitary "
-            f"(max deviation {deviation:.3e})"
-        )
+    """A scattering block deviates from unitarity beyond TOL_UNITARY."""
 
 
 class PortCoverageGap(SchemaError):
@@ -48,26 +42,15 @@ class DimensionMismatch(SchemaError):
 
 
 class NonConvergentLoop(LoopnetError):
-    def __init__(self, spectral_radius):
-        self.spectral_radius = spectral_radius
-        super().__init__(
-            f"loop is not weak: spectral radius of S@W is {spectral_radius:.6f}; "
-            "the zero-delay contraction is physically invalid"
-        )
+    """rho(S W) is not below 1 - DELTA_CONV: the loop is not weak."""
 
 
 class SingularMatrix(LoopnetError):
-    def __init__(self, condition_number):
-        self.condition_number = condition_number
-        super().__init__(
-            f"1 - S@W is numerically singular (cond ~ {condition_number:.3e})"
-        )
+    """1 - S W is too ill-conditioned to invert (cond above COND_MAX)."""
 
 
 class IdentityViolation(LoopnetError):
-    def __init__(self, residual):
-        self.residual = residual
-        super().__init__(f"internal identity violated (residual {residual:.3e})")
+    """Two forms of one derived quantity disagree; an implementation bug."""
 
 
 class PathExplosion(LoopnetError):
@@ -79,9 +62,7 @@ class MissingGeometry(LoopnetError):
 
 
 class ScheduleMissing(LoopnetError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"no schedule provided for time-dependent control {name!r}")
+    """A control schedule names a port that carries no coupling."""
 
 
 class StepUnstable(LoopnetError):
@@ -113,9 +94,4 @@ class BoundViolated(LoopnetError):
 
 
 class MismatchWithGenericGenerator(LoopnetError):
-    def __init__(self, residual):
-        self.residual = residual
-        super().__init__(
-            f"specialized two-qubit generator disagrees with the generic "
-            f"Lindblad generator (max residual {residual:.3e})"
-        )
+    """The specialized two-qubit generator disagrees with the generic one."""

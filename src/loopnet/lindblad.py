@@ -140,7 +140,7 @@ def controls_from_network(
     ports = {}
     for port in set(kappa_schedules) | set(phi_schedules):
         if port not in coupled:
-            raise ScheduleMissing(f"port {port} (no coupling to control)")
+            raise ScheduleMissing(f"port {port} has no coupling to control")
         element_id, coupling = coupled[port]
         bare = embed_operator(network, element_id, coupling.operator)
         ports[port] = PortControl(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -341,7 +341,10 @@ def assemble_S(network: Network) -> np.ndarray:
         for block in network.blocks:
             deviation = unitarity_deviation(np.asarray(block.matrix, complex))
             if deviation > TOL_UNITARY:
-                raise NonUnitaryBlock(block.element_id, deviation)
+                raise NonUnitaryBlock(
+                    f"scattering block {block.element_id!r} is not unitary "
+                    f"(max deviation {deviation:.3e})"
+                )
     return s
 
 
@@ -419,21 +422,31 @@ def _matrix_to_pairs(m: np.ndarray):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _pairs_to_matrix(rows) -> np.ndarray:
+def _not_bool(value, what: str):
+    """value, unless JSON gave a boolean where a number belongs: float(true)
+    and complex(true, 0) would read it as 1."""
+    if isinstance(value, bool):
+        raise SchemaError(f"{what}: expected a number, got {value!r}")
+    return value
+
+
+def _pairs_to_matrix(rows, what: str) -> np.ndarray:
     try:
         return np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+            [[complex(_not_bool(re, what), _not_bool(im, what)) for re, im in row]
+             for row in rows],
+            dtype=complex,
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed complex matrix: {exc}") from exc
 
 
-def _operator_from_spec(spec) -> np.ndarray:
+def _operator_from_spec(spec, what: str) -> np.ndarray:
     if isinstance(spec, str):
         if spec not in NAMED_OPERATORS:
             raise SchemaError(f"unknown operator name {spec!r}")
         return NAMED_OPERATORS[spec]
-    return _pairs_to_matrix(spec)
+    return _pairs_to_matrix(spec, what)
 
 
 def network_to_dict(network: Network) -> dict:
@@ -482,48 +495,53 @@ def network_to_dict(network: Network) -> dict:
 
 
 def network_from_dict(data: dict) -> Network:
+    """The Network a JSON dict describes; SchemaError names a missing or
+    malformed field, and a boolean where a number belongs."""
     try:
         ports = [
-            Port(id=p["id"], element_id=p["element"], position_z=p.get("z"))
+            Port(id=p["id"], element_id=p["element"],
+                 position_z=_not_bool(p.get("z"), f"z of port {p['id']}"))
             for p in data["ports"]
         ]
         blocks = [
-            ScatteringBlock(b["element"], _pairs_to_matrix(b["matrix"]))
+            ScatteringBlock(b["element"], _pairs_to_matrix(
+                b["matrix"], f"block {b['element']!r}"))
             for b in data["blocks"]
         ]
         systems = []
         for s in data.get("systems", []):
-            couplings = {
-                c["port"]: Coupling(
-                    operator=_operator_from_spec(c["op"]),
-                    kappa=float(c["kappa"]),
-                    phi=float(c.get("phi", 0.0)),
+            couplings = {}
+            for c in s.get("couplings", []):
+                on = f"of the coupling on port {c['port']}"
+                couplings[c["port"]] = Coupling(
+                    operator=_operator_from_spec(c["op"], f"operator {on}"),
+                    kappa=float(_not_bool(c["kappa"], f"kappa {on}")),
+                    phi=float(_not_bool(c.get("phi", 0.0), f"phi {on}")),
                 )
-                for c in s.get("couplings", [])
-            }
+            of = f"of {s['element']!r}"
             systems.append(
                 LocalSystem(
                     element_id=s["element"],
-                    hilbert_dim=int(s["dim"]),
-                    hamiltonian=_pairs_to_matrix(s["hamiltonian"]),
+                    hilbert_dim=int(_not_bool(s["dim"], f"dim {of}")),
+                    hamiltonian=_pairs_to_matrix(s["hamiltonian"],
+                                                 f"hamiltonian {of}"),
                     couplings=couplings,
                 )
             )
-        connections = [
-            Connection(
+        connections = []
+        for c in data.get("connections", []):
+            of = f"of connection {c['from']}->{c['to']}"
+            connections.append(Connection(
                 from_port=c["from"],
                 to_port=c["to"],
-                phase=c.get("phase"),
-                distance=c.get("distance"),
-            )
-            for c in data.get("connections", [])
-        ]
+                phase=_not_bool(c.get("phase"), f"phase {of}"),
+                distance=_not_bool(c.get("distance"), f"distance {of}"),
+            ))
         geo = data.get("geometry", {})
-        geometry = Geometry(
-            k0=float(geo.get("k0", 0.0)),
-            v_p=float(geo.get("v_p", 1.0)),
-            kappa0=float(geo.get("kappa0", 1.0)),
-        )
+        geometry = Geometry(**{
+            f.name: float(_not_bool(geo.get(f.name, f.default), f"geometry {f.name}"))
+            for f in fields(Geometry)
+        })
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"missing or malformed field: {exc}") from exc
     return Network(

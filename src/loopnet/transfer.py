@@ -209,15 +209,6 @@ def random_imperfect_network(
     )
 
 
-def circulator_reflectances(network: Network) -> np.ndarray:
-    """|r_ii|^2 of both circulator blocks (6 values)."""
-    refl = []
-    for block in network.blocks:
-        if block.element_id.startswith("circ"):
-            refl.extend(np.abs(np.diag(block.matrix)) ** 2)
-    return np.array(refl)
-
-
 def _sampler_rng(seed, r2_min, r2_max, resid_max=1.0) -> np.random.Generator:
     """default_rng(seed) if 0 <= r2_min <= r2_max <= 1, seed >= 0 and
     resid_max is finite and > 0; else InvalidParameter."""
@@ -374,10 +365,8 @@ def collective_rates(
     coeffs: TransferCoefficients,
     kappa_a: float,
     kappa_b: float,
-    phi_a: float = 0.0,
-    phi_b: float = 0.0,
 ):
-    """(Gamma_bright, Gamma_dark, mixing angle, azimuthal phase)."""
+    """(Gamma_bright, Gamma_dark, mixing angle)."""
     r0 = kappa_a * coeffs.eta_a + kappa_b * coeffs.eta_b
     rz = kappa_a * coeffs.eta_a - kappa_b * coeffs.eta_b
     rxy = 2.0 * np.sqrt(kappa_a * kappa_b) * coeffs.beta_plus
@@ -385,8 +374,7 @@ def collective_rates(
     gamma_bright = 0.5 * (r0 + disc)
     gamma_dark = 0.5 * (r0 - disc)
     theta = float(np.arctan2(rxy, rz))
-    varphi = phi_a - phi_b + coeffs.delta_plus
-    return gamma_bright, gamma_dark, theta, varphi
+    return gamma_bright, gamma_dark, theta
 
 
 def _rj_arrays(coeffs, kappa0, phase_diff, h_az, kb, hbz):
@@ -609,7 +597,7 @@ class _ReceiverFlow:
         return kb
 
 
-def _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, h_az):
+def _receiver_schedule(coeffs, kappa0, ratio_db, T, dt):
     """(protocol, its _ReceiverFlow): synthesize_controls without the
     incomplete-pulse warning."""
     cos_d, ratio, slope = _protocol_constants(coeffs)
@@ -622,9 +610,9 @@ def _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, h_az):
             f"kappa_b(T) = {kb[-1]:.3g} is not a finite number > 0; shorten T"
         )
     h_bz = (kb * (coeffs.eta_b * slope - coeffs.t_bb.imag)
-            - kappa0 * (coeffs.eta_a * slope - coeffs.t_aa.imag) + h_az)
+            - kappa0 * (coeffs.eta_a * slope - coeffs.t_aa.imag))
     protocol = ControlProtocol(times, kb, h_bz, kappa_a=kappa0,
-                               phase_diff=-coeffs.delta_plus, h_az=h_az)
+                               phase_diff=-coeffs.delta_plus, h_az=0.0)
     return protocol, flow
 
 
@@ -634,7 +622,6 @@ def synthesize_controls(
     ratio_db: float = 25.0,
     T: float = 20.0,
     dt: float = 1e-3,
-    h_az: float = 0.0,
 ) -> ControlProtocol:
     """Receiver schedule (kappa_b(t), h_bz(t)) tracking the subradiant state.
 
@@ -645,7 +632,7 @@ def synthesize_controls(
     Bloch equations finds exact midpoint values.  T >= 0 and dt > 0 are
     finite, and T/dt is at most lindblad.MAX_STEPS (InvalidParameter).
     """
-    protocol, _ = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, h_az)
+    protocol, _ = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt)
     terminal_db = 10.0 * np.log10(protocol.kappa_b[-1] / kappa0)
     if terminal_db > -15.0:
         warnings.warn(
@@ -883,7 +870,7 @@ def transfer_sweep(
     workspace = _bloch_workspace(step_count(T, dt))
     summaries = []
     for coeffs in coeffs_list:
-        protocol, flow = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt, 0.0)
+        protocol, flow = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt)
         h = protocol.times[2] - protocol.times[0]
         q_f = 0.0  # quadrature int (R0 + R.e_b) dt up to the block start
         excess, mismatch = [], []  # per block
@@ -1168,38 +1155,36 @@ def specialized_master_equation(
     return gen
 
 
-def verify_specialized_generator(
-    network: Network,
-    h_az: float = 0.0,
-    h_bz: float = 0.0,
-) -> float:
+def verify_specialized_generator(network: Network) -> float:
     """Compare the specialized generator against the generic Lindblad one.
 
-    The network's local Hamiltonians must be the matching sigma_z controls
-    (as built by two_qubit_network).  Returns the max-abs residual; raises
-    if it exceeds 1e-12 relative to the generator scale.
+    The network's local Hamiltonians must be the sigma_z detunings
+    h_z sigma_z / 2 that two_qubit_network builds; each qubit's h_z is read
+    as 2 Re H[0, 0] of the system owning its coupled port.  Returns the
+    max-abs residual; raises if it exceeds 1e-12 relative to the generator
+    scale.
     """
     model = contract_network(network)
     generic = build_generator(model, Controls(), 0.0)
 
     pa, pb = coupled_qubit_ports(network)
     coeffs = _coefficients_from_T(model.routing.T, (pa, pb))
-    couplings = {
-        port: c
-        for sys in network.systems
-        for port, c in sys.couplings.items()
-    }
+    owner = {port: sys for sys in network.systems for port in sys.couplings}
+    a, b = owner[pa], owner[pb]
     special = specialized_master_equation(
         coeffs,
-        kappa_a=couplings[pa].kappa,
-        kappa_b=couplings[pb].kappa,
-        phi_a=couplings[pa].phi,
-        phi_b=couplings[pb].phi,
-        h_az=h_az,
-        h_bz=h_bz,
+        kappa_a=a.couplings[pa].kappa,
+        kappa_b=b.couplings[pb].kappa,
+        phi_a=a.couplings[pa].phi,
+        phi_b=b.couplings[pb].phi,
+        h_az=2.0 * a.hamiltonian[0, 0].real,
+        h_bz=2.0 * b.hamiltonian[0, 0].real,
     )
     residual = float(np.abs(generic - special).max())
     scale = max(1.0, float(np.abs(generic).max()))
     if residual > 1e-12 * scale:
-        raise MismatchWithGenericGenerator(residual)
+        raise MismatchWithGenericGenerator(
+            "specialized two-qubit generator disagrees with the generic "
+            f"Lindblad generator (max residual {residual:.3e})"
+        )
     return residual

@@ -172,7 +172,7 @@ def test_criterion_07_perfect_channel_dark_state():
         two_qubit_network(ideal_circulator(), ideal_circulator())
     )
     assert abs(dark_state_residual(coeffs)) < 1e-12
-    _, gamma_dark, _, _ = collective_rates(coeffs, 1.0, 1.0)
+    _, gamma_dark, _ = collective_rates(coeffs, 1.0, 1.0)
     assert abs(gamma_dark) < 1e-12
 
 

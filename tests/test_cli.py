@@ -279,6 +279,65 @@ def test_input_faults_are_one_line(net, edit, argv, code, message, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, field, value", [
+    (_set("ports", 0, "z", True), "z of port 0", True),
+    (_set("connections", 0, "phase", False), "phase of connection 0->1", False),
+    (lambda data: data["connections"][0].update(phase=None, distance=True),
+     "distance of connection 0->1", True),
+    (_set("systems", 0, "couplings", 0, "kappa", True),
+     "kappa of the coupling on port 0", True),
+    (_set("systems", 0, "couplings", 0, "phi", False),
+     "phi of the coupling on port 0", False),
+    (_set("systems", 0, "dim", True), "dim of 'qubit_a'", True),
+    (_set("geometry", "k0", False), "geometry k0", False),
+    (_set("geometry", "v_p", True), "geometry v_p", True),
+    (_set("geometry", "kappa0", True), "geometry kappa0", True),
+    (_set("blocks", 1, "matrix", 0, 2, [True, 0.0]), "block 'circ_a'", True),
+    (_set("systems", 0, "hamiltonian", 1, 1, [0.0, False]),
+     "hamiltonian of 'qubit_a'", False),
+    (_set("systems", 0, "couplings", 0, "op", 1, 0, [True, 0.0]),
+     "operator of the coupling on port 0", True),
+], ids=["z", "phase", "distance", "kappa", "phi", "dim", "k0", "v_p", "kappa0",
+        "block", "hamiltonian", "operator"])
+def test_boolean_number_is_schema_error(edit, field, value, tmp_path, capsys):
+    """A JSON true or false where the schema reads a number is one tagged
+    schema error naming the field: each of these once read as 1 or 0, so
+    contract exited 0 (dim true made a one-level system and a
+    DimensionMismatch about its operators)."""
+    path = _edited_net_file(tmp_path, _ideal_network(), edit)
+    out = tmp_path / "out"
+    assert main(["contract", str(path), "-o", str(out)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        f"schema error [SchemaError]: {field}: expected a number, "
+        f"got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("net, edit, cond_max, message", [
+    (_ideal_network, _set("blocks", 1, "matrix", 0, 0, [0.5, 0.0]),
+     None, "[NonUnitaryBlock]: scattering block 'circ_a' is not unitary "
+     "(max deviation 5.000e-01)"),
+    (lambda: fabry_perot(1.0, 0.3), None, None,
+     "[NonConvergentLoop]: loop is not weak: spectral radius of S@W is "
+     "1.000000; the zero-delay contraction is physically invalid"),
+    # a unitary network's 1 - SW is never near singular: COND_MAX = 1
+    # rejects every loop
+    (_ideal_network, None, 1.0,
+     "[SingularMatrix]: 1 - S@W is numerically singular (cond ~ 8.055e+00)"),
+], ids=["non-unitary-block", "lossless-cavity", "singular"])
+def test_contract_physics_error_messages(net, edit, cond_max, message,
+                                         tmp_path, capsys, monkeypatch):
+    """contract's physics errors print these bytes, the raise sites
+    formatting the numbers."""
+    if cond_max is not None:
+        monkeypatch.setattr(loopnet.contraction, "COND_MAX", cond_max)
+    path = _edited_net_file(tmp_path, net(), edit or (lambda data: None))
+    out = tmp_path / "out"
+    assert main(["contract", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"physics error {message}\n"
+    assert not out.exists()
+
+
 def test_validate_prints_the_paths_it_checked(fast_net_file, monkeypatch,
                                               capsys):
     """One path walk per validate, and the printout lists its heaviest
@@ -717,14 +776,10 @@ def test_unbounded_step_count_is_input_error(argv, tmp_path, capsys):
     ["transfer", "--random", "--sweep", "-2"],
     ["validate", "net.json", "--weight-threshold", "0"],
     ["validate", "net.json", "--weight-threshold", "nan"],
-    ["validate", "net.json", "--tol-unitary", "inf"],
     ["validate", "net.json", "--tau-min", "nan"],
     ["paths", "net.json", "--min-weight", "nan"],
     ["paths", "net.json", "--tau-min", "-1"],
     ["paths", "net.json", "--max-order", "-1"],
-    # assemble_S rejects a block at network.TOL_UNITARY whatever validate's
-    # own check allows, so a looser tolerance is a usage error
-    ["validate", "net.json", "--tol-unitary", "1e-6"],
 ])
 def test_bad_numeric_argument_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path)]) == 1
@@ -734,12 +789,20 @@ def test_bad_numeric_argument_is_usage_error(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag", ["--tol-unitary", "--weight-threshold",
-                                  "--tau-min"])
-@pytest.mark.parametrize("argv", [
+_WITHOUT_WEAK_LOOP_FLAGS = [
     ["contract", "net.json"],
     ["simulate", "net.json", "--t-final", "1"],
     ["transfer", "--random"],
+]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    *(pytest.param(argv, flag, id=f"argv{i}-{flag}")
+      for flag in ("--tol-unitary", "--weight-threshold", "--tau-min")
+      for i, argv in enumerate(_WITHOUT_WEAK_LOOP_FLAGS)),
+    # assembly rejects a block at network.TOL_UNITARY, the one tolerance
+    pytest.param(["validate", "net.json"], "--tol-unitary",
+                 id="validate---tol-unitary"),
 ])
 def test_flags_without_effect_are_rejected(argv, flag, tmp_path, capsys):
     assert main(argv + [flag, "0.1", "-o", str(tmp_path)]) == 1

@@ -23,7 +23,6 @@ from loopnet import (
     two_qubit_network,
 )
 from loopnet.cli import main
-from loopnet.network import TOL_UNITARY
 from loopnet.paths import MAX_ORDER
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -98,7 +97,6 @@ def test_transfer_random_exits_cleanly(argv, swap):
 @given(argv=options({
     "weight-threshold": st.floats(min_value=1e-6, allow_infinity=False),
     "tau-min": NON_NEGATIVE,
-    "tol-unitary": st.floats(0.0, TOL_UNITARY, exclude_min=True),
 }))
 def test_validate_exits_cleanly(net_file, argv):
     run(["validate", net_file, *argv])

@@ -1,5 +1,7 @@
 """Closed-form contraction vs oracles, identities and invariances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from loopnet import (
     contract_network,
     contraction,
     dissipative_hamiltonian,
-    effective_L_operators,
+    effective_operators_at,
     ideal_circulator,
     routing_matrices,
     truncated_series_oracle,
@@ -16,7 +18,8 @@ from loopnet import (
     verify_inversion_identities,
 )
 from loopnet.contraction import DELTA_CONV, _certified_convergent
-from loopnet.errors import NonConvergentLoop, SingularMatrix
+from loopnet.errors import IdentityViolation, NonConvergentLoop, SingularMatrix
+from loopnet.lindblad import Controls
 from loopnet.network import (
     Connection,
     Network,
@@ -181,8 +184,8 @@ def test_relabel_invariance(rng):
     ).max() < 1e-10
 
     # each materialized effective Lindblad operator is unchanged
-    ops = effective_L_operators(model)
-    ops_p = effective_L_operators(model_p)
+    ops = effective_operators_at(model, Controls(), 0.0)[1]
+    ops_p = effective_operators_at(model_p, Controls(), 0.0)[1]
     for j, op in enumerate(ops):
         assert np.abs(op - ops_p[ext_out_order[j]]).max() < 1e-10
 
@@ -284,7 +287,20 @@ def test_dissipative_hamiltonian_identity():
                             kappa_a=1.2, kappa_b=0.6)
     model = contract_network(net)
     h = dissipative_hamiltonian(model)
-    assert np.abs(h - model.h_loss).max() < 1e-12
+    h_eff, l_eff = effective_operators_at(model, Controls(), 0.0)
+    h_loss = h_eff - 0.5j * sum(dag(op) @ op for op in l_eff)
+    assert np.abs(h - h_loss).max() < 1e-12
+
+
+def test_identity_violation_message():
+    # H_sys shifted after contraction: the direct form of the generator
+    # moves by 1e-3, the contracted H_eff does not
+    model = contract_network(two_qubit_network(ideal_circulator(),
+                                               ideal_circulator()))
+    shifted = dataclasses.replace(model, h_sys=model.h_sys + 1e-3 * np.eye(4))
+    with pytest.raises(IdentityViolation) as info:
+        dissipative_hamiltonian(shifted)
+    assert str(info.value) == "internal identity violated (residual 1.000e-03)"
 
 
 def test_contract_network_matches_manual_assembly():

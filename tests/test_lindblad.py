@@ -109,8 +109,9 @@ def test_liouvillian_of_zero_ops_is_commutator():
 
 def test_scheduled_control_requires_coupled_port():
     net = two_qubit_network(ideal_circulator(), ideal_circulator())
-    with pytest.raises(ScheduleMissing):
+    with pytest.raises(ScheduleMissing) as info:
         controls_from_network(net, kappa_schedules={3: Schedule.constant(1.0)})
+    assert str(info.value) == "port 3 has no coupling to control"
 
 
 def test_negative_kappa_schedule_aborts():

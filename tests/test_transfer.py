@@ -16,7 +16,6 @@ from loopnet import (
     TransferCoefficients,
     b0_closed_form,
     basis_state,
-    circulator_reflectances,
     collective_rates,
     contract_network,
     controls_from_network,
@@ -47,6 +46,7 @@ from loopnet import (
 from loopnet.errors import (
     DegenerateBeta,
     InitialConditionMismatch,
+    MismatchWithGenericGenerator,
     NonConvergentLoop,
     SingularMatrix,
     InvalidParameter,
@@ -115,7 +115,8 @@ def test_random_imperfect_network_deterministic():
 
 def test_find_network_in_class_reflectances(monkeypatch):
     net = find_network_in_class(0.04, 0.15, seed=11)
-    r2 = circulator_reflectances(net)
+    r2 = np.concatenate([np.abs(np.diag(b.matrix)) ** 2 for b in net.blocks
+                         if b.element_id.startswith("circ")])
     assert r2.min() >= 0.04 and r2.max() <= 0.15
     # an unreachable class is a typed error that old RuntimeError callers catch
     monkeypatch.setattr(loopnet.transfer, "CLASS_TRIES", 5)
@@ -369,7 +370,7 @@ def test_perfect_channel_coefficients():
 def test_perfect_channel_dark_state():
     c = perfect_coeffs()
     assert abs(dark_state_residual(c)) < 1e-12
-    _, gamma_dark, theta, _ = collective_rates(c, 1.0, 1.0)
+    _, gamma_dark, theta = collective_rates(c, 1.0, 1.0)
     assert abs(gamma_dark) < 1e-12
     assert abs(theta - np.pi / 2) < 1e-12  # kappa_a = kappa_b: max mixing
 
@@ -377,11 +378,11 @@ def test_perfect_channel_dark_state():
 def test_collective_rates_limits():
     c = perfect_coeffs()
     # receiver off: bright rate is the sender's Purcell-enhanced decay
-    bright, dark, theta, _ = collective_rates(c, 1.0, 0.0)
+    bright, dark, theta = collective_rates(c, 1.0, 0.0)
     assert abs(bright - 1.0) < 1e-12 and abs(dark) < 1e-12
     assert abs(theta) < 1e-12
     # rates sum to R0 for any mix
-    b2, d2, _, _ = collective_rates(c, 1.3, 0.4)
+    b2, d2, _ = collective_rates(c, 1.3, 0.4)
     assert abs((b2 + d2) - (1.3 * c.eta_a + 0.4 * c.eta_b)) < 1e-12
 
 
@@ -437,7 +438,7 @@ def test_rj_components_match_collective_rates():
     net = random_imperfect_network(0.3, 0.7, 8)
     c = transfer_coefficients(net)
     rj = rj_components(c, 1.1, 0.6, phi_a=0.2, phi_b=-0.4)
-    bright, dark, _, _ = collective_rates(c, 1.1, 0.6, 0.2, -0.4)
+    bright, dark, _ = collective_rates(c, 1.1, 0.6)
     rnorm = np.linalg.norm(rj.rvec)
     assert 0.5 * (rj.r0 + rnorm) == pytest.approx(bright, abs=1e-12)
     assert 0.5 * (rj.r0 - rnorm) == pytest.approx(dark, abs=1e-12)
@@ -747,10 +748,12 @@ def test_simulate_transfer_matches_stepwise_rk4():
     """The step propagators reproduce RK4 on bloch_rhs, one step at a time."""
     coeffs = forward_coefficients(find_network_in_class(0.04, 0.15, 3))
     protocol = synthesize_controls(coeffs, 1.0, ratio_db=15.0, T=12.0,
-                                   dt=5e-3, h_az=0.3)
-    # a shifted phase reference makes R non-planar: every entry of A is live
+                                   dt=5e-3)
+    # a shifted phase reference makes R non-planar: every entry of A is
+    # live; equal detunings keep J_z
     protocol = dataclasses.replace(protocol,
-                                   phase_diff=protocol.phase_diff + 0.7)
+                                   phase_diff=protocol.phase_diff + 0.7,
+                                   h_az=0.3, h_bz=protocol.h_bz + 0.3)
     result = simulate_transfer(coeffs, protocol)
 
     def rhs(state, k):
@@ -1243,7 +1246,17 @@ def test_specialized_matches_generic_generator():
             h_az=float(rng.uniform(-1.0, 1.0)),
             h_bz=float(rng.uniform(-1.0, 1.0)),
         )
-        h_az = float(net.systems[0].hamiltonian[0, 0].real * 2)
-        h_bz = float(net.systems[1].hamiltonian[0, 0].real * 2)
-        residual = verify_specialized_generator(net, h_az=h_az, h_bz=h_bz)
-        assert residual < 1e-12
+        assert verify_specialized_generator(net) < 1e-12
+
+
+def test_specialized_generator_mismatch_message():
+    # a sigma_x drive on qubit a is outside the specialized generator
+    net = two_qubit_network(ideal_circulator(), ideal_circulator())
+    drive = dataclasses.replace(net.systems[0],
+                                hamiltonian=0.4 * np.array([[0, 1], [1, 0]]))
+    net = dataclasses.replace(net, systems=[drive, net.systems[1]])
+    with pytest.raises(MismatchWithGenericGenerator) as info:
+        verify_specialized_generator(net)
+    assert str(info.value) == (
+        "specialized two-qubit generator disagrees with the generic Lindblad "
+        "generator (max residual 4.000e-01)")
