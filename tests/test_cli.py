@@ -313,6 +313,42 @@ def test_boolean_number_is_schema_error(edit, field, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [2.5, 1.999, "2", float("inf")])
+def test_fractional_dim_is_schema_error(value, tmp_path, capsys):
+    """A system's dimension is a whole number: int() once read "dim": 2.5
+    as a qubit, and contract exited 0."""
+    path = _edited_net_file(tmp_path, _ideal_network(),
+                            _set("systems", 0, "dim", value))
+    out = tmp_path / "out"
+    assert main(["contract", str(path), "-o", str(out)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        "schema error [SchemaError]: dim of 'qubit_a': expected an integer, "
+        f"got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set("geometry", 1), "geometry"),
+    (_set("systems", 0, 1), "systems[0]"),
+    (_set("systems", 0, "couplings", 0, [0, 1]), "systems[0].couplings[0]"),
+    (_set("ports", 3, "p3"), "ports[3]"),
+    (_set("connections", 1, None), "connections[1]"),
+    (_set("blocks", 0, 2.0), "blocks[0]"),
+], ids=["geometry", "system", "coupling", "port", "connection", "block"])
+def test_non_object_entry_is_schema_error(edit, field, tmp_path, capsys):
+    """An entry the schema reads as a JSON object but that is not one is a
+    tagged schema error naming it: "geometry": 1 and a number in systems
+    once ended in an AttributeError traceback."""
+    path = _edited_net_file(tmp_path, _ideal_network(), edit)
+    out = tmp_path / "out"
+    assert main(["contract", str(path), "-o", str(out)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith(
+        f"schema error [SchemaError]: {field}: expected an object, got ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("net, edit, cond_max, message", [
     (_ideal_network, _set("blocks", 1, "matrix", 0, 0, [0.5, 0.0]),
      None, "[NonUnitaryBlock]: scattering block 'circ_a' is not unitary "
