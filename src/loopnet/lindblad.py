@@ -15,6 +15,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -390,9 +391,9 @@ class _Coordinates:
         n, dd = len(i), d * d
         # vec positions of rho_ii, rho_ij and rho_ji
         self._at = (np.arange(d) * (d + 1), i + d * j, j + d * i)
-        # A block's states carry -Im rho_ij and a 0 after c, in `width`
-        # columns, so that one gather (`take`) gives the interleaved real
-        # and imaginary parts of the row-major rho.
+        # Trajectory.rhos copies c into `width` columns followed by
+        # -Im rho_ij and a 0, so that one gather (`take`) gives the
+        # interleaved real and imaginary parts of the row-major rho.
         self.width = dd + n + 1
         pair = np.zeros((d, d), dtype=np.intp)
         pair[i, j] = pair[j, i] = d + np.arange(n)
@@ -437,16 +438,37 @@ class _Coordinates:
 @dataclass
 class Trajectory:
     times: np.ndarray  # every step: n_steps + 1 times from 0 to t_final
-    rhos: np.ndarray  # (n_steps + 1, D, D)
     observables: dict
     max_trace_drift: float
     # the generator's discarded imaginary residue in real coordinates
     max_herm_drift: float
+    _rho0: np.ndarray
+    _coords: np.ndarray | None  # (n_steps + 1, D^2) real coordinates
+
+    @functools.cached_property
+    def rhos(self) -> np.ndarray:
+        """(n_steps + 1, D, D): rho0 as given, then the states gathered
+        from the coordinates a block at a time on the first read, which
+        releases them."""
+        (n, dd), d = self._coords.shape, len(self._rho0)
+        co, chunk = _Coordinates(d), max(1, _BLOCK // dd)
+        rhos = np.empty((n, d, d), dtype=complex)
+        rhos[0] = self._rho0
+        new = np.zeros((min(chunk, n - 1), co.width))
+        for s in range(1, n, chunk):
+            b = new[:min(chunk, n - s)]
+            b[:, :dd] = self._coords[s:s + len(b)]
+            np.negative(b[:, co.im_upper], out=b[:, co.im_lower])
+            np.take(b, co.take, axis=1, mode="clip",
+                    out=rhos[s:s + len(b)].reshape(-1, dd).view(float))
+        self._coords = None
+        return rhos
 
 
 # float64 numbers in a block's states, or with controls in its generators:
-# bounds memory and, without controls, the depth of the squaring ladder P,
-# P^2, P^4, ... that a run builds once and every block reuses
+# bounds the generators and, without controls, the depth of the squaring
+# ladder P, P^2, P^4, ... that a run builds once and every block reuses;
+# the block boundaries fix the association of every product
 _BLOCK = 2**16
 
 # With controls, a block forms its m RK4 step matrices at once (three
@@ -539,8 +561,9 @@ def integrate(
     Every block, in each of the three branches, passes _check_block with
     its trace drift, or the run raises StepUnstable at its first bad step.
     The step count is rounded so the grid lands exactly on t_final;
-    trajectories are bit-for-bit reproducible.  rhos[0] is rho0 as given,
-    and the later states are gathered from the coordinates block by block.
+    trajectories are bit-for-bit reproducible.  Every step is written
+    straight into one (n_steps + 1, D^2) array of coordinates; the complex
+    rhos are gathered from it only when Trajectory.rhos is first read.
     Observables are Tr(rho O), one real product with the coordinates per
     block.
     """
@@ -572,23 +595,19 @@ def integrate(
         )
 
     times = np.arange(n_steps + 1) * h
-    rhos = np.empty((n_steps + 1, d, d), dtype=complex)
-    rhos_f = rhos.reshape(n_steps + 1, dd).view(float)  # (Re, Im) pairs
-    rhos[0] = rho
-    states = np.empty((min(block, n_steps) + 1, co.width))
-    states[:, -1] = 0.0
-    states[0, :dd] = co.rows(rho.reshape(dd, 1, order="F"))[:, 0].real
+    coords = np.empty((n_steps + 1, dd))
+    coords[0] = co.rows(rho.reshape(dd, 1, order="F"))[:, 0].real
     obs = np.empty((n_steps + 1, len(observables)), dtype=complex)
     obs_f = obs.view(float)
     if observables:
         weights_o = co.observable_weights(observables.values())
-        obs_f[0] = states[0, :dd] @ weights_o
+        obs_f[0] = coords[0] @ weights_o
     max_trace_drift = abs(np.trace(rho).real - 1.0)
 
     start = 0
     while start < n_steps:
         m = min(block, n_steps - start)
-        y = states[:m + 1, :dd]
+        y = coords[start:start + m + 1]
         if ladder is None:
             # generators at the half steps t_n, t_n + h/2, ..., t_n+m
             grid = np.empty(2 * m + 1)
@@ -618,21 +637,17 @@ def integrate(
         trace = np.abs(y[1:, :d] @ np.ones(d) - 1.0)
         max_trace_drift = max(max_trace_drift, _check_block(y, start, trace))
 
-        new = states[1:m + 1]
-        np.negative(new[:, co.im_upper], out=new[:, co.im_lower])
-        np.take(new, co.take, axis=1, out=rhos_f[start + 1:start + m + 1],
-                mode="clip")
         if observables:
-            np.matmul(new[:, :dd], weights_o, out=obs_f[start + 1:start + m + 1])
-        states[0] = states[m]
+            np.matmul(y[1:], weights_o, out=obs_f[start + 1:start + m + 1])
         start += m
 
     return Trajectory(
         times=times,
-        rhos=rhos,
         observables={name: obs[:, k] for k, name in enumerate(observables)},
         max_trace_drift=max_trace_drift,
         max_herm_drift=herm,
+        _rho0=rho,
+        _coords=coords,
     )
 
 

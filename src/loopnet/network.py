@@ -545,7 +545,8 @@ def network_to_dict(network: Network) -> dict:
 def network_from_dict(data: dict) -> Network:
     """The Network a JSON dict describes; SchemaError names a missing or
     malformed field, an entry that is not an object, a boolean where a
-    number belongs and a dimension that is not a whole number."""
+    number belongs, a dimension that is not a whole number and a
+    non-boolean allow_self_loops (bool("false") would read True)."""
     try:
         ports = [
             Port(id=p["id"], element_id=p["element"],
@@ -593,13 +594,17 @@ def network_from_dict(data: dict) -> Network:
         })
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"missing or malformed field: {exc}") from exc
+    self_loops = data.get("allow_self_loops", False)
+    if not isinstance(self_loops, bool):
+        raise SchemaError(
+            f"allow_self_loops: expected true or false, got {self_loops!r}")
     return Network(
         ports=ports,
         blocks=blocks,
         systems=systems,
         connections=connections,
         geometry=geometry,
-        allow_self_loops=bool(data.get("allow_self_loops", False)),
+        allow_self_loops=self_loops,
     )
 
 

@@ -865,6 +865,11 @@ def transfer_sweep(
     bound's int Gamma_d is exact (_ReceiverFlow.dark_decay); the closed
     form's int (R0 + R.e_b) (over the RK4 stage states) is what RK4 gives
     for it as an extra ODE state.
+
+    A start at or below -40 dB, which predict_transfer refuses, runs as any
+    other: the flow lowers kappa_b further, and the result is the physical
+    one for a receiver that barely couples, a success of the order of
+    kappa_b(0)/kappa0.
     """
     # T and dt are checked for an empty list too; one workspace serves all
     workspace = _bloch_workspace(step_count(T, dt))

@@ -313,6 +313,20 @@ def test_boolean_number_is_schema_error(edit, field, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["false", "no", 2, 0, None])
+def test_non_boolean_self_loop_flag_is_schema_error(value, tmp_path, capsys):
+    """allow_self_loops is a JSON true or false (or absent): bool() once
+    read "false", "no" and 2 as true and let a self loop through."""
+    path = _edited_net_file(tmp_path, _ideal_network(),
+                            lambda data: data.update(allow_self_loops=value))
+    out = tmp_path / "out"
+    assert main(["contract", str(path), "-o", str(out)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        "schema error [SchemaError]: allow_self_loops: expected true or "
+        f"false, got {value!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [2.5, 1.999, "2", float("inf")])
 def test_fractional_dim_is_schema_error(value, tmp_path, capsys):
     """A system's dimension is a whole number: int() once read "dim": 2.5

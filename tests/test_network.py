@@ -97,6 +97,10 @@ def test_self_loop_needs_flag():
         Network(ports, blocks, connections=conns)
     net = Network(ports, blocks, connections=conns, allow_self_loops=True)
     assert net.connections
+    # a saved flag is a JSON boolean, so the file reads back
+    data = json.loads(json.dumps(network_to_dict(net)))
+    assert data["allow_self_loops"] is True
+    assert network_from_dict(data).allow_self_loops is True
 
 
 def test_non_hermitian_hamiltonian_rejected():

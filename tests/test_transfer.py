@@ -1156,6 +1156,20 @@ def test_start_at_or_below_the_pulse_end_is_invalid(ratio_db):
         predict_transfer(c, 1.0, ratio_db)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ratio_db", [-40.0, -100.0, -300.0])
+def test_sweep_below_the_pulse_end_barely_transfers(ratio_db):
+    """transfer_sweep runs a start that predict_transfer refuses, and its
+    result is the physical one for a receiver that barely couples: a
+    finite success in [0, 1] (7.2e-5 at -40 dB), with the flow still
+    lowering kappa_b below its start."""
+    c = oriented(transfer_coefficients(find_network_in_class(0.04, 0.15, 3)))
+    (summary,) = transfer_sweep([c], 1.0, ratio_db, T=5.0, dt=5e-3)
+    assert np.isfinite(summary.success)
+    assert 0.0 <= summary.success <= 1.0
+    assert summary.kappa_b_final_db < ratio_db
+
+
 def test_rescale_protocol_equivalence():
     """A time-dependent kappa_a(t) only reparameterizes the clock."""
     c = perfect_coeffs()
