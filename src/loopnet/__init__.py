@@ -13,7 +13,6 @@ from .contraction import (
     RoutingMatrices,
     contract,
     contract_network,
-    dissipative_hamiltonian,
     routing_matrices,
     verify_inversion_identities,
 )

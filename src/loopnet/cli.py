@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from functools import cache
@@ -38,6 +37,7 @@ from .network import (
     NAMED_OPERATORS,
     TOL_UNITARY,
     Network,
+    _json_text,
     _matrix_to_pairs,
     _pairs_to_matrix,
     assemble_W,
@@ -227,9 +227,7 @@ def write_manifest(
         "outputs": sorted(outputs),
     }
     path = outdir / "manifest.json"
-    path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n"
-    )
+    path.write_text(_json_text(manifest, sort_keys=True) + "\n", newline="\n")
 
 
 def _outdir(args) -> Path:
@@ -324,9 +322,7 @@ def cmd_contract(args) -> int:
         },
     }
     out = outdir / "effective_model.json"
-    out.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n"
-    )
+    out.write_text(_json_text(payload, sort_keys=True) + "\n", newline="\n")
     write_manifest(
         outdir,
         "contract",
@@ -349,11 +345,12 @@ def cmd_paths(args) -> int:
     records = sorted(records, key=lambda r: (-abs(r.weight), r.port_sequence))
     outdir = _outdir(args)
     out = outdir / "paths.csv"
+    names = [str(p) for p in range(net.n_ports)]
     write_csv(
         out,
         ["path", "n", "re_w", "im_w", "abs_w", "tau"],
         [
-            [">".join(str(p) for p in r.port_sequence) for r in records],
+            [">".join([names[p] for p in r.port_sequence]) for r in records],
             [float(r.n_traversals) for r in records],
             [r.weight.real for r in records],
             [r.weight.imag for r in records],

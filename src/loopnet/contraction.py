@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IdentityViolation, NonConvergentLoop, SingularMatrix
+from .errors import NonConvergentLoop, SingularMatrix
 from .network import (
     Network,
     assemble_H_sys,
@@ -219,26 +219,3 @@ def verify_inversion_identities(S: np.ndarray, W: np.ndarray) -> dict:
 
     return {"projector_identity": res1, "half_sum_identity": res2}
 
-
-def dissipative_hamiltonian(model: EffectiveModel) -> np.ndarray:
-    """Non-Hermitian generator H_sys - (i/2) L^dag L - i L^dag T L.
-
-    Asserts agreement with h_eff - (i/2) L_eff^dag L_eff to 1e-9 relative
-    to the generator scale; a violation indicates an implementation bug,
-    never bad input.
-    """
-    l_arr = np.array(model.base_L)
-    l_dag = l_arr.conj().transpose(0, 2, 1)
-    direct = np.einsum("jab,jbc->ac", l_dag, l_arr)
-    network_term = np.einsum("jk,jab,kbc->ac", model.routing.T, l_dag, l_arr)
-    h = model.h_sys - 0.5j * direct - 1j * network_term
-
-    l_eff = np.einsum("jk,kab->jab", model.l_eff_coeffs, l_arr)
-    damping = np.einsum("jab,jbc->ac", l_eff.conj().transpose(0, 2, 1), l_eff)
-    scale = max(1.0, float(np.abs(h).max()))
-    residual = float(np.abs(h - (model.h_eff - 0.5j * damping)).max())
-    if residual > 1e-9 * scale:
-        raise IdentityViolation(
-            f"internal identity violated (residual {residual:.3e})"
-        )
-    return h

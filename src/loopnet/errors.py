@@ -49,10 +49,6 @@ class SingularMatrix(LoopnetError):
     """1 - S W is too ill-conditioned to invert (cond above COND_MAX)."""
 
 
-class IdentityViolation(LoopnetError):
-    """Two forms of one derived quantity disagree; an implementation bug."""
-
-
 class PathExplosion(LoopnetError):
     """Path enumeration exceeded the configured record cap."""
 

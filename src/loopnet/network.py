@@ -291,31 +291,40 @@ class Network:
                     )
 
     def _validate_numbers(self):
+        """Every number is finite; the SchemaError names the first entry, in
+        the order below, that is not.  One isfinite runs over all of them,
+        and the labels are made only when it fails (or meets a value that
+        is not a number)."""
         g = self.geometry
         if not (0 < g.v_p < np.inf and 0 < g.kappa0 < np.inf):
             raise SchemaError("geometry v_p and kappa0 must be finite and > 0")
-        numbers = [(f"z of port {p.id}", p.position_z or 0.0) for p in self.ports]
-        numbers += [(f"block {b.element_id!r}", b.matrix) for b in self.blocks]
-        numbers += [
-            (f"connection {c.from_port}->{c.to_port}",
-             [self.connection_phase(c), c.distance or 0.0])
-            for c in self.connections
-        ]
+        # (label, what it formats, value); a value is a number or an array
+        checked = [("z of port {0.id}", p, p.position_z or 0.0) for p in self.ports]
+        checked += [("block {0.element_id!r}", b, b.matrix) for b in self.blocks]
+        checked += [("connection {0.from_port}->{0.to_port}", c, x)
+                    for c in self.connections
+                    for x in (self.connection_phase(c), c.distance or 0.0)]
         for sys in self.systems:
-            numbers.append((f"hamiltonian of {sys.element_id!r}",
-                            sys.hamiltonian))
-            numbers += [
-                (f"coupling on port {port}",
-                 [c.kappa, c.phi, *np.ravel(c.operator)])
-                for port, c in sys.couplings.items()
-            ]
-        for what, value in numbers:
+            checked.append(("hamiltonian of {0.element_id!r}", sys, sys.hamiltonian))
+            checked += [("coupling on port {0}", port, x)
+                        for port, c in sys.couplings.items()
+                        for x in (c.kappa, c.phi, c.operator)]
+        scalars, arrays = [], []
+        for _, _, value in checked:
+            (arrays if type(value) is np.ndarray else scalars).append(value)
+        try:
+            values = [np.array(scalars)] + [a.ravel() for a in arrays]
+            if np.isfinite(np.concatenate(values)).all():
+                return
+        except (TypeError, ValueError, OverflowError):
+            pass  # not all numbers: the loop below finds the first that is not
+        for label, of, value in checked:
             try:
                 finite = np.isfinite(value).all()
             except TypeError:  # not a number at all
                 finite = False
             if not finite:
-                raise SchemaError(f"{what} is not finite")
+                raise SchemaError(f"{label.format(of)} is not finite")
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -608,6 +617,74 @@ def network_from_dict(data: dict) -> Network:
     )
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_json_quote = json.encoder.encode_basestring_ascii  # json.dumps' ensure_ascii
+
+
+def _pairs_text(rows: list, nl: str) -> str | None:
+    """rows, a list of lists of [re, im] Python floats, as json.dumps(indent=2)
+    lays it out after the newline-and-indent nl, from one template per pair;
+    None if rows is anything else (a row or pair that is not a list, an
+    empty row, or a number float.__repr__ writes unlike JSON: an int, a
+    bool, NaN or an infinity)."""
+    n1, n2, n3, r = nl + "  ", nl + "    ", nl + "      ", float.__repr__
+    try:
+        if not all(rows):
+            return None
+        text = f",{n1}".join([
+            f"[{n2}" + f",{n2}".join([f"[{n3}{r(a)},{n3}{r(b)}{n2}]"
+                                      for a, b in map(list.copy, row)])
+            + f"{n1}]" for row in map(list.copy, rows)])
+    except (TypeError, ValueError):
+        return None
+    return None if "n" in text else f"[{n1}{text}{nl}]"  # 'nan', 'inf'
+
+
+def _emit(o, nl: str, out: list, sort_keys: bool) -> None:
+    """Append the text of o, which follows the newline-and-indent nl, to out."""
+    if isinstance(o, str):
+        out.append(_json_quote(o))
+    elif o is None or o is True or o is False:
+        out.append(_JSON_WORDS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        out.append(_JSON_FLOATS.get(text, text))
+    elif isinstance(o, dict):
+        inner, sep = nl + "  ", "{"
+        for key, value in sorted(o.items()) if sort_keys else o.items():
+            out.append(f"{sep}{inner}{_json_quote(key)}: ")
+            _emit(value, inner, out, sort_keys)
+            sep = ","
+        out.append(nl + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        text = _pairs_text(o, nl) if o and isinstance(o[0], list) else None
+        if text is not None:
+            out.append(text)
+            return
+        inner, sep = nl + "  ", "["
+        for value in o:
+            out.append(sep + inner)
+            _emit(value, inner, out, sort_keys)
+            sep = ","
+        out.append(nl + "]" if o else "[]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_text(obj, sort_keys: bool = False) -> str:
+    """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte, for
+    dicts with str keys, lists, tuples, str, bool, None, int and float
+    (numpy float64 included); any other value raises TypeError.  The
+    stdlib writes an indented document in pure Python, one value at a
+    time; here a complex-pair matrix (_matrix_to_pairs) is written whole."""
+    out = []
+    _emit(obj, "\n", out, sort_keys)
+    return "".join(out)
+
+
 def read_json(path):
     """The JSON value in a file, read as bytes (UTF-8, -16 or -32);
     SchemaError if it does not decode or parse."""
@@ -622,5 +699,4 @@ def load_network(path) -> Network:
 
 
 def save_network(network: Network, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(network_to_dict(network), indent=2) + "\n")
+    Path(path).write_text(_json_text(network_to_dict(network)) + "\n", newline="\n")

@@ -954,3 +954,30 @@ def test_network_round_trips_through_cli_output(tmp_path, capsys):
     assert network_to_dict(net) == json.loads(
         (tmp_path / "network.json").read_text()
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["contract", "{net}"],
+    ["paths", "{net}"],
+    ["simulate", "{net}", "--t-final", "0.5", "--dt", "1e-2",
+     "--observables", "P0,ZI"],
+    ["transfer", "--random", "--seed", "3", "--T", "2", "--dt", "5e-3"],
+    ["transfer", "--net", "{net}", "--T", "2", "--dt", "5e-3"],
+    ["transfer", "--random", "--sweep", "2", "--T", "2", "--dt", "5e-3"],
+], ids=["contract", "paths", "simulate", "transfer-random", "transfer-net",
+        "transfer-sweep"])
+@pytest.mark.filterwarnings("ignore:kappa_b.*incomplete:UserWarning")
+def test_json_outputs_keep_the_json_dumps_layout(argv, ideal_net_file,
+                                                 tmp_path, capsys):
+    """Every JSON file a command writes is the bytes json.dumps(indent=2)
+    gives for its own content, keys sorted except in network.json."""
+    out = tmp_path / "out"
+    argv = [a.format(net=ideal_net_file) for a in argv] + ["-o", str(out)]
+    assert main(argv) == 0
+    written = sorted(out.glob("*.json"))
+    assert "manifest.json" in [p.name for p in written]
+    for path in written:
+        text = path.read_text()
+        layout = json.dumps(json.loads(text), indent=2,
+                            sort_keys=path.name != "network.json")
+        assert text == layout + "\n", path.name

@@ -1,9 +1,12 @@
 """Network construction, validation, assembly and file round-trips."""
 
 import json
+from http import HTTPStatus
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopnet import (
     Connection,
@@ -38,7 +41,7 @@ from loopnet.errors import (
     SchemaError,
     SelfLoopConnection,
 )
-from loopnet.network import SIGMA_MINUS, embed_operator
+from loopnet.network import SIGMA_MINUS, _json_text, embed_operator
 from loopnet.transfer import DATASHEET_MAGNITUDES
 
 from conftest import fabry_perot, random_unitary
@@ -346,3 +349,88 @@ def test_non_finite_numbers_are_schema_errors(path, value):
     target[path[-1]] = value
     with pytest.raises(SchemaError):
         network_from_dict(data)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(("ports", 3, "z"), NAN), (("systems", 0, "couplings", 0, "kappa"), INF)],
+     "z of port 3 is not finite"),
+    ([(("connections", 2, "phase"), NAN), (("blocks", 2, "matrix", 1, 1), [INF, 0.0])],
+     "block 'circ_b' is not finite"),
+    ([(("systems", 1, "couplings", 0, "phi"), NAN), (("connections", 3, "phase"), INF)],
+     "connection 4->2 is not finite"),
+    ([(("systems", 1, "couplings", 0, "kappa"), NAN),
+      (("systems", 1, "hamiltonian", 0, 0), [0.0, INF])],
+     "hamiltonian of 'qubit_b' is not finite"),
+    ([(("systems", 1, "couplings", 0, "op", 0, 1), [NAN, 0.0]),
+      (("systems", 0, "couplings", 0, "phi"), INF)],
+     "coupling on port 0 is not finite"),
+    ([(("ports", 7, "z"), INF), (("ports", 5, "z"), "far")],
+     "z of port 5 is not finite"),
+], ids=["z-before-kappa", "block-before-phase", "phase-before-phi",
+        "hamiltonian-before-kappa", "system-order", "text-before-inf"])
+def test_first_non_finite_number_names_the_error(edits, message):
+    """Of two faulty numbers, the one that comes first (ports, blocks,
+    connections, then each system's Hamiltonian and couplings) is named."""
+    data = network_to_dict(two_qubit_network(ideal_circulator(),
+                                             ideal_circulator()))
+    for path, value in edits:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    with pytest.raises(SchemaError) as info:
+        network_from_dict(data)
+    assert str(info.value) == message
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-320, 1e16, 1e22, -1e22,
+                               NAN, INF, -INF])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(), st.floats().map(np.float64))
+TEXT = st.one_of(st.text(), st.sampled_from(["", "\x00\x1f\x7f", "é ∞ 😀",
+                                             '"\\/\b\f\n\r\t']))
+# an int subclass is written as its number (int.__repr__), not as its repr
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
+                   st.sampled_from(HTTPStatus))
+# complex-pair matrices as _matrix_to_pairs writes them (NaN and infinities
+# included), and near misses: an int or a bool in a pair, a pair of another
+# length, an empty row
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PAIRS = st.lists(st.lists(st.lists(st.one_of(FINITE, FINITE.map(np.float64),
+                                             EDGE_FLOATS),
+                                   min_size=2, max_size=2),
+                          min_size=1, max_size=3), min_size=1, max_size=3)
+NEAR_PAIRS = st.lists(st.lists(st.lists(
+    st.one_of(FLOATS, st.integers(), st.booleans()), max_size=3), max_size=3),
+    min_size=1, max_size=3)
+PAYLOADS = st.recursive(
+    st.one_of(LEAVES, PAIRS, NEAR_PAIRS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(PAYLOADS)
+def test_json_text_is_json_dumps_indent_2(payload):
+    for sort_keys in (False, True):
+        expected = json.dumps(payload, indent=2, sort_keys=sort_keys)
+        assert _json_text(payload, sort_keys=sort_keys) == expected
+
+
+@pytest.mark.parametrize("payload", [
+    np.int64(1),
+    {"a": [1, np.int64(2)]},
+    [[[np.int64(1), 0.0]]],
+    [[{1.0, 2.0}]],
+    [[(x for x in (1.0, 2.0))]],
+], ids=["int64", "nested-int64", "int64-in-pair", "set-as-pair",
+        "generator-as-pair"])
+def test_json_text_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(payload)
