@@ -58,7 +58,6 @@ from .paths import (
 )
 from .transfer import (
     ControlProtocol,
-    RescaledProtocol,
     SweepSummary,
     TransferCoefficients,
     TransferResult,
@@ -67,7 +66,6 @@ from .transfer import (
     coupled_qubit_ports,
     dark_state_residual,
     datasheet_circulator,
-    feeding_operator,
     find_network_in_class,
     oriented,
     ideal_circulator,
@@ -77,7 +75,6 @@ from .transfer import (
     phase_tuned_network,
     predict_transfer,
     random_imperfect_network,
-    rescale_protocol,
     simulate_transfer,
     specialized_master_equation,
     swap_roles,

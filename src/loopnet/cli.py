@@ -5,9 +5,10 @@ All commands write their outputs plus a run manifest (manifest.json) into
 the bytes of "%.17g", so that re-running a command with identical inputs
 reproduces byte-identical files; an integer kernel produces them for 0 and
 1e-11 < |x| < 1e15, reading the ASCII digits of 4-digit groups from a
-table, and "%.17g" itself for every other value.  A table is formatted in
-blocks of about _BLOCK values, all in one workspace that each write_csv
-call allocates once.  Exit codes:
+table, and "%.17g" itself for every other value.  A column whose cells
+are all the same is formatted once; the others go in blocks of about
+_BLOCK values, all in one workspace that each write_csv call allocates
+once.  Exit codes:
 0 success, 1 schema/usage error or an output directory or file that cannot
 be made or written, 2 physics-validity error (non-unitary block,
 non-convergent loop, wrong directionality, ...).
@@ -168,40 +169,72 @@ def _g17(x: np.ndarray, cells: np.ndarray, digits: np.ndarray) -> None:
         cells[:-1, i] = text.view(np.uint8).reshape(i.size, width - 1).T
 
 
+def _same_cell(c) -> bytes | None:
+    """The bytes of every cell of column c if they are all the same: equal
+    strings, or numbers with equal float64 bits (so 0.0 and -0.0 differ,
+    and one NaN payload matches only itself); else None.  The first and
+    last cells are compared before the whole column."""
+    if isinstance(c[0], str):
+        same = c[0] == c[-1] and all(s == c[0] for s in c)
+        return c[0].encode() if same else None
+    bits = np.array([c[0], c[-1]], np.float64).view(_U)
+    if bits[0] != bits[1]:
+        return None
+    if (np.asarray(c, np.float64).view(_U) != bits[0]).any():
+        return None
+    return b"%.17g" % float(c[0])
+
+
 def write_csv(path: Path, header: list, columns: list) -> None:
     """CSV with LF line endings; each column holds strings or numbers, and a
     number is written as the exact bytes of "%.17g" (see _g17).
 
-    The rows go in blocks of about _BLOCK values (whole rows), and every
-    block reuses one workspace allocated once per call: the block's values,
-    its NUL-padded cells of one width with one separator byte each, and the
-    digit planes.  The block's row-major bytes, with the padding deleted by
-    bytes.translate, are written out."""
+    A column after the first whose cells are all the same (see _same_cell)
+    is written once, into the separator that follows the column before it:
+    t, re_P0, im_P0 = 0 becomes the columns t and re_P0 with the separators
+    "," and ",0\n".  The rows of the other columns go in blocks of about
+    _BLOCK values (whole rows), and every block reuses one workspace
+    allocated once per call: the block's values, its NUL-padded cells of
+    one width (the body rows, then the separator rows, filled once per
+    call), and the digit planes.  The block's row-major bytes, with the
+    padding deleted by bytes.translate, are written out."""
     n_rows = len(columns[0]) if columns else 0
-    text = {j: np.array([s.encode() for s in c]) for j, c in enumerate(columns)
+    kept, seps = [], []
+    for j, c in enumerate(columns):
+        cell = _same_cell(c) if j and n_rows else None
+        if cell is None:
+            kept.append(c)
+            seps.append(b",")
+        else:
+            seps[-1] += cell + b","
+    if seps:
+        seps[-1] = seps[-1][:-1] + b"\n"
+    text = {j: np.array([s.encode() for s in c]) for j, c in enumerate(kept)
             if len(c) and isinstance(c[0], str)}
-    width = max([_CELL] + [s.itemsize + 1 for s in text.values()])
-    rows = max(1, min(n_rows, _BLOCK // max(len(columns), 1)))
-    values = np.zeros((rows, len(columns)))
-    cells = np.zeros((width, values.size), np.uint8)
+    body = max([_CELL - 1] + [s.itemsize for s in text.values()])
+    sep = max([1] + [len(s) for s in seps])
+    rows = max(1, min(n_rows, _BLOCK // max(len(kept), 1)))
+    values = np.zeros((rows, len(kept)))
+    cells = np.zeros((body + sep, values.size), np.uint8)
     digits = np.zeros((19, values.size), np.uint8)
+    cells.reshape(body + sep, rows, len(kept))[body:] = (
+        np.array(seps, f"S{sep}").view(np.uint8).reshape(-1, 1, sep).T
+    )
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for r0 in range(0, n_rows, rows):
             block = values[:min(rows, n_rows - r0)]
-            for j, c in enumerate(columns):
+            for j, c in enumerate(kept):
                 if j not in text:
                     block[:, j] = c[r0:r0 + rows]
             size = block.size
-            _g17(block.ravel(), cells[:, :size], digits[:, :size])
-            grid = cells[:, :size].reshape(width, *block.shape)
+            _g17(block.ravel(), cells[:_CELL, :size], digits[:, :size])
+            grid = cells[:, :size].reshape(body + sep, *block.shape)
             for j, s in text.items():
-                grid[:-1, :, j] = 0
+                grid[:body, :, j] = 0
                 grid[:s.itemsize, :, j] = (
                     s[r0:r0 + rows].view(np.uint8).reshape(len(block), -1).T
                 )
-            grid[-1] = ord(",")
-            grid[-1, :, -1] = ord("\n")
             fh.write(grid.transpose(1, 2, 0).tobytes().translate(None, b"\0"))
 
 

@@ -643,60 +643,6 @@ def synthesize_controls(
     return protocol
 
 
-@dataclass
-class RescaledProtocol:
-    """Control schedules remapped onto a time-dependent sender coupling."""
-
-    times: np.ndarray
-    kappa_a: np.ndarray
-    kappa_b: np.ndarray
-    h_bz: np.ndarray
-    h_az: np.ndarray
-    phase_diff: float
-
-
-def rescale_protocol(
-    protocol: ControlProtocol,
-    kappa_a_of_t,
-    t_final: float,
-) -> RescaledProtocol:
-    """Remap a constant-kappa_a protocol onto a user-supplied kappa_a(t).
-
-    The Bloch generator is homogeneous of degree one in the control rates
-    (kappa_a, kappa_b, h_az, h_bz), so scaling all of them by
-    lambda(t) = kappa_a(t) / kappa_a and compressing the clock to
-    s(t) = int_0^t lambda dt' reproduces the original trajectory exactly at
-    the remapped times -- a pure compression/expansion of the time axis.
-
-    kappa_a_of_t is any callable of physical time (a Schedule works);
-    schedules are sampled on a uniform grid over [0, t_final] with the
-    protocol's own sample count.  Raises
-    InvalidParameter (a ValueError) if the rescaled clock runs past the
-    protocol's horizon, i.e. s(t_final) > protocol.T.
-    """
-    times = np.linspace(0.0, t_final, len(protocol.times))
-    lam = np.array([kappa_a_of_t(t) for t in times]) / protocol.kappa_a
-    if not np.all(lam >= 0):
-        raise InvalidParameter("kappa_a(t) must be non-negative")
-    dts = np.diff(times)
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * dts)])
-    if s[-1] > protocol.T * (1.0 + 1e-12):
-        raise InvalidParameter(
-            f"rescaled clock reaches {s[-1]:.6g} but the protocol ends at "
-            f"{protocol.T:.6g}; shorten t_final or slow kappa_a(t)"
-        )
-    kb = lam * np.interp(s, protocol.times, protocol.kappa_b)
-    hbz = lam * np.interp(s, protocol.times, protocol.h_bz)
-    return RescaledProtocol(
-        times=times,
-        kappa_a=lam * protocol.kappa_a,
-        kappa_b=kb,
-        h_bz=hbz,
-        h_az=lam * protocol.h_az,
-        phase_diff=protocol.phase_diff,
-    )
-
-
 # -- transfer simulation ----------------------------------------------------
 
 
@@ -1052,24 +998,6 @@ def phase_tuned_adverse_network(seed: int):
 
 
 # -- specialized two-qubit master equation ----------------------------------
-
-
-def feeding_operator(
-    coeffs: TransferCoefficients,
-    kappa_a: float,
-    kappa_b: float,
-    phi_a: float = 0.0,
-    phi_b: float = 0.0,
-) -> np.ndarray:
-    """The 4x4 feeding operator R (nonzero in the single-excitation block)."""
-    r = np.zeros((4, 4), dtype=complex)
-    root = np.sqrt(kappa_a * kappa_b)
-    cross = np.conj(coeffs.t_ab) + coeffs.t_ba
-    r[UP_DOWN, UP_DOWN] = kappa_a * coeffs.eta_a
-    r[DOWN_UP, DOWN_UP] = kappa_b * coeffs.eta_b
-    r[DOWN_UP, UP_DOWN] = root * cross * np.exp(1j * (phi_a - phi_b))
-    r[UP_DOWN, DOWN_UP] = root * np.conj(cross) * np.exp(-1j * (phi_a - phi_b))
-    return r
 
 
 def two_qubit_h_eff(

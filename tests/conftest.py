@@ -11,8 +11,9 @@ from loopnet import (
     Network,
     Port,
     ScatteringBlock,
+    perturbed_circulator,
 )
-from loopnet.network import SIGMA_MINUS
+from loopnet.network import SIGMA_MINUS, SIGMA_Z
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -81,6 +82,36 @@ def single_qubit_network(kappa: float = 1.0) -> Network:
                     {0: Coupling(SIGMA_MINUS, kappa)})
     ]
     return Network(ports, blocks, systems=systems)
+
+
+def three_qubit_chain() -> Network:
+    """Three imperfect circulators in a line, one qubit on each (D = 8).
+
+    Circulator k owns ports 3k..3k+2; its port 3k+1 is linked both ways to
+    port 3k+3 of the next one and its port 3k+2 to qubit k (port 9 + k).
+    Ports 0 and 7 are external.
+    """
+    herm = np.array([[0.3, 0.2 - 0.1j, 0.1], [0.2 + 0.1j, -0.4, 0.3j],
+                     [0.1, -0.3j, 0.2]])
+    ports, blocks, systems, connections = [], [], [], []
+    for k in range(3):
+        circ, qubit = f"circ{k}", f"qubit{k}"
+        ports += [Port(3 * k + j, circ, float(k)) for j in range(3)]
+        ports.append(Port(9 + k, qubit, float(k)))
+        blocks += [
+            ScatteringBlock(circ, perturbed_circulator(0.1 * (k + 1), herm)),
+            ScatteringBlock(qubit, np.array([[1.0 + 0.0j]])),
+        ]
+        connections += [Connection(3 * k + 2, 9 + k),
+                        Connection(9 + k, 3 * k + 2)]
+        if k < 2:
+            connections += [Connection(3 * k + 1, 3 * k + 3),
+                            Connection(3 * k + 3, 3 * k + 1)]
+        systems.append(LocalSystem(
+            qubit, 2, 0.3 * (k - 1) * SIGMA_Z.astype(complex),
+            {9 + k: Coupling(SIGMA_MINUS, 1.0 + 0.25 * k)},
+        ))
+    return Network(ports, blocks, systems, connections)
 
 
 def permute_network(net: Network, perm: list) -> Network:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -28,7 +29,7 @@ from loopnet import cli
 from loopnet.cli import EXIT_SCHEMA, build_parser, main, write_csv
 from loopnet.paths import enumerate_paths
 
-from conftest import fabry_perot, single_qubit_network
+from conftest import fabry_perot, single_qubit_network, three_qubit_chain
 
 
 @pytest.fixture
@@ -488,6 +489,49 @@ def test_simulate_trajectory(ideal_net_file, tmp_path):
     assert t_last == pytest.approx(2.0)
     # cascaded channel: the sender decays autonomously at rate kappa_a
     assert p1_last == pytest.approx(np.exp(-2.0), abs=1e-8)
+
+
+def _chain(n_qubits):
+    if n_qubits == 1:
+        return single_qubit_network()
+    if n_qubits == 2:
+        return two_qubit_network(datasheet_circulator(), datasheet_circulator())
+    return three_qubit_chain()
+
+
+def _pauli_strings(n_qubits):
+    """Every Pauli string on one or two qubits, a Y-heavy sample on three."""
+    if n_qubits == 3:
+        return ["YYY", "XYZ", "IYI", "ZZZ", "YIX"]
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)]
+
+
+@pytest.mark.parametrize("initial", ["excited", "ground", "basis:1",
+                                     "coherent"])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_simulate_writes_every_imaginary_part_as_zero(n_qubits, initial,
+                                                      tmp_path):
+    """Every observable simulate accepts, P<k> and Pauli strings, is
+    Hermitian, so every im_* cell is exactly 0, also from an --initial
+    state with complex coherences."""
+    net = _chain(n_qubits)
+    net_file = tmp_path / "net.json"
+    save_network(net, net_file)
+    d = 2**n_qubits
+    if initial == "coherent":
+        rng = np.random.default_rng(n_qubits)
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        initial = tmp_path / "state.json"
+        initial.write_text(json.dumps(_state_rows(np.outer(psi, psi.conj()))))
+    names = [f"P{k}" for k in range(d)] + _pauli_strings(n_qubits)
+    assert main(["simulate", str(net_file), "--t-final", "0.5", "--dt",
+                 "1e-2", "--initial", str(initial), "--observables",
+                 ",".join(names), "-o", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "trajectory.csv")
+    im = [j for j, name in enumerate(header) if name.startswith("im_")]
+    assert len(im) == len(names) and len(rows) == 51
+    assert {row[j] for row in rows for j in im} == {"0"}
 
 
 def test_simulate_bad_observable(ideal_net_file, capsys):

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from loopnet import (
-    Connection,
     Controls,
-    Coupling,
-    LocalSystem,
-    Network,
-    Port,
-    ScatteringBlock,
     Schedule,
     basis_state,
     build_generator,
@@ -24,7 +18,6 @@ from loopnet import (
     ideal_circulator,
     integrate,
     liouvillian,
-    perturbed_circulator,
     random_imperfect_network,
     synthesize_controls,
     transfer_coefficients,
@@ -40,7 +33,7 @@ from loopnet.errors import (
 from loopnet.lindblad import _GeneratorAssembler
 from loopnet.network import SIGMA_MINUS, SIGMA_Z, dag, embed_operator
 
-from conftest import single_qubit_network
+from conftest import single_qubit_network, three_qubit_chain
 
 
 def test_single_qubit_decay():
@@ -170,36 +163,6 @@ def test_time_dependent_rabi_oscillation():
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def three_qubit_chain() -> Network:
-    """Three imperfect circulators in a line, one qubit on each (D = 8).
-
-    Circulator k owns ports 3k..3k+2; its port 3k+1 is linked both ways to
-    port 3k+3 of the next one and its port 3k+2 to qubit k (port 9 + k).
-    Ports 0 and 7 are external.
-    """
-    herm = np.array([[0.3, 0.2 - 0.1j, 0.1], [0.2 + 0.1j, -0.4, 0.3j],
-                     [0.1, -0.3j, 0.2]])
-    ports, blocks, systems, connections = [], [], [], []
-    for k in range(3):
-        circ, qubit = f"circ{k}", f"qubit{k}"
-        ports += [Port(3 * k + j, circ, float(k)) for j in range(3)]
-        ports.append(Port(9 + k, qubit, float(k)))
-        blocks += [
-            ScatteringBlock(circ, perturbed_circulator(0.1 * (k + 1), herm)),
-            ScatteringBlock(qubit, np.array([[1.0 + 0.0j]])),
-        ]
-        connections += [Connection(3 * k + 2, 9 + k),
-                        Connection(9 + k, 3 * k + 2)]
-        if k < 2:
-            connections += [Connection(3 * k + 1, 3 * k + 3),
-                            Connection(3 * k + 3, 3 * k + 1)]
-        systems.append(LocalSystem(
-            qubit, 2, 0.3 * (k - 1) * SIGMA_Z.astype(complex),
-            {9 + k: Coupling(SIGMA_MINUS, 1.0 + 0.25 * k)},
-        ))
-    return Network(ports, blocks, systems, connections)
 
 
 def _step_within_bounds(rho):

@@ -12,18 +12,13 @@ import loopnet.transfer
 
 from loopnet import (
     ControlProtocol,
-    Schedule,
     TransferCoefficients,
     b0_closed_form,
-    basis_state,
     collective_rates,
     contract_network,
-    controls_from_network,
     dark_state_residual,
-    datasheet_circulator,
     find_network_in_class,
     ideal_circulator,
-    integrate,
     network_to_dict,
     oriented,
     perturbed_circulator,
@@ -32,7 +27,6 @@ from loopnet import (
     phase_tuned_network,
     predict_transfer,
     random_imperfect_network,
-    rescale_protocol,
     routing_matrices,
     simulate_transfer,
     specialized_master_equation,
@@ -55,11 +49,7 @@ from loopnet.errors import (
     StepUnstable,
     WrongDirectionality,
 )
-from loopnet.network import (
-    SIGMA_Z,
-    embed_operator,
-    unitarity_deviation,
-)
+from loopnet.network import unitarity_deviation
 
 from conftest import random_unitary
 from loopnet.transfer import (
@@ -1170,57 +1160,6 @@ def test_sweep_below_the_pulse_end_barely_transfers(ratio_db):
     assert summary.kappa_b_final_db < ratio_db
 
 
-def test_rescale_protocol_equivalence():
-    """A time-dependent kappa_a(t) only reparameterizes the clock."""
-    c = perfect_coeffs()
-    protocol = synthesize_controls(c, 1.0, ratio_db=15.0, T=10.0, dt=1e-3)
-    result = simulate_transfer(c, protocol)
-
-    def kappa_a(t):
-        return 1.0 + 0.3 * np.sin(t)
-
-    t_final = 8.0
-    rescaled = rescale_protocol(protocol, kappa_a, t_final)
-    assert np.abs(rescaled.kappa_a
-                  - np.array([kappa_a(t) for t in rescaled.times])).max() == 0
-
-    # rescaled clock value at t_final, by the same trapezoid rule
-    lam = rescaled.kappa_a
-    s_end = float(np.sum(0.5 * (lam[1:] + lam[:-1]) * np.diff(rescaled.times)))
-    expected = np.interp(s_end, result.times, result.success_traj)
-
-    net = two_qubit_network(ideal_circulator(), ideal_circulator())
-    model = contract_network(net)
-    controls = controls_from_network(
-        net,
-        kappa_schedules={
-            0: Schedule(kappa_a),
-            7: Schedule.sampled(rescaled.times, rescaled.kappa_b),
-        },
-        phi_schedules={
-            0: Schedule.constant(rescaled.phase_diff),
-            7: Schedule.constant(0.0),
-        },
-        hamiltonian_terms=[
-            (0.5 * embed_operator(net, "qubit_b", SIGMA_Z),
-             Schedule.sampled(rescaled.times, rescaled.h_bz)),
-        ],
-    )
-    traj = integrate(model, controls, basis_state(4, 1), t_final=t_final,
-                     dt=1e-3)
-    assert traj.rhos[-1][2, 2].real == pytest.approx(expected, abs=1e-5)
-
-
-def test_rescale_protocol_rejects_overrun():
-    c = perfect_coeffs()
-    protocol = synthesize_controls(c, 1.0, ratio_db=15.0, T=10.0, dt=1e-3)
-    with pytest.raises(ValueError):
-        rescale_protocol(protocol, lambda t: 2.0, 10.0)
-    for kappa_a in (lambda t: 2.0, lambda t: -1.0, lambda t: np.nan):
-        with pytest.raises(InvalidParameter):
-            rescale_protocol(protocol, kappa_a, 10.0)
-
-
 # -- specialized master equation -------------------------------------------------
 
 
@@ -1233,17 +1172,6 @@ def test_specialized_generator_no_coupling():
     eye = np.eye(4)
     expect = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     assert np.abs(gen - expect).max() < 1e-14
-
-
-def test_perfect_channel_feeding_rank_one():
-    from loopnet import feeding_operator
-
-    c = perfect_coeffs()
-    r = feeding_operator(c, 1.0, 1.0)
-    sub = r[1:3, 1:3]
-    eigs = np.sort(np.linalg.eigvalsh(sub))
-    assert abs(eigs[0]) < 1e-12  # dark eigenvalue
-    assert eigs[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_specialized_matches_generic_generator():

@@ -2,8 +2,9 @@
 
 The reference is the row-by-row join that
 `test_cli.test_write_csv_matches_per_value_format` also uses.  The values
-cover both paths of the writer: the integer kernel (0 and
-1e-11 < |x| < 1e15) and the per-value "%.17g" for everything else.
+cover the three paths of the writer: the integer kernel (0 and
+1e-11 < |x| < 1e15), the per-value "%.17g" for everything else, and a
+column whose cells are all the same, written once into a separator.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopnet import cli
 from loopnet.cli import _BLOCK, _CELL, write_csv
 
 
@@ -119,6 +121,77 @@ def test_tables_at_the_block_boundaries(tmp_path, n_cols, text):
         assert_exact(tmp_path, [f"c{j}" for j in range(len(columns))], columns)
 
 
+def kernel_values(monkeypatch, path, header, columns) -> int:
+    """How many values write_csv passes to the number kernel cli._g17."""
+    sizes = []
+
+    def counting(x, cells, digits):
+        sizes.append(x.size)
+        return g17(x, cells, digits)
+
+    g17 = cli._g17
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_g17", counting)
+        write_csv(path / "count.csv", header, columns)
+    return sum(sizes)
+
+
+SAME = [0.0, -0.0, np.nan, 1e300, 1.0 / 3.0, "same", ""]
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["mid", "last"])
+@pytest.mark.parametrize("value", SAME, ids=repr)
+def test_a_column_of_one_value(tmp_path, monkeypatch, value, last):
+    """A column after the first whose cells are all the same goes into a
+    separator, mid-table and as the last column, across block bounds."""
+    n = 2 * block_rows(3) + 3
+    rng = np.random.default_rng(5)
+    same = [value] * n if isinstance(value, str) else np.full(n, value)
+    columns = [np.arange(n) * 1e-3, rng.normal(size=n)]
+    columns.insert(len(columns) if last else 1, same)
+    header = ["t", "a", "b"]
+    assert_exact(tmp_path, header, columns)
+    assert kernel_values(monkeypatch, tmp_path, header, columns) == 2 * n
+
+
+def test_columns_that_only_look_the_same(tmp_path, monkeypatch):
+    """0.0 and -0.0, or two NaN payloads, are different cells: such a
+    column stays in the kernel, and so does a constant first column."""
+    n = 2 * block_rows(4) + 1
+    zeros = np.zeros(n)
+    zeros[n // 2] = -0.0
+    nans = np.full(n, np.nan)
+    nans[1] = -np.nan
+    columns = [np.full(n, 2.5), zeros, nans, np.full(n, 2.5)]
+    header = ["c", "z", "nan", "d"]
+    assert_exact(tmp_path, header, columns)
+    assert kernel_values(monkeypatch, tmp_path, header, columns) == 3 * n
+
+
+def test_runs_of_same_columns_across_blocks(tmp_path, monkeypatch):
+    """Several same columns in a row, next to text columns, one row either
+    side of a block boundary."""
+    rng = np.random.default_rng(11)
+    for n in (block_rows(4) - 1, block_rows(4) + 1, 2 * block_rows(4)):
+        names = [f"p{k}" * (k % 3) for k in range(n)]
+        columns = [names, np.zeros(n), ["err"] * n, np.full(n, -7.25),
+                   rng.normal(size=n), ["x" * 40] * n, np.ones(n) * 1e-12,
+                   names]
+        header = [f"c{j}" for j in range(len(columns))]
+        assert_exact(tmp_path, header, columns)
+        assert kernel_values(monkeypatch, tmp_path, header, columns) == 3 * n
+
+
+def test_simulate_table_sends_only_its_varying_columns(tmp_path, monkeypatch):
+    """The table of `loopnet simulate` (t, re_P0, im_P0, re_Z, im_Z), whose
+    im_* columns are 0, passes 3 of its 5 columns to the kernel."""
+    n = 10_501
+    t = np.arange(n) * 1e-3
+    columns = [t, np.exp(-t), np.zeros(n), 2 * np.exp(-t) - 1, np.zeros(n)]
+    header = ["t", "re_P0", "im_P0", "re_Z", "im_Z"]
+    assert kernel_values(monkeypatch, tmp_path, header, columns) == 3 * n
+
+
 def traced_peak(path, columns) -> int:
     """The peak traced memory write_csv allocates over its inputs."""
     tracemalloc.start()
@@ -154,12 +227,12 @@ def tables(draw):
     kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5))
     columns = []
     for is_text in kinds:
-        if is_text and n_rows:
-            columns.append(draw(st.lists(TEXT, min_size=n_rows,
-                                         max_size=n_rows)))
+        cell = TEXT if is_text and n_rows else st.floats(width=64)
+        if draw(st.booleans()):  # one cell in every row
+            columns.append([draw(cell)] * n_rows)
         else:
-            columns.append(draw(st.lists(st.floats(width=64),
-                                         min_size=n_rows, max_size=n_rows)))
+            columns.append(draw(st.lists(cell, min_size=n_rows,
+                                         max_size=n_rows)))
     return [f"c{j}" for j in range(len(columns))], columns
 
 
