@@ -491,7 +491,7 @@ def test_simulate_trajectory(ideal_net_file, tmp_path):
     assert p1_last == pytest.approx(np.exp(-2.0), abs=1e-8)
 
 
-def _chain(n_qubits):
+def _qubit_network(n_qubits):
     if n_qubits == 1:
         return single_qubit_network()
     if n_qubits == 2:
@@ -514,7 +514,7 @@ def test_simulate_writes_every_imaginary_part_as_zero(n_qubits, initial,
     """Every observable simulate accepts, P<k> and Pauli strings, is
     Hermitian, so every im_* cell is exactly 0, also from an --initial
     state with complex coherences."""
-    net = _chain(n_qubits)
+    net = _qubit_network(n_qubits)
     net_file = tmp_path / "net.json"
     save_network(net, net_file)
     d = 2**n_qubits

@@ -123,13 +123,12 @@ def test_tables_at_the_block_boundaries(tmp_path, n_cols, text):
 
 def kernel_values(monkeypatch, path, header, columns) -> int:
     """How many values write_csv passes to the number kernel cli._g17."""
-    sizes = []
+    sizes, g17 = [], cli._g17
 
     def counting(x, cells, digits):
         sizes.append(x.size)
         return g17(x, cells, digits)
 
-    g17 = cli._g17
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_g17", counting)
         write_csv(path / "count.csv", header, columns)
