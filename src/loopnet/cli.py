@@ -314,10 +314,9 @@ def cmd_validate(args) -> int:
     print(f"weight_threshold   = {report.weight_threshold:.6g}")
     print(f"n_cut              = {report.n_cut}")
 
-    top = sorted(report.records, key=lambda r: -abs(r.weight))[:10]
     print("heaviest paths with |w| >= weight_threshold "
           "(port sequence, traversals, |w|, tau):")
-    for r in top:
+    for r in report.heaviest:
         seq = ">".join(str(p) for p in r.port_sequence)
         print(f"  {seq}  n={r.n_traversals}  |w|={abs(r.weight):.6g}  "
               f"tau={r.delay:.6g}")
@@ -327,7 +326,7 @@ def cmd_validate(args) -> int:
         return EXIT_PHYSICS
     if not report.valid:
         print(
-            f"FAIL WeakLoopViolation: {len(report.violating_paths)} paths "
+            f"FAIL WeakLoopViolation: {report.n_violating} paths "
             f"with delay >= tau_min carry weight >= threshold "
             f"(max |w| = {report.max_violating_weight:.6g})"
         )

@@ -10,8 +10,9 @@ of the lengths of the connections it crosses divided by the phase velocity.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +44,18 @@ class PathRecord:
 class ValidityReport:
     tau_min: float
     weight_threshold: float
-    violating_paths: list = field(default_factory=list)
-    max_violating_weight: float = 0.0
-    sigma_max_SW: float = 0.0
-    spectral_radius_SW: float = 0.0
-    converged: bool = True  # the loop passes the contraction's rho test
-    n_cut: int = 0
-    records: list = field(default_factory=list)  # every path walked
+    n_paths: int  # paths walked
+    n_violating: int  # of them, those that violate
+    max_violating_weight: float
+    heaviest: list  # the ten heaviest paths walked, heaviest first
+    sigma_max_SW: float
+    spectral_radius_SW: float
+    converged: bool  # the loop passes the contraction's rho test
+    n_cut: int
 
     @property
     def valid(self) -> bool:
-        return not self.violating_paths
+        return self.n_violating == 0
 
 
 def violates(record: PathRecord, tau_min: float, weight_threshold: float) -> bool:
@@ -75,6 +77,11 @@ def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list
     delay connection_distance / v_p of the connection it crosses (0 where
     that is None, which validity_check refuses), an S hop none.
     """
+    return list(_walk(network, max_order, min_weight))
+
+
+def _walk(network: Network, max_order: int, min_weight: float):
+    """enumerate_paths' records, yielded one at a time from a stack."""
     if not (0 <= max_order <= MAX_ORDER and 0 <= min_weight < math.inf):
         raise InvalidParameter(
             f"need 0 <= max_order <= {MAX_ORDER} and a finite min_weight "
@@ -82,9 +89,10 @@ def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list
         )
     s = assemble_S(network)
     w = assemble_W(network)
-    # the nonzero entries (j, m[j, k]) of each column k of S and of SW
+    # the nonzero entries (j, m[j, k]) of each column k of S and of SW,
+    # reversed so that the stack pops each path's extensions in order
     s_hops, sw_hops = (
-        [[(j, m[j, k]) for j in np.flatnonzero(m[:, k]).tolist()]
+        [[(j, m[j, k]) for j in np.flatnonzero(m[:, k]).tolist()[::-1]]
          for k in range(network.n_ports)]
         for m in (s, s @ w)
     )
@@ -94,38 +102,30 @@ def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list
         length = network.connection_distance(c)
         if length is not None:
             sw_delays[c.from_port] = length / network.geometry.v_p
-    s_delays = [0.0] * network.n_ports
-    records: list = []
-
-    def walk(seq, weight, delay, n, hops, delays, from_source):
-        # each hop out of seq[-1] makes a path of n traversals, recorded
-        # just before its extensions through SW.  weight None: the path
-        # leaves an external input, and its first S element is its whole
-        # weight ((1 + 0j) * amp can flip the sign of a zero part)
-        if n > max_order:
-            return
-        k = seq[-1]
-        tau = delay + delays[k]
-        for j, amp in hops[k]:
-            w_j = amp if weight is None else weight * amp
-            if abs(w_j) < min_weight:
-                continue
-            path = seq + (j,)
-            records.append(PathRecord(path, n, w_j, tau, from_source))
-            if len(records) > RECORD_CAP:
-                raise PathExplosion(f"more than {RECORD_CAP} path records")
-            walk(path, w_j, tau, n + 1, sw_hops, sw_delays, from_source)
-
-    try:
-        for p in sorted({port for sys in network.systems for port in sys.couplings}):
-            walk((p,), 1.0 + 0.0j, 0.0, 1, sw_hops, sw_delays, True)
-        for k in external_ports(w)[0]:
-            walk((k,), None, 0.0, 0, s_hops, s_delays, False)
-    finally:
-        # walk refers to itself: break the cycle, or it keeps the records
-        # alive after the caller drops them, until a full gc collection
-        del walk
-    return records
+    sources = sorted({port for sys in network.systems for port in sys.couplings})
+    # the first hops, last popped first: an external input's S element is
+    # its path's whole weight ((1 + 0j) * amp can flip the sign of a zero
+    # part), and a source port's paths start from weight 1 and delay 0
+    stack = [((k, j), amp, 0.0, 0, False)
+             for k in external_ports(w)[0][::-1] for j, amp in s_hops[k]]
+    if max_order >= 1:
+        stack += [((k, j), (1.0 + 0.0j) * amp, 0.0 + sw_delays[k], 1, True)
+                  for k in sources[::-1] for j, amp in sw_hops[k]]
+    n_records = 0
+    while stack:
+        path, weight, tau, n, from_source = stack.pop()
+        if abs(weight) < min_weight:
+            continue
+        n_records += 1
+        if n_records > RECORD_CAP:
+            raise PathExplosion(f"more than {RECORD_CAP} path records")
+        yield PathRecord(path, n, weight, tau, from_source)
+        if n < max_order:
+            k = path[-1]
+            tau += sw_delays[k]
+            n += 1
+            for j, amp in sw_hops[k]:
+                stack.append((path + (j,), weight * amp, tau, n, from_source))
 
 
 def truncated_series_oracle(S: np.ndarray, W: np.ndarray, L, n_terms: int):
@@ -172,8 +172,8 @@ def validity_check(
 
     The zero-delay contraction is trustworthy only if each path with delay
     of order the system timescale carries negligible weight.  Thresholds
-    are configuration; the report carries the raw numbers and every path
-    walked (weight >= weight_threshold, order from rho(SW)).
+    are configuration; the report carries the raw numbers, path counts and
+    the ten heaviest paths (|w| >= weight_threshold, order from rho(SW)).
     """
     if not (0 < weight_threshold < math.inf
             and (tau_min is None or 0 <= tau_min < math.inf)):
@@ -200,34 +200,43 @@ def validity_check(
     else:
         max_order = MAX_ORDER
 
-    records = enumerate_paths(
-        network, max_order=max_order, min_weight=weight_threshold
+    n_paths = n_violating = 0
+    max_violating_weight = 0.0
+
+    def tally(records):
+        nonlocal n_paths, n_violating, max_violating_weight
+        for r in records:
+            n_paths += 1
+            if violates(r, tau_min, weight_threshold):
+                n_violating += 1
+                max_violating_weight = max(max_violating_weight, abs(r.weight))
+            yield r
+
+    # equal to the stable sorted(..., key=-|w|)[:10], ties in walk order
+    heaviest = heapq.nlargest(
+        10, tally(_walk(network, max_order, weight_threshold)),
+        key=lambda r: abs(r.weight),
     )
-    violating = [r for r in records if violates(r, tau_min, weight_threshold)]
 
     # traversal count at which the accumulated path length reaches the
-    # coherence length v_p / kappa_ref
-    distances = [
-        d
-        for d in (network.connection_distance(c) for c in network.connections)
-        if d is not None and d > 0.0
-    ]
-    if distances and kappa_ref > 0:
+    # coherence length v_p / kappa_ref; every connection has a length here
+    d_max = max(map(network.connection_distance, network.connections),
+                default=0.0)
+    if d_max > 0.0 and kappa_ref > 0:
         ell0 = network.geometry.v_p / kappa_ref
-        n_cut = int(math.ceil(ell0 / max(distances)))
+        n_cut = int(math.ceil(ell0 / d_max))
     else:
         n_cut = 0
 
     return ValidityReport(
         tau_min=tau_min,
         weight_threshold=weight_threshold,
-        violating_paths=violating,
-        max_violating_weight=max(
-            (abs(r.weight) for r in violating), default=0.0
-        ),
+        n_paths=n_paths,
+        n_violating=n_violating,
+        max_violating_weight=max_violating_weight,
+        heaviest=heaviest,
         sigma_max_SW=routing.sigma_max_SW,
         spectral_radius_SW=rho,
         converged=routing.converged,
         n_cut=n_cut,
-        records=records,
     )

@@ -431,10 +431,6 @@ class ControlProtocol:
     phase_diff: float  # phi_a - phi_b, fixed to -delta_plus
     h_az: float
 
-    @property
-    def T(self) -> float:
-        return float(self.times[-1])
-
 
 def _protocol_constants(coeffs: TransferCoefficients):
     """(cos(delta_+ - delta_-), beta_-/beta_+, J/R slope), per network."""

@@ -27,7 +27,6 @@ from loopnet import (
 )
 from loopnet import cli
 from loopnet.cli import EXIT_SCHEMA, build_parser, main, write_csv
-from loopnet.paths import enumerate_paths
 
 from conftest import fabry_perot, single_qubit_network, three_qubit_chain
 
@@ -397,13 +396,13 @@ def test_validate_prints_the_paths_it_checked(fast_net_file, monkeypatch,
     import loopnet.paths
 
     walks = []
+    walk = loopnet.paths._walk
 
-    def counting(*args, **kwargs):
-        walks.append(kwargs.get("min_weight"))
-        return enumerate_paths(*args, **kwargs)
+    def counting(network, max_order, min_weight):
+        walks.append(min_weight)
+        return walk(network, max_order, min_weight)
 
-    monkeypatch.setattr(loopnet.paths, "enumerate_paths", counting)
-    monkeypatch.setattr(loopnet.cli, "enumerate_paths", counting)
+    monkeypatch.setattr(loopnet.paths, "_walk", counting)
     code = main(["validate", str(fast_net_file), "--weight-threshold",
                  "0.01"])
     out = capsys.readouterr().out

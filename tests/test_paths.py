@@ -1,6 +1,7 @@
 """Path enumeration, series convergence and the weak-loop validity check."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from loopnet.network import (
     assemble_W,
     external_ports,
 )
-from loopnet.paths import MAX_ORDER
+from loopnet.paths import MAX_ORDER, violates
 
 from conftest import fabry_perot
 
@@ -90,8 +91,8 @@ def test_delays_are_connection_lengths(with_z):
         assert r.delay == 5.0 * r.n_traversals
     report = validity_check(net, tau_min=0.5)
     assert not report.valid
-    assert len(report.violating_paths) == len(
-        validity_check(cavity, tau_min=0.5).violating_paths) == 66
+    assert report.n_violating == validity_check(
+        cavity, tau_min=0.5).n_violating == 66
 
 
 def test_path_sum_converges_to_s_eff():
@@ -161,7 +162,8 @@ def test_path_sums_are_the_series_terms(net):
 
 
 def test_walk_leaves_no_reference_cycle():
-    # the recursive walk refers to itself; left as a cycle, it would keep
+    # the walk runs on an explicit stack; a walk that left a reference
+    # cycle, as a recursive closure that refers to itself does, would keep
     # every record alive after the caller drops them, until a full collection
     net = two_qubit_network(datasheet_circulator(), datasheet_circulator())
     gc.collect()
@@ -223,8 +225,87 @@ def test_weight_threshold_controls_violations():
     net = two_qubit_network(datasheet_circulator(), datasheet_circulator())
     strict = validity_check(net, weight_threshold=1e-4)
     loose = validity_check(net, weight_threshold=0.999)
-    assert len(strict.violating_paths) > len(loose.violating_paths)
+    assert strict.n_violating > loose.n_violating
     assert loose.valid
+
+
+@pytest.mark.parametrize("circulator", [ideal_circulator,
+                                        datasheet_circulator])
+def test_report_summarizes_the_walk(circulator, monkeypatch):
+    """The report's counts and ten heaviest paths are those of the full
+    record list of the same walk, heaviest first.  The ideal pair's 13
+    paths all have |w| = 1, so its ten are decided by walk order alone."""
+    net = two_qubit_network(circulator(), circulator())
+    walks = []
+    walk = paths._walk
+
+    def recording(network, max_order, min_weight):
+        walks.append((max_order, min_weight))
+        return walk(network, max_order, min_weight)
+
+    monkeypatch.setattr(paths, "_walk", recording)
+    report = validity_check(net, weight_threshold=1e-4)
+    records = enumerate_paths(net, *walks[0])
+    assert report.n_paths == len(records)
+    assert report.n_violating == sum(
+        violates(r, report.tau_min, report.weight_threshold) for r in records)
+    assert report.heaviest == sorted(records, key=lambda r: -abs(r.weight))[:10]
+
+
+def test_validity_check_memory_does_not_grow_with_paths():
+    """At threshold 1e-7 the datasheet pair has 33,775 paths, which took a
+    12 MB peak when the report kept every one; the walk holds only its
+    stack."""
+    net = two_qubit_network(datasheet_circulator(), datasheet_circulator())
+    tracemalloc.start()
+    try:
+        report = validity_check(net, weight_threshold=1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_paths == 33_775
+    assert peak <= 1_000_000
+
+
+def _max_times(a, b):
+    """The max-times product: (a b)[j, k] = max_m a[j, m] b[m, k]."""
+    return (a[:, :, None] * b[None, :, :]).max(axis=1)
+
+
+@pytest.mark.parametrize("net", [
+    two_qubit_network(datasheet_circulator(), datasheet_circulator()),
+    fabry_perot(0.5, 0.7),
+], ids=["datasheet", "fabry_perot"])
+def test_heaviest_paths_are_max_times_powers(net):
+    """The heaviest |w| of the walk's n-traversal paths from k to j is entry
+    (j, k) of the n-th max-times power of |SW| (times |S| for a path from
+    an external input), found with no enumeration.  Every |S| and |SW|
+    entry is at most 1, so each prefix of a path is at least as heavy as
+    the path, and the pruned walk records the heaviest path exactly when it
+    reaches min_weight; below that, it records no path at all."""
+    min_weight = 1e-6
+    s, w = assemble_S(net), assemble_W(net)
+    heaviest = {}
+    for r in enumerate_paths(net, MAX_ORDER, min_weight):
+        key = (r.from_source, r.n_traversals, r.port_sequence[0],
+               r.port_sequence[-1])
+        heaviest[key] = max(heaviest.get(key, 0.0), abs(r.weight))
+    sources = sorted({p for sys in net.systems for p in sys.couplings})
+    power = np.eye(net.n_ports)  # the max-times identity
+    for n in range(MAX_ORDER + 1):
+        families = [(False, external_ports(w)[0], _max_times(power, abs(s)))]
+        if n > 0:
+            families.append((True, sources, power))
+        for from_source, starts, bound in families:
+            for k in starts:
+                for j in range(net.n_ports):
+                    got = heaviest.pop((from_source, n, k, j), None)
+                    if bound[j, k] >= min_weight:
+                        assert got == pytest.approx(bound[j, k], rel=1e-12)
+                    else:
+                        assert got is None
+        power = _max_times(abs(s @ w), power)
+    assert not heaviest  # no record outside the two families
 
 
 @pytest.mark.parametrize("kwargs", [
