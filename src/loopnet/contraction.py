@@ -173,9 +173,11 @@ def contract(
     s_eff = l_eff_coeffs @ S @ x_i[:, ext_in]
 
     l_arr = np.array(L)  # (N, D, D)
-    l_dag = l_arr.conj().transpose(0, 2, 1)
+    n, d = l_arr.shape[:2]
     k_mat = routing.G - dag(routing.G)
-    h_net = np.einsum("jk,jab,kbc->ac", k_mat, l_dag, l_arr) / 2j
+    # sum_jk K_jk L_j^dag L_k = sum_j L_j^dag (sum_k K_jk L_k): two products
+    k_l = (k_mat @ l_arr.reshape(n, d * d)).reshape(n * d, d)
+    h_net = l_arr.reshape(n * d, d).conj().T @ k_l / 2j
     h_eff = np.asarray(H_sys, dtype=complex) + h_net
 
     return EffectiveModel(

@@ -174,6 +174,11 @@ class Geometry:
 
 @dataclass
 class Network:
+    """A validated network.  Construction builds the lookup tables behind
+    port, element_ports and connection_distance (port id -> Port, element
+    -> sorted port ids), so ports is not to be mutated in place afterwards:
+    make a new Network, for example with dataclasses.replace."""
+
     ports: list[Port]
     blocks: list[ScatteringBlock]
     systems: list[LocalSystem] = field(default_factory=list)
@@ -186,6 +191,12 @@ class Network:
             raise SchemaError("a network needs at least one port")
         self._validate_port_ids()
         self._validate_numbers()
+        self._port_of = {p.id: p for p in self.ports}
+        self._ports_of: dict[str, list[int]] = {}
+        for p in self.ports:
+            self._ports_of.setdefault(p.element_id, []).append(p.id)
+        for port_ids in self._ports_of.values():
+            port_ids.sort()
         self._validate_blocks()
         self._validate_connections()
         self._validate_systems()
@@ -196,25 +207,30 @@ class Network:
         """Port ids are unique, and they, both ends of every connection and
         every coupling's port are integers (not bools) in 0..N-1: a float
         or a bool indexes the assembled matrices as another port or not at
-        all, and a negative id wraps around."""
+        all, and a negative id wraps around.  The labels are made only when
+        a value is not a Python int in range."""
         n = self.n_ports
-        ids = [("port id", p.id) for p in self.ports]
-        ids += [(f"connection {c.from_port}->{c.to_port}: port", i)
-                for c in self.connections for i in (c.from_port, c.to_port)]
-        ids += [(f"coupling of {s.element_id!r}: port", i)
-                for s in self.systems for i in s.couplings]
-        for what, i in ids:
-            if (isinstance(i, bool) or not isinstance(i, numbers.Integral)
-                    or not 0 <= i < n):
-                raise InvalidPortId(f"{what} {i!r} is not an integer in 0..{n - 1}")
-        if len({p.id for p in self.ports}) != n:
+        port_ids = [p.id for p in self.ports]
+        values = port_ids + [i for c in self.connections
+                             for i in (c.from_port, c.to_port)]
+        values += [i for s in self.systems for i in s.couplings]
+        if not (all(type(i) is int for i in values)
+                and 0 <= min(values) and max(values) < n):
+            ids = [("port id", i) for i in port_ids]
+            ids += [(f"connection {c.from_port}->{c.to_port}: port", i)
+                    for c in self.connections for i in (c.from_port, c.to_port)]
+            ids += [(f"coupling of {s.element_id!r}: port", i)
+                    for s in self.systems for i in s.couplings]
+            for what, i in ids:
+                if (isinstance(i, bool) or not isinstance(i, numbers.Integral)
+                        or not 0 <= i < n):
+                    raise InvalidPortId(
+                        f"{what} {i!r} is not an integer in 0..{n - 1}")
+        if len(set(port_ids)) != n:
             raise InvalidPortId("port ids must be 0..N-1, contiguous and unique")
 
     def _validate_blocks(self):
         covered: list[int] = []
-        by_element = {}
-        for p in self.ports:
-            by_element.setdefault(p.element_id, []).append(p.id)
         seen = set()
         for block in self.blocks:
             if block.element_id in seen:
@@ -222,7 +238,7 @@ class Network:
                     f"element {block.element_id!r} has more than one block"
                 )
             seen.add(block.element_id)
-            port_ids = sorted(by_element.get(block.element_id, []))
+            port_ids = self._ports_of.get(block.element_id, [])
             if not port_ids:
                 raise PortCoverageGap(
                     f"block for unknown element {block.element_id!r}"
@@ -252,8 +268,8 @@ class Network:
             seen_from.add(c.from_port)
             seen_to.add(c.to_port)
             if not self.allow_self_loops:
-                ea = self.port(c.from_port).element_id
-                eb = self.port(c.to_port).element_id
+                ea = self._port_of[c.from_port].element_id
+                eb = self._port_of[c.to_port].element_id
                 if ea == eb:
                     raise SelfLoopConnection(
                         f"connection {c.from_port}->{c.to_port} loops "
@@ -262,7 +278,6 @@ class Network:
                     )
 
     def _validate_systems(self):
-        port_owner = {p.id: p.element_id for p in self.ports}
         for sys in self.systems:
             h = np.asarray(sys.hamiltonian, dtype=complex)
             if h.shape != (sys.hilbert_dim, sys.hilbert_dim):
@@ -274,7 +289,7 @@ class Network:
                     f"hamiltonian of {sys.element_id!r} is not Hermitian"
                 )
             for port_id, coupling in sys.couplings.items():
-                if port_owner.get(port_id) != sys.element_id:
+                if self._port_of[port_id].element_id != sys.element_id:
                     raise DimensionMismatch(
                         f"coupling of {sys.element_id!r} references port "
                         f"{port_id} which it does not own"
@@ -333,13 +348,13 @@ class Network:
         return len(self.ports)
 
     def port(self, port_id: int) -> Port:
-        for p in self.ports:
-            if p.id == port_id:
-                return p
-        raise SchemaError(f"unknown port id {port_id}")
+        try:
+            return self._port_of[port_id]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise SchemaError(f"unknown port id {port_id}") from None
 
     def element_ports(self, element_id: str) -> list[int]:
-        return sorted(p.id for p in self.ports if p.element_id == element_id)
+        return list(self._ports_of.get(element_id, ()))
 
     def joint_dimension(self) -> int:
         d = 1
@@ -471,6 +486,8 @@ def _not_bool(value, what: str):
 
 def _whole(value, what: str) -> int:
     """value, unless it is not a whole number: int(2.5) reads 2."""
+    if type(value) is int:
+        return value
     if not isinstance(_not_bool(value, what), numbers.Real) or value % 1:
         raise SchemaError(f"{what}: expected an integer, got {value!r}")
     return int(value)

@@ -89,13 +89,7 @@ def _walk(network: Network, max_order: int, min_weight: float):
         )
     s = assemble_S(network)
     w = assemble_W(network)
-    # the nonzero entries (j, m[j, k]) of each column k of S and of SW,
-    # reversed so that the stack pops each path's extensions in order
-    s_hops, sw_hops = (
-        [[(j, m[j, k]) for j in np.flatnonzero(m[:, k]).tolist()[::-1]]
-         for k in range(network.n_ports)]
-        for m in (s, s @ w)
-    )
+    s_hops, sw_hops = _column_hops(s), _column_hops(s @ w)
     # sw_delays[k]: the delay of the connection that leaves output port k
     sw_delays = [0.0] * network.n_ports
     for c in network.connections:
@@ -126,6 +120,18 @@ def _walk(network: Network, max_order: int, min_weight: float):
             n += 1
             for j, amp in sw_hops[k]:
                 stack.append((path + (j,), weight * amp, tau, n, from_source))
+
+
+def _column_hops(m: np.ndarray) -> list:
+    """The nonzero entries (j, m[j, k]) of each column k of m, amplitudes
+    as Python complex, reversed so that the stack pops each path's
+    extensions in order."""
+    cols, rows = np.nonzero(m.T)  # by column, then by row
+    amps = m[rows, cols].tolist()
+    rows = rows.tolist()
+    ends = np.searchsorted(cols, np.arange(m.shape[1] + 1)).tolist()
+    return [list(zip(rows[a:b], amps[a:b]))[::-1]
+            for a, b in zip(ends, ends[1:])]
 
 
 def truncated_series_oracle(S: np.ndarray, W: np.ndarray, L, n_terms: int):
@@ -181,8 +187,9 @@ def validity_check(
             f"need a finite weight_threshold > 0 and a finite tau_min >= 0, "
             f"got {weight_threshold!r} and {tau_min!r}"
         )
-    for conn in network.connections:
-        if network.connection_distance(conn) is None:
+    distances = [network.connection_distance(c) for c in network.connections]
+    for conn, length in zip(network.connections, distances):
+        if length is None:
             raise MissingGeometry(
                 f"connection {conn.from_port}->{conn.to_port} has no "
                 "distance and its ports lack z coordinates"
@@ -220,8 +227,7 @@ def validity_check(
 
     # traversal count at which the accumulated path length reaches the
     # coherence length v_p / kappa_ref; every connection has a length here
-    d_max = max(map(network.connection_distance, network.connections),
-                default=0.0)
+    d_max = max(distances, default=0.0)
     if d_max > 0.0 and kappa_ref > 0:
         ell0 = network.geometry.v_p / kappa_ref
         n_cut = int(math.ceil(ell0 / d_max))

@@ -114,6 +114,34 @@ def three_qubit_chain() -> Network:
     return Network(ports, blocks, systems, connections)
 
 
+def circulator_chain(seed: int, n_circ: int, kappa: float = 1e6,
+                     v_p: float = 3e8) -> Network:
+    """Seeded perturbed (eps 0.1) 3-port circulators in a line, with a qubit
+    on the first and the last, laid out as perfbench's network-design
+    chains: circulator k owns ports 3k..3k+2 at z = k, its port 3k+1 is
+    linked both ways to port 3k+3, and qubit i (port 3 n_circ + i) both
+    ways to port 3k+2 of its circulator k."""
+    rng = np.random.default_rng(seed)
+    ports, blocks, systems, connections = [], [], [], []
+    for k in range(n_circ):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        ports += [Port(3 * k + j, f"circ{k}", float(k)) for j in range(3)]
+        blocks.append(ScatteringBlock(
+            f"circ{k}", perturbed_circulator(0.1, 0.5 * (a + a.conj().T))))
+        if k < n_circ - 1:
+            connections += [Connection(3 * k + 1, 3 * k + 3),
+                            Connection(3 * k + 3, 3 * k + 1)]
+    for i, k in enumerate((0, n_circ - 1)):
+        port, name = 3 * n_circ + i, f"qubit{i}"
+        ports.append(Port(port, name, float(k)))
+        blocks.append(ScatteringBlock(name, np.array([[1.0 + 0.0j]])))
+        connections += [Connection(port, 3 * k + 2), Connection(3 * k + 2, port)]
+        systems.append(LocalSystem(name, 2, np.zeros((2, 2), dtype=complex),
+                                   {port: Coupling(SIGMA_MINUS, kappa)}))
+    return Network(ports, blocks, systems, connections,
+                   Geometry(k0=0.0, v_p=v_p, kappa0=kappa))
+
+
 def permute_network(net: Network, perm: list) -> Network:
     """Relabel port ids by perm (new_id = perm[old_id]), permuting blocks
     so that the physical network is unchanged."""

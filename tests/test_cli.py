@@ -341,6 +341,31 @@ def test_fractional_dim_is_schema_error(value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [True, 2.5, 2.0])
+def test_non_int_port_id_message(value, tmp_path, capsys):
+    """A port id that is not a JSON integer exits 1 with a message naming
+    it; only a Python int skips the integer checks."""
+    path = _edited_net_file(tmp_path, _cavity(), _set("ports", 2, "id", value))
+    out = tmp_path / "out"
+    assert main(["contract", str(path), "-o", str(out)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        f"schema error [InvalidPortId]: port id {value!r} is not an integer "
+        "in 0..3\n")
+    assert not out.exists()
+
+
+def test_whole_float_dim_reads_as_int(tmp_path):
+    """"dim": 2.0 is the dimension 2: contract writes the same model."""
+    models = []
+    for dim in (2, 2.0):
+        path = _edited_net_file(tmp_path, _ideal_network(),
+                                _set("systems", 0, "dim", dim))
+        out = tmp_path / f"out{dim!r}"
+        assert main(["contract", str(path), "-o", str(out)]) == 0
+        models.append((out / "effective_model.json").read_bytes())
+    assert models[0] == models[1]
+
+
 @pytest.mark.parametrize("edit, field", [
     (_set("geometry", 1), "geometry"),
     (_set("systems", 0, 1), "systems[0]"),

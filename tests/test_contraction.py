@@ -32,6 +32,7 @@ from loopnet.network import (
 )
 
 from conftest import (
+    circulator_chain,
     fabry_perot,
     fabry_perot_transmission_oracle,
     permute_network,
@@ -152,6 +153,40 @@ def test_h_eff_is_hermitian(rng):
         s, w = random_sw_pair(rng, n)
         model = contract(s, w, random_L(rng, n, 3), np.zeros((3, 3)))
         assert np.abs(model.h_eff - dag(model.h_eff)).max() < 1e-10
+
+
+def _einsum_h_eff(model):
+    """(H_sys + sum_jk K_jk L_j^dag L_k / 2i, K = G - G^dag, as the one
+    three-operand einsum over j and k that contract once used; and the
+    largest entry of the same sum over |K_jk| |L_j^dag| |L_k| / 2, the
+    scale of its rounding)."""
+    l_arr = np.array(model.base_L)
+    g = model.routing.G
+    l_dag = l_arr.conj().transpose(0, 2, 1)
+    k_mat = g - dag(g)
+    h_eff = model.h_sys + np.einsum("jk,jab,kbc->ac", k_mat, l_dag, l_arr) / 2j
+    terms = np.einsum("jk,jab,kbc->ac", abs(k_mat), abs(l_dag), abs(l_arr)) / 2
+    return h_eff, terms.max()
+
+
+def test_h_net_matches_the_einsum_form(rng):
+    """contract sums L_j^dag (sum_k K_jk L_k) with two matrix products,
+    which rounds in another order than the einsum.  The two stay within
+    4 ulp of the largest sum of |terms|; on random networks h_eff can
+    cancel to about 1/170 of that sum, so 4 ulp of max |h_eff| would test the
+    einsum's rounding too.  On a 16-circulator chain (N = 50, |h_eff| ~
+    1e5, no such cancellation) they stay within 4 ulp of max |h_eff|."""
+    for _ in range(20):
+        n, d = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+        s, w = random_sw_pair(rng, n)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        model = contract(s, w, random_L(rng, n, d), a + dag(a))
+        want, terms = _einsum_h_eff(model)
+        assert np.abs(model.h_eff - want).max() <= 4 * np.spacing(terms)
+    model = contract_network(circulator_chain(16, 16))
+    want, _ = _einsum_h_eff(model)
+    ulp = np.spacing(np.abs(want).max())
+    assert np.abs(model.h_eff - want).max() <= 4 * ulp
 
 
 def test_s_eff_isometry(rng):

@@ -1,5 +1,6 @@
 """Network construction, validation, assembly and file round-trips."""
 
+import dataclasses
 import json
 from http import HTTPStatus
 
@@ -35,6 +36,7 @@ from loopnet import (
 from loopnet.errors import (
     DimensionMismatch,
     DuplicateConnection,
+    InvalidPortId,
     NonUnitaryBlock,
     PhaseAndDistanceBothGiven,
     PortCoverageGap,
@@ -44,7 +46,7 @@ from loopnet.errors import (
 from loopnet.network import SIGMA_MINUS, _json_text, embed_operator
 from loopnet.transfer import DATASHEET_MAGNITUDES
 
-from conftest import fabry_perot, random_unitary
+from conftest import fabry_perot, random_unitary, three_qubit_chain
 
 
 def two_port(element="a", ids=(0, 1)):
@@ -180,6 +182,123 @@ def test_embed_operator_and_joint_assembly():
     h = assemble_H_sys(net)
     sz = np.diag([1.0, -1.0])
     assert np.abs(h - 0.5 * 0.8 * np.kron(sz, np.eye(2))).max() < 1e-14
+
+
+def _scrambled_network(seed: int) -> Network:
+    """Three elements whose port ids interleave, the ports listed out of id
+    order; z on about half the ports, and a length on about half the
+    connections (so some connections have no distance at all)."""
+    rng = np.random.default_rng(seed)
+    owner = rng.permutation(["a"] * 3 + ["b"] * 2 + ["c"] * 4).tolist()
+    ports = [Port(i, owner[i], float(rng.uniform(-2, 2)) if rng.random() < 0.5
+                  else None) for i in rng.permutation(9).tolist()]
+    blocks = [ScatteringBlock(e, random_unitary(rng, owner.count(e)))
+              for e in rng.permutation(["a", "b", "c"]).tolist()]
+    ins = rng.permutation(9).tolist()
+    connections = [
+        Connection(a, b, distance=float(rng.uniform(0, 3))
+                   if rng.random() < 0.5 else None)
+        for a, b in zip(rng.permutation(9).tolist(), ins[:6])
+    ]
+    return Network(ports, blocks, connections=connections,
+                   allow_self_loops=True)
+
+
+def _scan_port(net, port_id):
+    for p in net.ports:
+        if p.id == port_id:
+            return p
+    raise AssertionError(f"no port {port_id}")
+
+
+def _scan_element_ports(net, element_id):
+    return sorted(p.id for p in net.ports if p.element_id == element_id)
+
+
+def _scan_S(net):
+    s = np.zeros((net.n_ports, net.n_ports), dtype=complex)
+    for block in net.blocks:
+        idx = _scan_element_ports(net, block.element_id)
+        s[np.ix_(idx, idx)] = block.matrix
+    return s
+
+
+def _scan_distance(net, conn):
+    if conn.distance is not None:
+        return conn.distance
+    za = _scan_port(net, conn.from_port).position_z
+    zb = _scan_port(net, conn.to_port).position_z
+    return None if za is None or zb is None else abs(zb - za)
+
+
+def _assert_tables_match_scans(net):
+    for i in range(net.n_ports):
+        assert net.port(i) is _scan_port(net, i)
+    for element in ("a", "b", "c", "nobody"):
+        assert net.element_ports(element) == _scan_element_ports(net, element)
+    assert np.array_equal(assemble_S(net), _scan_S(net))
+    distances = [net.connection_distance(c) for c in net.connections]
+    assert distances == [_scan_distance(net, c) for c in net.connections]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lookup_tables_match_linear_scans(seed):
+    """port, element_ports, assemble_S and connection_distance read the
+    tables built at construction; on ports listed out of id order, and on
+    elements owning ids that are not contiguous, they give what a scan of
+    net.ports gives.  An unknown id is still a SchemaError."""
+    net = _scrambled_network(seed)
+    assert [p.id for p in net.ports] != list(range(net.n_ports))
+    _assert_tables_match_scans(net)
+    for unknown in (-1, net.n_ports, 2.5, "0", [0]):
+        with pytest.raises(SchemaError, match="unknown port id"):
+            net.port(unknown)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_replace_rebuilds_the_lookup_tables(seed):
+    """dataclasses.replace builds a new Network, and so new tables: here
+    the ports move, lose or gain z, and two of them trade elements."""
+    net = _scrambled_network(seed)
+    a, c = net.element_ports("a")[0], net.element_ports("c")[0]
+    swap = {a: "c", c: "a"}
+    ports = [Port(p.id, swap.get(p.id, p.element_id),
+                  None if p.position_z else 0.5 * p.id)
+             for p in reversed(net.ports)]
+    moved = dataclasses.replace(net, ports=ports)
+    _assert_tables_match_scans(moved)
+    assert moved.element_ports("a") != net.element_ports("a")
+    assert [moved.port(i).position_z for i in range(9)] != \
+        [net.port(i).position_z for i in range(9)]
+
+
+def test_numpy_integer_port_ids_are_accepted():
+    """Ids built in code may be numpy integers; they name the same ports
+    and give the same matrices as Python ints.  numpy booleans are not
+    port ids, as Python booleans are not."""
+    net = three_qubit_chain()
+    as_numpy = Network(
+        [Port(np.int64(p.id), p.element_id, p.position_z) for p in net.ports],
+        net.blocks,
+        [LocalSystem(s.element_id, s.hilbert_dim, s.hamiltonian,
+                     {np.int32(i): c for i, c in s.couplings.items()})
+         for s in net.systems],
+        [Connection(np.int16(c.from_port), np.uint8(c.to_port), c.phase,
+                    c.distance) for c in net.connections],
+        net.geometry,
+    )
+    for i in range(net.n_ports):
+        assert as_numpy.port(i).element_id == net.port(i).element_id
+    for assemble in (assemble_S, assemble_W, assemble_H_sys):
+        assert np.array_equal(assemble(as_numpy), assemble(net))
+    with pytest.raises(InvalidPortId, match=r"port id np\.False_ is not an "
+                       r"integer in 0\.\.1"):
+        Network([Port(np.bool_(False), "a"), Port(np.bool_(True), "a")],
+                [ScatteringBlock("a", np.eye(2))])
+    with pytest.raises(InvalidPortId, match=r"connection 0->True: port np\.True_ is not"):
+        Network(two_port("a") + two_port("b", (2, 3)),
+                [ScatteringBlock("a", np.eye(2)), ScatteringBlock("b", np.eye(2))],
+                connections=[Connection(0, np.bool_(True))])
 
 
 def test_nearest_unitary(rng):

@@ -5,9 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopnet import (
+    Coupling,
     Geometry,
+    LocalSystem,
+    Port,
+    ScatteringBlock,
     contract_network,
     datasheet_circulator,
     enumerate_paths,
@@ -18,15 +24,16 @@ from loopnet import (
 from loopnet import paths
 from loopnet.errors import InvalidParameter, MissingGeometry, PathExplosion
 from loopnet.network import (
+    SIGMA_MINUS,
     Connection,
     Network,
     assemble_S,
     assemble_W,
     external_ports,
 )
-from loopnet.paths import MAX_ORDER, violates
+from loopnet.paths import MAX_ORDER, PathRecord, violates
 
-from conftest import fabry_perot
+from conftest import circulator_chain, fabry_perot, random_unitary
 
 
 def test_weights_recompute_from_sw_entries():
@@ -326,3 +333,132 @@ def test_validity_check_rejects_bad_thresholds(kwargs):
 def test_enumerate_paths_rejects_bad_arguments(max_order, min_weight):
     with pytest.raises(InvalidParameter):
         enumerate_paths(fabry_perot(0.5, 0.3), max_order, min_weight)
+
+
+def _column_scan_walk(network, max_order, min_weight):
+    """The walk with its hop lists built one column at a time, from one
+    flatnonzero per column and numpy complex amplitudes: the reference
+    for the hop tables that _walk builds from one nonzero per matrix."""
+    if not (0 <= max_order <= MAX_ORDER and 0 <= min_weight < float("inf")):
+        raise InvalidParameter("bad walk arguments")
+    s, w = assemble_S(network), assemble_W(network)
+    s_hops, sw_hops = (
+        [[(j, m[j, k]) for j in np.flatnonzero(m[:, k]).tolist()[::-1]]
+         for k in range(network.n_ports)]
+        for m in (s, s @ w)
+    )
+    sw_delays = [0.0] * network.n_ports
+    for c in network.connections:
+        length = network.connection_distance(c)
+        if length is not None:
+            sw_delays[c.from_port] = length / network.geometry.v_p
+    sources = sorted({port for sys in network.systems for port in sys.couplings})
+    stack = [((k, j), amp, 0.0, 0, False)
+             for k in external_ports(w)[0][::-1] for j, amp in s_hops[k]]
+    if max_order >= 1:
+        stack += [((k, j), (1.0 + 0.0j) * amp, 0.0 + sw_delays[k], 1, True)
+                  for k in sources[::-1] for j, amp in sw_hops[k]]
+    while stack:
+        path, weight, tau, n, from_source = stack.pop()
+        if abs(weight) < min_weight:
+            continue
+        yield PathRecord(path, n, weight, tau, from_source)
+        if n < max_order:
+            k = path[-1]
+            tau += sw_delays[k]
+            n += 1
+            for j, amp in sw_hops[k]:
+                stack.append((path + (j,), weight * amp, tau, n, from_source))
+
+
+def _bits(records):
+    """Each record's port sequence, order and family, with the float.hex
+    of its weight's parts and of its delay."""
+    return [(r.port_sequence, r.n_traversals, r.from_source,
+             complex(r.weight).real.hex(), complex(r.weight).imag.hex(),
+             float(r.delay).hex()) for r in records]
+
+
+def _assert_reports_agree(net, threshold):
+    """validity_check reports the same numbers and the same ten heaviest
+    paths with the column-scan walk underneath."""
+    report = validity_check(net, weight_threshold=threshold)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(paths, "_walk", _column_scan_walk)
+        expected = validity_check(net, weight_threshold=threshold)
+    assert (report.n_paths, report.n_violating) == (
+        expected.n_paths, expected.n_violating)
+    assert report.max_violating_weight.hex() == \
+        float(expected.max_violating_weight).hex()
+    assert _bits(report.heaviest) == _bits(expected.heaviest)
+
+
+def _assert_walks_agree(net, walks):
+    """enumerate_paths equals the column-scan walk, record for record and
+    bit for bit, at each (max_order, min_weight) of walks, and so do
+    validity_check's reports at thresholds 0.05 and 1e-3."""
+    for max_order, min_weight in walks:
+        got = enumerate_paths(net, max_order, min_weight)
+        assert _bits(got) == _bits(_column_scan_walk(net, max_order, min_weight))
+    for threshold in (0.05, 1e-3):
+        _assert_reports_agree(net, threshold)
+
+
+@pytest.mark.parametrize("n_circ", [2, 3, 5, 9, 16])
+def test_walk_matches_the_column_scan_on_chains(n_circ):
+    net = circulator_chain(n_circ, n_circ)
+    _assert_walks_agree(net, [(6, 1e-3), (8, 1e-6), (2, 0.0)])
+
+
+def test_walk_matches_the_column_scan_on_the_datasheet_pair():
+    net = two_qubit_network(datasheet_circulator(), datasheet_circulator())
+    _assert_walks_agree(net, [(16, 1e-6), (5, 1e-4), (4, 0.0), (1, 0.0),
+                              (0, 0.0)])
+
+
+@st.composite
+def sparse_networks(draw):
+    """Elements of 1 to 3 ports, each block a dense random unitary or a
+    phased permutation, a random partial matching of outputs to inputs
+    with lengths, and qubits coupled to up to two ports."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ports, blocks, owner = [], [], []
+    for e, size in enumerate(sizes):
+        ports += [Port(len(ports) + i, f"e{e}") for i in range(size)]
+        owner += [f"e{e}"] * size
+        if draw(st.booleans()):
+            block = random_unitary(rng, size)
+        else:
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+            block = np.eye(size)[rng.permutation(size)] * phases
+        blocks.append(ScatteringBlock(f"e{e}", block))
+    n = len(ports)
+    outs = draw(st.permutations(range(n)))
+    ins = draw(st.permutations(range(n)))
+    connections = [Connection(a, b, distance=draw(st.floats(0.0, 3.0)))
+                   for a, b in zip(outs, ins[:draw(st.integers(0, n))])]
+    coupled = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    systems = [
+        LocalSystem(e, 2, np.zeros((2, 2), dtype=complex),
+                    {p: Coupling(SIGMA_MINUS, 1.0)
+                     for p in sorted(coupled) if owner[p] == e})
+        for e in sorted({owner[p] for p in coupled})
+    ]
+    return Network(ports, blocks, systems, connections, allow_self_loops=True)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(net=sparse_networks(), max_order=st.integers(0, 5),
+       min_weight=st.sampled_from([0.0, 1e-6, 1e-3, 0.3]))
+def test_walk_matches_the_column_scan_on_sparse_networks(net, max_order,
+                                                          min_weight):
+    """Sparse S and SW (phased permutations, unconnected ports, zero-length
+    connections), where many columns hold one entry or none.
+    validity_check is compared where rho(|SW|) < 0.9, which bounds the
+    number of paths above its thresholds."""
+    got = enumerate_paths(net, max_order, min_weight)
+    assert _bits(got) == _bits(_column_scan_walk(net, max_order, min_weight))
+    abs_sw = np.abs(assemble_S(net) @ assemble_W(net))
+    if np.abs(np.linalg.eigvals(abs_sw)).max() < 0.9:
+        _assert_reports_agree(net, 0.05)
