@@ -51,6 +51,7 @@ from .network import (
 )
 from .paths import (
     DEFAULT_WEIGHT_THRESHOLD,
+    MAX_ORDER,
     default_tau_min,
     enumerate_paths,
     validity_check,
@@ -312,7 +313,8 @@ def cmd_validate(args) -> int:
     print(f"sigma_max_SW       = {report.sigma_max_SW:.6g}")
     print(f"tau_min            = {report.tau_min:.6g}")
     print(f"weight_threshold   = {report.weight_threshold:.6g}")
-    print(f"n_cut              = {report.n_cut}")
+    print(f"n_paths            = {report.n_paths}")
+    print(f"n_depth_cut        = {report.n_depth_cut}")
 
     print("heaviest paths with |w| >= weight_threshold "
           "(port sequence, traversals, |w|, tau):")
@@ -324,12 +326,18 @@ def cmd_validate(args) -> int:
     if not report.converged:
         print("FAIL NonConvergentLoop")
         return EXIT_PHYSICS
-    if not report.valid:
+    if report.n_violating:
         print(
             f"FAIL WeakLoopViolation: {report.n_violating} paths "
             f"with delay >= tau_min carry weight >= threshold "
             f"(max |w| = {report.max_violating_weight:.6g})"
         )
+    if report.n_depth_cut:
+        print(
+            f"FAIL WeakLoopUnresolved: {report.n_depth_cut} paths "
+            f"still carry weight >= threshold at {MAX_ORDER} traversals"
+        )
+    if not report.valid:
         return EXIT_PHYSICS
     print("PASS")
     return EXIT_OK

@@ -46,16 +46,16 @@ class ValidityReport:
     weight_threshold: float
     n_paths: int  # paths walked
     n_violating: int  # of them, those that violate
+    n_depth_cut: int  # of them, those at MAX_ORDER: still heavy at the cut
     max_violating_weight: float
     heaviest: list  # the ten heaviest paths walked, heaviest first
     sigma_max_SW: float
     spectral_radius_SW: float
     converged: bool  # the loop passes the contraction's rho test
-    n_cut: int
 
     @property
     def valid(self) -> bool:
-        return self.n_violating == 0
+        return self.n_violating == 0 and self.n_depth_cut == 0
 
 
 def violates(record: PathRecord, tau_min: float, weight_threshold: float) -> bool:
@@ -158,14 +158,11 @@ def truncated_series_oracle(S: np.ndarray, W: np.ndarray, L, n_terms: int):
     return s_approx, list(np.einsum("jk,kab->jab", coeffs, l_arr))
 
 
-def _kappa_ref(network: Network) -> float:
-    couplings = (c for sys in network.systems for c in sys.couplings.values())
-    return max((c.kappa for c in couplings), default=network.geometry.kappa0)
-
-
 def default_tau_min(network: Network) -> float:
     """1 / max coupling kappa (geometry.kappa0 without couplings)."""
-    kappa_ref = _kappa_ref(network)
+    couplings = (c for sys in network.systems for c in sys.couplings.values())
+    kappa_ref = max((c.kappa for c in couplings),
+                    default=network.geometry.kappa0)
     return 1.0 / kappa_ref if kappa_ref > 0 else math.inf
 
 
@@ -179,7 +176,14 @@ def validity_check(
     The zero-delay contraction is trustworthy only if each path with delay
     of order the system timescale carries negligible weight.  Thresholds
     are configuration; the report carries the raw numbers, path counts and
-    the ten heaviest paths (|w| >= weight_threshold, order from rho(SW)).
+    the ten heaviest paths (|w| >= weight_threshold).
+
+    The weight cut alone ends the walk; no depth is derived from rho(SW).
+    Every |SW| entry is at most 1, so with lam the max-times spectral
+    radius of |SW| an n-traversal path has |w| <= lam**(n - N + 1), and
+    the walk stops by order N - 1 + log(weight_threshold) / log(lam).  Past
+    MAX_ORDER it is cut: the paths recorded there are n_depth_cut, and a
+    report with any is not valid.
     """
     if not (0 < weight_threshold < math.inf
             and (tau_min is None or 0 <= tau_min < math.inf)):
@@ -187,62 +191,46 @@ def validity_check(
             f"need a finite weight_threshold > 0 and a finite tau_min >= 0, "
             f"got {weight_threshold!r} and {tau_min!r}"
         )
-    distances = [network.connection_distance(c) for c in network.connections]
-    for conn, length in zip(network.connections, distances):
-        if length is None:
+    for conn in network.connections:
+        if network.connection_distance(conn) is None:
             raise MissingGeometry(
                 f"connection {conn.from_port}->{conn.to_port} has no "
                 "distance and its ports lack z coordinates"
             )
 
     routing = routing_matrices(assemble_S(network), assemble_W(network))
-    rho = routing.spectral_radius_SW
-    kappa_ref = _kappa_ref(network)
     if tau_min is None:
         tau_min = default_tau_min(network)
 
-    if rho < 1.0 and rho > 0.0:
-        order = math.ceil(math.log(weight_threshold) / math.log(rho))
-        max_order = int(min(max(order, 1), MAX_ORDER))
-    else:
-        max_order = MAX_ORDER
-
-    n_paths = n_violating = 0
+    n_paths = n_violating = n_depth_cut = 0
     max_violating_weight = 0.0
 
     def tally(records):
-        nonlocal n_paths, n_violating, max_violating_weight
+        nonlocal n_paths, n_violating, n_depth_cut, max_violating_weight
         for r in records:
             n_paths += 1
             if violates(r, tau_min, weight_threshold):
                 n_violating += 1
                 max_violating_weight = max(max_violating_weight, abs(r.weight))
+            if r.n_traversals == MAX_ORDER:
+                n_depth_cut += 1
             yield r
 
     # equal to the stable sorted(..., key=-|w|)[:10], ties in walk order
     heaviest = heapq.nlargest(
-        10, tally(_walk(network, max_order, weight_threshold)),
+        10, tally(_walk(network, MAX_ORDER, weight_threshold)),
         key=lambda r: abs(r.weight),
     )
-
-    # traversal count at which the accumulated path length reaches the
-    # coherence length v_p / kappa_ref; every connection has a length here
-    d_max = max(distances, default=0.0)
-    if d_max > 0.0 and kappa_ref > 0:
-        ell0 = network.geometry.v_p / kappa_ref
-        n_cut = int(math.ceil(ell0 / d_max))
-    else:
-        n_cut = 0
 
     return ValidityReport(
         tau_min=tau_min,
         weight_threshold=weight_threshold,
         n_paths=n_paths,
         n_violating=n_violating,
+        n_depth_cut=n_depth_cut,
         max_violating_weight=max_violating_weight,
         heaviest=heaviest,
         sigma_max_SW=routing.sigma_max_SW,
-        spectral_radius_SW=rho,
+        spectral_radius_SW=routing.spectral_radius_SW,
         converged=routing.converged,
-        n_cut=n_cut,
     )

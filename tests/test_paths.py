@@ -18,10 +18,12 @@ from loopnet import (
     datasheet_circulator,
     enumerate_paths,
     ideal_circulator,
+    save_network,
     two_qubit_network,
     validity_check,
 )
 from loopnet import paths
+from loopnet.cli import main
 from loopnet.errors import InvalidParameter, MissingGeometry, PathExplosion
 from loopnet.network import (
     SIGMA_MINUS,
@@ -33,7 +35,7 @@ from loopnet.network import (
 )
 from loopnet.paths import MAX_ORDER, PathRecord, violates
 
-from conftest import circulator_chain, fabry_perot, random_unitary
+from conftest import circulator_chain, fabry_perot, mirror_block, random_unitary
 
 
 def test_weights_recompute_from_sw_entries():
@@ -213,7 +215,7 @@ def test_validity_check_flags_slow_heavy_paths():
     fast_report = validity_check(fast)
     assert fast_report.valid
     assert fast_report.tau_min == 1e-6
-    assert fast_report.n_cut > 1
+    assert fast_report.n_depth_cut == 0
 
 
 def test_validity_check_requires_geometry():
@@ -274,6 +276,57 @@ def test_validity_check_memory_does_not_grow_with_paths():
     assert peak <= 1_000_000
 
 
+def test_validity_check_walks_long_cascades(tmp_path, capsys):
+    """rho(SW) = 0.418 on this chain of 16 circulators, and a walk stopped
+    at a depth from rho, ceil(log(0.05) / log rho) = 4 traversals, sees 188
+    paths, none of them slow.  The cascade from one qubit to the other
+    crosses the chain, and 68 heavy paths take at least tau_min = 10 to do
+    so."""
+    net = circulator_chain(0, 16, kappa=0.1, v_p=1.0)
+    report = validity_check(net)
+    assert report.spectral_radius_SW < 0.42
+    assert (report.n_paths, report.n_violating, report.n_depth_cut) == (
+        345, 68, 0)
+    assert not report.valid
+    assert report.max_violating_weight > 0.9
+    assert report.n_paths == len(enumerate_paths(net, MAX_ORDER, 0.05))
+
+    path = tmp_path / "chain.json"
+    save_network(net, path)
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "n_paths            = 345\n" in out
+    assert out.splitlines()[-1].startswith("FAIL WeakLoopViolation: 68 paths")
+
+
+def test_validity_check_reports_a_walk_cut_by_depth(tmp_path, capsys):
+    """A qubit 1 in front of an r = 0.999 mirror: each round trip keeps
+    0.999 of the weight and takes 2e-3, so the walk's weight cut ends it
+    only past 5,000 traversals.  Past 1,000 traversals a path is slower
+    than tau_min = 1 and still weighs about 0.999**500 = 0.61.  The walk is
+    cut at MAX_ORDER with one path still heavy, and that is not a pass."""
+    ports = [Port(0, "mirror", 1.0), Port(1, "mirror", 1.0),
+             Port(2, "qubit", 0.0)]
+    blocks = [ScatteringBlock("mirror", mirror_block(0.999)),
+              ScatteringBlock("qubit", np.array([[1.0 + 0.0j]]))]
+    systems = [LocalSystem("qubit", 2, np.zeros((2, 2), dtype=complex),
+                           {2: Coupling(SIGMA_MINUS, 1.0)})]
+    net = Network(ports, blocks, systems, [Connection(2, 0), Connection(0, 2)],
+                  Geometry(v_p=1000.0, kappa0=1.0))
+    report = validity_check(net)
+    assert report.spectral_radius_SW == pytest.approx(0.9995, abs=1e-4)
+    assert (report.n_paths, report.n_violating, report.n_depth_cut) == (
+        201, 0, 1)
+    assert not report.valid
+
+    path = tmp_path / "mirror.json"
+    save_network(net, path)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "FAIL WeakLoopUnresolved: 1 paths still carry weight >= threshold "
+        f"at {MAX_ORDER} traversals")
+
+
 def _max_times(a, b):
     """The max-times product: (a b)[j, k] = max_m a[j, m] b[m, k]."""
     return (a[:, :, None] * b[None, :, :]).max(axis=1)
@@ -282,7 +335,8 @@ def _max_times(a, b):
 @pytest.mark.parametrize("net", [
     two_qubit_network(datasheet_circulator(), datasheet_circulator()),
     fabry_perot(0.5, 0.7),
-], ids=["datasheet", "fabry_perot"])
+    circulator_chain(0, 8, kappa=0.1, v_p=1.0),
+], ids=["datasheet", "fabry_perot", "circulator_chain"])
 def test_heaviest_paths_are_max_times_powers(net):
     """The heaviest |w| of the walk's n-traversal paths from k to j is entry
     (j, k) of the n-th max-times power of |SW| (times |S| for a path from
