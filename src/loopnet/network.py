@@ -314,7 +314,8 @@ class Network:
         if not (0 < g.v_p < np.inf and 0 < g.kappa0 < np.inf):
             raise SchemaError("geometry v_p and kappa0 must be finite and > 0")
         # (label, what it formats, value); a value is a number or an array
-        checked = [("z of port {0.id}", p, p.position_z or 0.0) for p in self.ports]
+        checked = [("geometry k0", g, g.k0)]
+        checked += [("z of port {0.id}", p, p.position_z or 0.0) for p in self.ports]
         checked += [("block {0.element_id!r}", b, b.matrix) for b in self.blocks]
         checked += [("connection {0.from_port}->{0.to_port}", c, x)
                     for c in self.connections

@@ -55,7 +55,8 @@ class ValidityReport:
 
     @property
     def valid(self) -> bool:
-        return self.n_violating == 0 and self.n_depth_cut == 0
+        """The loop converges, and no walked path violates or is cut."""
+        return bool(self.converged) and self.n_violating == 0 and self.n_depth_cut == 0
 
 
 def violates(record: PathRecord, tau_min: float, weight_threshold: float) -> bool:
@@ -65,7 +66,7 @@ def violates(record: PathRecord, tau_min: float, weight_threshold: float) -> boo
 
 
 def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list:
-    """All weighted paths up to max_order <= MAX_ORDER traversals.
+    """All weighted paths up to max_order <= MAX_ORDER traversals, an int.
 
     Two families share one walk.  A path entering at an external input
     takes its first hop through S (an S matrix element, zero traversals);
@@ -75,21 +76,25 @@ def enumerate_paths(network: Network, max_order: int, min_weight: float) -> list
     before its extensions, so consumers filter on the terminal port.
     Depth-first with weight pruning; deterministic.  A traversal adds the
     delay connection_distance / v_p of the connection it crosses (0 where
-    that is None, which validity_check refuses), an S hop none.
+    that is None, which validity_check refuses), an S hop none.  The
+    arguments are checked before S and W are assembled, once each.
     """
-    return list(_walk(network, max_order, min_weight))
-
-
-def _walk(network: Network, max_order: int, min_weight: float):
-    """enumerate_paths' records, yielded one at a time from a stack."""
-    if not (0 <= max_order <= MAX_ORDER and 0 <= min_weight < math.inf):
+    if not (isinstance(max_order, (int, np.integer))
+            and not isinstance(max_order, bool)
+            and 0 <= max_order <= MAX_ORDER and 0 <= min_weight < math.inf):
         raise InvalidParameter(
             f"need 0 <= max_order <= {MAX_ORDER} and a finite min_weight "
             f">= 0, got {max_order!r} and {min_weight!r}"
         )
-    s = assemble_S(network)
-    w = assemble_W(network)
-    s_hops, sw_hops = _column_hops(s), _column_hops(s @ w)
+    s, w = assemble_S(network), assemble_W(network)
+    return list(_walk(network, s, w, s @ w, max_order, min_weight))
+
+
+def _walk(network: Network, s: np.ndarray, w: np.ndarray, sw: np.ndarray,
+          max_order: int, min_weight: float):
+    """enumerate_paths' records, yielded one at a time from a stack, on the
+    network's S, W and sw = S @ W; the caller checks the arguments."""
+    s_hops, sw_hops = _column_hops(s), _column_hops(sw)
     # sw_delays[k]: the delay of the connection that leaves output port k
     sw_delays = [0.0] * network.n_ports
     for c in network.connections:
@@ -173,17 +178,19 @@ def validity_check(
 ) -> ValidityReport:
     """Flag every path whose delay is significant but whose weight is not.
 
-    The zero-delay contraction is trustworthy only if each path with delay
-    of order the system timescale carries negligible weight.  Thresholds
-    are configuration; the report carries the raw numbers, path counts and
-    the ten heaviest paths (|w| >= weight_threshold).
+    The zero-delay contraction is trustworthy only if its loop converges
+    and each path with delay of order the system timescale carries
+    negligible weight.  Thresholds are configuration; the report carries
+    the raw numbers, path counts and the ten heaviest paths (|w| >=
+    weight_threshold).  S and W are assembled once: routing_matrices
+    inverts 1 - SW, and the walk runs on the same S, W and SW.
 
     The weight cut alone ends the walk; no depth is derived from rho(SW).
     Every |SW| entry is at most 1, so with lam the max-times spectral
     radius of |SW| an n-traversal path has |w| <= lam**(n - N + 1), and
     the walk stops by order N - 1 + log(weight_threshold) / log(lam).  Past
-    MAX_ORDER it is cut: the paths recorded there are n_depth_cut, and a
-    report with any is not valid.
+    MAX_ORDER it is cut: the paths recorded there are n_depth_cut.  The
+    report is valid only when it is converged and both counts are 0.
     """
     if not (0 < weight_threshold < math.inf
             and (tau_min is None or 0 <= tau_min < math.inf)):
@@ -198,7 +205,8 @@ def validity_check(
                 "distance and its ports lack z coordinates"
             )
 
-    routing = routing_matrices(assemble_S(network), assemble_W(network))
+    s, w = assemble_S(network), assemble_W(network)
+    routing = routing_matrices(s, w)
     if tau_min is None:
         tau_min = default_tau_min(network)
 
@@ -218,7 +226,7 @@ def validity_check(
 
     # equal to the stable sorted(..., key=-|w|)[:10], ties in walk order
     heaviest = heapq.nlargest(
-        10, tally(_walk(network, MAX_ORDER, weight_threshold)),
+        10, tally(_walk(network, s, w, routing.SW, MAX_ORDER, weight_threshold)),
         key=lambda r: abs(r.weight),
     )
 

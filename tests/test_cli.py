@@ -423,9 +423,9 @@ def test_validate_prints_the_paths_it_checked(fast_net_file, monkeypatch,
     walks = []
     walk = loopnet.paths._walk
 
-    def counting(network, max_order, min_weight):
+    def counting(network, s, w, sw, max_order, min_weight):
         walks.append(min_weight)
-        return walk(network, max_order, min_weight)
+        return walk(network, s, w, sw, max_order, min_weight)
 
     monkeypatch.setattr(loopnet.paths, "_walk", counting)
     code = main(["validate", str(fast_net_file), "--weight-threshold",
@@ -438,6 +438,21 @@ def test_validate_prints_the_paths_it_checked(fast_net_file, monkeypatch,
     assert len(weights) == 10
     assert min(weights) >= 0.01
     assert weights == sorted(weights, reverse=True)
+
+
+def test_validate_forms_s_and_w_once(fast_net_file, monkeypatch):
+    """validate assembles S and W and inverts 1 - SW once each: the walk
+    runs on the matrices that validity_check hands it."""
+    import loopnet.paths
+
+    calls = {}
+    for name in ("assemble_S", "assemble_W", "routing_matrices"):
+        def counted(*args, _name=name, _f=getattr(loopnet.paths, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(loopnet.paths, name, counted)
+    assert main(["validate", str(fast_net_file)]) == 0
+    assert calls == {"assemble_S": 1, "assemble_W": 1, "routing_matrices": 1}
 
 
 # -- contract -----------------------------------------------------------------

@@ -46,7 +46,13 @@ from loopnet.errors import (
 from loopnet.network import SIGMA_MINUS, _json_text, embed_operator
 from loopnet.transfer import DATASHEET_MAGNITUDES
 
-from conftest import fabry_perot, random_unitary, three_qubit_chain
+from conftest import (
+    circulator_chain,
+    fabry_perot,
+    mirror_block,
+    random_unitary,
+    three_qubit_chain,
+)
 
 
 def two_port(element="a", ids=(0, 1)):
@@ -147,18 +153,34 @@ def test_assemble_S_rejects_non_unitary_block():
 
 
 def test_connection_matrix_invariants():
-    net = two_qubit_network(ideal_circulator(), ideal_circulator())
-    w = assemble_W(net)
-    i_i, x_i, i_o, x_o = internal_projectors(w)
-    assert np.abs(w.conj().T @ w - i_o).max() < 1e-14
-    assert np.abs(w @ w.conj().T - i_i).max() < 1e-14
-    assert np.abs(w - i_i @ w @ i_o).max() == 0.0
-    # projector algebra is exact
-    n = net.n_ports
-    assert np.abs(x_i + i_i - np.eye(n)).max() == 0.0
-    assert np.abs(x_i @ i_i).max() == 0.0
-    assert np.abs(x_o + i_o - np.eye(n)).max() == 0.0
-    assert np.abs(x_o @ i_o).max() == 0.0
+    """W is a partial isometry on every network: Network refuses a port
+    used by two connections, so W has at most one nonzero per row and per
+    column, each exp(i phase) with a finite phase.  validate does not check
+    it for that reason."""
+    self_loop = Network(two_port("a"), [ScatteringBlock("a", mirror_block(0.6))],
+                        connections=[Connection(1, 0, phase=0.3)],
+                        allow_self_loops=True)
+    nets = [
+        two_qubit_network(ideal_circulator(), ideal_circulator()),
+        circulator_chain(0, 16),
+        # phases k0 * distance from the ports' z
+        dataclasses.replace(circulator_chain(1, 4),
+                            geometry=Geometry(k0=2.7e3, v_p=1.0)),
+        fabry_perot(0.5, 1e300),
+        self_loop,
+    ]
+    for net in nets:
+        w = assemble_W(net)
+        i_i, x_i, i_o, x_o = internal_projectors(w)
+        assert np.abs(w.conj().T @ w - i_o).max() < 1e-14
+        assert np.abs(w @ w.conj().T - i_i).max() < 1e-14
+        assert np.abs(w - i_i @ w @ i_o).max() == 0.0
+        # projector algebra is exact
+        n = net.n_ports
+        assert np.abs(x_i + i_i - np.eye(n)).max() == 0.0
+        assert np.abs(x_i @ i_i).max() == 0.0
+        assert np.abs(x_o + i_o - np.eye(n)).max() == 0.0
+        assert np.abs(x_o @ i_o).max() == 0.0
 
 
 def test_connection_phase_from_distance():
@@ -456,10 +478,14 @@ NAN, INF = float("nan"), float("inf")
     (("geometry", "v_p"), INF),
     (("geometry", "kappa0"), NAN),
     (("geometry", "kappa0"), -1.0),
+    (("geometry", "k0"), NAN),
+    (("geometry", "k0"), INF),
 ], ids=["block", "hamiltonian", "operator", "kappa-nan", "kappa-inf", "phi",
         "phase", "distance", "z", "v_p-zero", "v_p-inf", "kappa0-nan",
-        "kappa0-negative"])
+        "kappa0-negative", "k0-nan", "k0-inf"])
 def test_non_finite_numbers_are_schema_errors(path, value):
+    """Each connection of this network gives a phase, so a k0 that no
+    phase is derived from is still checked."""
     data = network_to_dict(two_qubit_network(ideal_circulator(),
                                              ideal_circulator()))
     target = data

@@ -248,9 +248,9 @@ def test_report_summarizes_the_walk(circulator, monkeypatch):
     walks = []
     walk = paths._walk
 
-    def recording(network, max_order, min_weight):
+    def recording(network, s, w, sw, max_order, min_weight):
         walks.append((max_order, min_weight))
-        return walk(network, max_order, min_weight)
+        return walk(network, s, w, sw, max_order, min_weight)
 
     monkeypatch.setattr(paths, "_walk", recording)
     report = validity_check(net, weight_threshold=1e-4)
@@ -327,6 +327,31 @@ def test_validity_check_reports_a_walk_cut_by_depth(tmp_path, capsys):
         f"at {MAX_ORDER} traversals")
 
 
+def test_validity_check_requires_a_convergent_loop():
+    """A qubit linked to port 1 of a 3-port DFT block whose ports 2 and 3
+    close on a 50/50 beam splitter: no port is left open, so SW is unitary
+    and rho(SW) = 1 to roundoff.  Every path is fast at v_p = 1e9, and none
+    violates, but the contraction's loop does not converge, so the report
+    is not valid."""
+    dft = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    ports = ([Port(0, "qubit", 0.0)] + [Port(p, "dft", 1.0) for p in (1, 2, 3)]
+             + [Port(p, "bs", 2.0) for p in (4, 5)])
+    blocks = [ScatteringBlock("qubit", np.array([[1.0 + 0.0j]])),
+              ScatteringBlock("dft", dft),
+              ScatteringBlock("bs", np.array([[1, 1j], [1j, 1]]) / np.sqrt(2))]
+    systems = [LocalSystem("qubit", 2, np.zeros((2, 2), dtype=complex),
+                           {0: Coupling(SIGMA_MINUS, 1.0)})]
+    connections = [Connection(a, b) for x, y in ((0, 1), (2, 4), (3, 5))
+                   for a, b in ((x, y), (y, x))]
+    net = Network(ports, blocks, systems, connections, Geometry(v_p=1e9))
+    report = validity_check(net)
+    assert report.spectral_radius_SW == pytest.approx(1.0, abs=1e-12)
+    assert not report.converged
+    assert (report.n_paths, report.n_violating, report.n_depth_cut) == (
+        548, 0, 0)
+    assert not report.valid
+
+
 def _max_times(a, b):
     """The max-times product: (a b)[j, k] = max_m a[j, m] b[m, k]."""
     return (a[:, :, None] * b[None, :, :]).max(axis=1)
@@ -383,8 +408,11 @@ def test_validity_check_rejects_bad_thresholds(kwargs):
 
 @pytest.mark.parametrize("max_order, min_weight", [
     (-1, 1e-3), (4, float("nan")), (4, float("inf")), (4, -1.0),
+    (6.5, 1e-3), (True, 1e-3),
 ])
 def test_enumerate_paths_rejects_bad_arguments(max_order, min_weight):
+    """max_order is an int and not a bool: 6.5 would walk to 7 traversals
+    and True to 1."""
     with pytest.raises(InvalidParameter):
         enumerate_paths(fabry_perot(0.5, 0.3), max_order, min_weight)
 
@@ -438,7 +466,8 @@ def _assert_reports_agree(net, threshold):
     paths with the column-scan walk underneath."""
     report = validity_check(net, weight_threshold=threshold)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(paths, "_walk", _column_scan_walk)
+        m.setattr(paths, "_walk", lambda network, s, w, sw, max_order, min_weight:
+                  _column_scan_walk(network, max_order, min_weight))
         expected = validity_check(net, weight_threshold=threshold)
     assert (report.n_paths, report.n_violating) == (
         expected.n_paths, expected.n_violating)
