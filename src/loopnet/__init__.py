@@ -81,7 +81,6 @@ from .transfer import (
     synthesize_controls,
     transfer_coefficients,
     transfer_sweep,
-    two_qubit_h_eff,
     two_qubit_network,
     verify_specialized_generator,
 )

@@ -156,32 +156,25 @@ def _negative_kappa(port, t) -> StepUnstable:
     return StepUnstable(f"negative kappa schedule on port {port} at t={t}")
 
 
-def _coupling_ops_at(model: EffectiveModel, controls: Controls, t: float):
+def effective_operators_at(model: EffectiveModel, controls: Controls, t: float):
+    """(H_eff(t), list of effective Lindblad operators at time t): a
+    controlled port's L is sqrt(kappa(t)) e^{i phi(t)} times its bare
+    operator (StepUnstable if kappa(t) < 0), and H_sys gains schedule(t)
+    times each control term."""
     ops = list(model.base_L)
     for port, ctl in controls.ports.items():
         kappa = ctl.kappa(t)
         if not kappa >= 0:
             raise _negative_kappa(port, t)
         ops[port] = np.sqrt(kappa) * np.exp(1j * ctl.phi(t)) * ctl.bare_op
-    return np.array(ops)
-
-
-def _h_sys_at(model: EffectiveModel, controls: Controls, t: float) -> np.ndarray:
-    h = model.h_sys.copy()
-    for op, schedule in controls.hamiltonian:
-        h = h + schedule(t) * op
-    return h
-
-
-def effective_operators_at(model: EffectiveModel, controls: Controls, t: float):
-    """(H_eff(t), list of effective Lindblad operators at time t)."""
-    l_arr = _coupling_ops_at(model, controls, t)
+    l_arr = np.array(ops)
     l_dag = l_arr.conj().transpose(0, 2, 1)
     g = model.routing.G
     k_mat = g - dag(g)
-    h_eff = _h_sys_at(model, controls, t) + np.einsum(
-        "jk,jab,kbc->ac", k_mat, l_dag, l_arr
-    ) / 2j
+    h_sys = model.h_sys
+    for op, schedule in controls.hamiltonian:
+        h_sys = h_sys + schedule(t) * op
+    h_eff = h_sys + np.einsum("jk,jab,kbc->ac", k_mat, l_dag, l_arr) / 2j
     l_eff = np.einsum("jk,kab->jab", model.l_eff_coeffs, l_arr)
     return h_eff, list(l_eff)
 

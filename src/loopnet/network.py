@@ -421,10 +421,10 @@ def internal_projectors(w: np.ndarray):
     return i_i, eye - i_i, i_o, eye - i_o
 
 
-def external_ports(w: np.ndarray):
-    """(external inputs, external outputs): ports W leaves unconnected."""
-    _, x_i, _, x_o = internal_projectors(w)
-    return [np.flatnonzero(x.diagonal().real > 0.5).tolist() for x in (x_i, x_o)]
+def external_ports(w: np.ndarray) -> list:
+    """The external inputs: the input ports that no connection of W feeds."""
+    _, x_i, _, _ = internal_projectors(w)
+    return np.flatnonzero(x_i.diagonal().real > 0.5).tolist()
 
 
 def embed_operator(network: Network, element_id: str, op: np.ndarray) -> np.ndarray:

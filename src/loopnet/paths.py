@@ -33,11 +33,17 @@ MAX_ORDER = 200  # the deepest walk: enumerate_paths refuses a larger max_order
 
 @dataclass(frozen=True)
 class PathRecord:
+    """One walked path.  Its family follows from its length: a path from
+    an external input spends its first hop on S, so it visits one port
+    more than it makes traversals; a path from a source port does not."""
     port_sequence: tuple
     n_traversals: int
     weight: complex
     delay: float
-    from_source: bool = False
+
+    @property
+    def from_source(self) -> bool:
+        return self.n_traversals == len(self.port_sequence) - 1
 
 
 @dataclass
@@ -105,26 +111,26 @@ def _walk(network: Network, s: np.ndarray, w: np.ndarray, sw: np.ndarray,
     # the first hops, last popped first: an external input's S element is
     # its path's whole weight ((1 + 0j) * amp can flip the sign of a zero
     # part), and a source port's paths start from weight 1 and delay 0
-    stack = [((k, j), amp, 0.0, 0, False)
-             for k in external_ports(w)[0][::-1] for j, amp in s_hops[k]]
+    stack = [((k, j), amp, 0.0, 0)
+             for k in external_ports(w)[::-1] for j, amp in s_hops[k]]
     if max_order >= 1:
-        stack += [((k, j), (1.0 + 0.0j) * amp, 0.0 + sw_delays[k], 1, True)
+        stack += [((k, j), (1.0 + 0.0j) * amp, 0.0 + sw_delays[k], 1)
                   for k in sources[::-1] for j, amp in sw_hops[k]]
     n_records = 0
     while stack:
-        path, weight, tau, n, from_source = stack.pop()
+        path, weight, tau, n = stack.pop()
         if abs(weight) < min_weight:
             continue
         n_records += 1
         if n_records > RECORD_CAP:
             raise PathExplosion(f"more than {RECORD_CAP} path records")
-        yield PathRecord(path, n, weight, tau, from_source)
+        yield PathRecord(path, n, weight, tau)
         if n < max_order:
             k = path[-1]
             tau += sw_delays[k]
             n += 1
             for j, amp in sw_hops[k]:
-                stack.append((path + (j,), weight * amp, tau, n, from_source))
+                stack.append((path + (j,), weight * amp, tau, n))
 
 
 def _column_hops(m: np.ndarray) -> list:

@@ -996,7 +996,7 @@ def phase_tuned_adverse_network(seed: int):
 # -- specialized two-qubit master equation ----------------------------------
 
 
-def two_qubit_h_eff(
+def specialized_master_equation(
     coeffs: TransferCoefficients,
     kappa_a: float,
     kappa_b: float,
@@ -1005,7 +1005,19 @@ def two_qubit_h_eff(
     h_az: float = 0.0,
     h_bz: float = 0.0,
 ) -> np.ndarray:
-    """Excitation-number-conserving effective Hamiltonian, explicit form."""
+    """16x16 generator built directly from the t-coefficients.
+
+    Builds, in place, the explicit excitation-conserving H_eff and the
+    collective dissipator sum_{ik} B_ik (sigma_k rho sigma_i^dag
+    - 1/2 {sigma_i^dag sigma_k, rho}); the single-excitation restriction of
+    sum B_ik sigma_i^dag sigma_k is the feeding operator R.  Independent of
+    the generic contracted-Lindblad construction; the two must agree, which
+    is this module's central cross-validation.  Note: the compact
+    "Tr(rho P_uu) R + Tr(R rho) P_dd" form of the feeding terms holds only
+    on states block-diagonal in total excitation number; the full dissipator
+    here also carries the inter-sector coherence terms.
+    """
+    # the excitation-number-conserving effective Hamiltonian, explicit form
     im_a = kappa_a * coeffs.t_aa.imag
     im_b = kappa_b * coeffs.t_bb.imag
     h = np.zeros((4, 4), dtype=complex)
@@ -1018,55 +1030,12 @@ def two_qubit_h_eff(
     cross = root * coeffs.beta_minus * np.exp(-1j * chi_m) / 2j
     h[UP_DOWN, DOWN_UP] = cross
     h[DOWN_UP, UP_DOWN] = np.conj(cross)
-    return h
-
-
-def _feeding_coefficient_matrix(
-    coeffs: TransferCoefficients,
-    kappa_a: float,
-    kappa_b: float,
-    phi_a: float,
-    phi_b: float,
-) -> np.ndarray:
-    """Hermitian 2x2 coefficient matrix B of the collective dissipator
-    sum_{ik} B_ik sigma_k rho sigma_i^dag (indices a=0, b=1)."""
-    root = np.sqrt(kappa_a * kappa_b)
-    b_ab = (
-        root
-        * (coeffs.t_ab + np.conj(coeffs.t_ba))
-        * np.exp(-1j * (phi_a - phi_b))
-    )
-    return np.array(
-        [
-            [kappa_a * coeffs.eta_a, b_ab],
-            [np.conj(b_ab), kappa_b * coeffs.eta_b],
-        ]
-    )
-
-
-def specialized_master_equation(
-    coeffs: TransferCoefficients,
-    kappa_a: float,
-    kappa_b: float,
-    phi_a: float = 0.0,
-    phi_b: float = 0.0,
-    h_az: float = 0.0,
-    h_bz: float = 0.0,
-) -> np.ndarray:
-    """16x16 generator built directly from the t-coefficients.
-
-    Uses the explicit excitation-conserving effective Hamiltonian plus the
-    collective dissipator sum_{ik} B_ik (sigma_k rho sigma_i^dag
-    - 1/2 {sigma_i^dag sigma_k, rho}); the single-excitation restriction of
-    sum B_ik sigma_i^dag sigma_k is the feeding operator R.  Independent of
-    the generic contracted-Lindblad construction; the two must agree, which
-    is this module's central cross-validation.  Note: the compact
-    "Tr(rho P_uu) R + Tr(R rho) P_dd" form of the feeding terms holds only
-    on states block-diagonal in total excitation number; the full dissipator
-    here also carries the inter-sector coherence terms.
-    """
-    h = two_qubit_h_eff(coeffs, kappa_a, kappa_b, phi_a, phi_b, h_az, h_bz)
-    b_mat = _feeding_coefficient_matrix(coeffs, kappa_a, kappa_b, phi_a, phi_b)
+    # B: the Hermitian 2x2 coefficient matrix of the collective dissipator
+    # sum_{ik} B_ik sigma_k rho sigma_i^dag (indices a=0, b=1)
+    b_ab = (root * (coeffs.t_ab + np.conj(coeffs.t_ba))
+            * np.exp(-1j * (phi_a - phi_b)))
+    b_mat = np.array([[kappa_a * coeffs.eta_a, b_ab],
+                      [np.conj(b_ab), kappa_b * coeffs.eta_b]])
     eye2 = np.eye(2, dtype=complex)
     sig = [np.kron(SIGMA_MINUS, eye2), np.kron(eye2, SIGMA_MINUS)]  # a, b
     eye = np.eye(4, dtype=complex)

@@ -15,6 +15,7 @@ import loopnet
 from loopnet import (
     Geometry,
     datasheet_circulator,
+    find_network_in_class,
     ideal_circulator,
     network_from_dict,
     network_to_dict,
@@ -789,6 +790,27 @@ def test_transfer_one_qubit_network_is_physics_error(tmp_path, capsys):
     assert main(["transfer", "--net", str(net), "-o", str(out)]) == 2
     assert "physics error [NotTwoQubitNetwork]" in capsys.readouterr().err
     assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("dt, code, err", [
+    ("1e-3", 2, "physics error [BoundViolated]: b0 exceeds the subradiant "
+                "bound by 2.402e-05\n"),
+    ("1e-4", 0, ""),
+])
+def test_transfer_bound_violation_is_physics_error(dt, code, err, tmp_path,
+                                                   capsys):
+    # at 40 dB, kappa_b(0) dt = 10 at dt = 1e-3 lies past RK4's real-axis
+    # stability limit of 2.785: b0 overshoots the subradiant bound and the
+    # run is refused with one stderr line, no traceback; dt = 1e-4 passes
+    net = tmp_path / "class.json"
+    save_network(find_network_in_class(0.04, 0.15, 0), net)
+    out = tmp_path / "out"
+    assert main(["transfer", "--net", str(net), "--ratio-db", "40",
+                 "--dt", dt, "-o", str(out)]) == code
+    assert capsys.readouterr().err == err
+    names = sorted(p.name for p in out.glob("*"))
+    assert names == ([] if code else
+                     ["controls.csv", "manifest.json", "trajectory.csv"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

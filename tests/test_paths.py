@@ -159,7 +159,7 @@ def test_path_sums_are_the_series_terms(net):
         sums[key] = sums.get(key, 0.0) + r.weight
     sources = sorted({p for sys in net.systems for p in sys.couplings})
     families = [(True, sources, np.eye(net.n_ports)),
-                (False, external_ports(w)[0], s)]
+                (False, external_ports(w), s)]
     for from_source, starts, entry in families:
         for n in range(from_source, 5):
             term = np.linalg.matrix_power(s @ w, n) @ entry
@@ -379,7 +379,7 @@ def test_heaviest_paths_are_max_times_powers(net):
     sources = sorted({p for sys in net.systems for p in sys.couplings})
     power = np.eye(net.n_ports)  # the max-times identity
     for n in range(MAX_ORDER + 1):
-        families = [(False, external_ports(w)[0], _max_times(power, abs(s)))]
+        families = [(False, external_ports(w), _max_times(power, abs(s)))]
         if n > 0:
             families.append((True, sources, power))
         for from_source, starts, bound in families:
@@ -420,7 +420,9 @@ def test_enumerate_paths_rejects_bad_arguments(max_order, min_weight):
 def _column_scan_walk(network, max_order, min_weight):
     """The walk with its hop lists built one column at a time, from one
     flatnonzero per column and numpy complex amplitudes: the reference
-    for the hop tables that _walk builds from one nonzero per matrix."""
+    for the hop tables that _walk builds from one nonzero per matrix.  It
+    pushes each path's family with it and checks that the record derives
+    the same family from its length."""
     if not (0 <= max_order <= MAX_ORDER and 0 <= min_weight < float("inf")):
         raise InvalidParameter("bad walk arguments")
     s, w = assemble_S(network), assemble_W(network)
@@ -436,7 +438,7 @@ def _column_scan_walk(network, max_order, min_weight):
             sw_delays[c.from_port] = length / network.geometry.v_p
     sources = sorted({port for sys in network.systems for port in sys.couplings})
     stack = [((k, j), amp, 0.0, 0, False)
-             for k in external_ports(w)[0][::-1] for j, amp in s_hops[k]]
+             for k in external_ports(w)[::-1] for j, amp in s_hops[k]]
     if max_order >= 1:
         stack += [((k, j), (1.0 + 0.0j) * amp, 0.0 + sw_delays[k], 1, True)
                   for k in sources[::-1] for j, amp in sw_hops[k]]
@@ -444,7 +446,9 @@ def _column_scan_walk(network, max_order, min_weight):
         path, weight, tau, n, from_source = stack.pop()
         if abs(weight) < min_weight:
             continue
-        yield PathRecord(path, n, weight, tau, from_source)
+        record = PathRecord(path, n, weight, tau)
+        assert record.from_source == from_source
+        yield record
         if n < max_order:
             k = path[-1]
             tau += sw_delays[k]

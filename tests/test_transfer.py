@@ -38,6 +38,7 @@ from loopnet import (
     verify_specialized_generator,
 )
 from loopnet.errors import (
+    BoundViolated,
     DegenerateBeta,
     InitialConditionMismatch,
     MismatchWithGenericGenerator,
@@ -897,6 +898,19 @@ def test_divergent_bloch_run_has_one_verdict():
     assert str(single.value) == str(sweep.value)
     assert re.fullmatch(r"drift at step 0: largest \|y\| 174\.\d+; reduce dt",
                         str(sweep.value))
+
+
+def test_bound_overshoot_is_bound_violated():
+    """At 40 dB and dt = 1e-3, kappa_b(0) dt = 10 lies past RK4's real-axis
+    stability limit of 2.785 on a reflectance-class network.  The growth is
+    transient and no |y| passes 1 + 1e-6, so the block check passes; b0
+    then exceeds the subradiant bound by 2.4e-5 and simulate_transfer
+    raises BoundViolated."""
+    c = oriented(transfer_coefficients(find_network_in_class(0.04, 0.15, 0)))
+    protocol = synthesize_controls(c, 1.0, ratio_db=40.0, T=20.0, dt=1e-3)
+    with pytest.raises(BoundViolated) as excinfo:
+        simulate_transfer(c, protocol)
+    assert str(excinfo.value) == "b0 exceeds the subradiant bound by 2.402e-05"
 
 
 def test_e_b_tracks_dark_direction():
