@@ -300,28 +300,37 @@ def rk4_step_matrix(a_start, a_mid, a_end, h: float, out=None):
     scratch K3 (five new arrays when None).
 
     Each sum is accumulated in place, in the order of the formulas, so the
-    result is bit-identical to evaluating them term by term.
+    result is bit-identical to evaluating them term by term.  The identity
+    is added on the diagonal only: adding its off-diagonal zeros would
+    change an entry only where it is -0.0, into +0.0.  P's off-diagonal
+    entries come out of the sums of matmul outputs, where a zero is +0.0,
+    so P keeps its bits; S1 may keep a -0.0 (h/2 of a -0.0 in a_start),
+    which leaves every product formed from it unchanged.
     """
     if out is None:
         out = [np.empty(a_start.shape) for _ in range(5)]
     p, s1, s2, s3, k3 = out
-    eye = np.eye(a_start.shape[-1])
     np.multiply(0.5 * h, a_start, out=s1)
-    s1 += eye
+    _diagonal(s1)[...] += 1.0
     np.matmul(a_mid, s1, out=p)  # K2
     np.multiply(0.5 * h, p, out=s2)
-    s2 += eye
+    _diagonal(s2)[...] += 1.0
     np.matmul(a_mid, s2, out=k3)
     np.multiply(h, k3, out=s3)
-    s3 += eye
+    _diagonal(s3)[...] += 1.0
     p *= 2.0  # K1 + 2 K2 + 2 K3 + K4, then I + h/6 (...)
     p += a_start
     k3 *= 2.0
     p += k3
     p += np.matmul(a_end, s3, out=k3)
     p *= h / 6.0
-    p += eye
+    _diagonal(p)[...] += 1.0
     return p, (s1, s2, s3)
+
+
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """The writable view of the diagonals of a stack of square matrices."""
+    return np.einsum("...ii->...i", x)
 
 
 def _rk4_block(gens, y, h: float, out=None):
@@ -542,14 +551,16 @@ def integrate(
     ceil(log2(m + 1)) levels: the states known so far, y_0..y_n-1, give
     y_n..y_2n-1 as one product with P^n.  The ladder P, P^2, P^4, ... is
     squared once per run, as deep as the longest block needs, and every
-    block reuses it.  With controls the schedules are evaluated on the
-    half-step grid of a whole block at once, and the generators there are
-    one real matrix product of weights and the transformed terms of
-    _GeneratorAssembler; a kappa that is negative or NaN on that grid
-    raises StepUnstable (its port and earliest half-step) before the block
-    steps.  When D^2 <= _STEP_MATRIX_MAX_DD the block runs through
-    _rk4_block; for a larger generator each step applies the four RK4
-    stages.
+    block reuses it.  With controls the schedules are evaluated once per
+    run, on the whole half-step grid t_0, t_0 + h/2, ..., t_N, into one
+    array of (2N + 1) x terms real weights; a kappa that is negative or NaN
+    anywhere on that grid raises StepUnstable (its port and earliest
+    half-step) before any step runs.  A block's generators are one real
+    matrix product of its rows of the weights and the transformed terms of
+    _GeneratorAssembler; the weights are elementwise in time, so they are
+    the bits a block would get from its own grid.  When D^2 <=
+    _STEP_MATRIX_MAX_DD the block runs through _rk4_block; for a larger
+    generator each step applies the four RK4 stages.
 
     Every block, in each of the three branches, passes _check_block with
     its trace drift, or the run raises StepUnstable at its first bad step.
@@ -588,6 +599,12 @@ def integrate(
         )
 
     times = np.arange(n_steps + 1) * h
+    if ladder is None:
+        # schedule weights at the half steps t_0, t_0 + h/2, ..., t_N
+        grid = np.empty(2 * n_steps + 1)
+        grid[::2] = times
+        grid[1::2] = grid[:-1:2] + 0.5 * h
+        weights = assembler.weights(grid)
     coords = np.empty((n_steps + 1, dd))
     coords[0] = co.rows(rho.reshape(dd, 1, order="F"))[:, 0].real
     obs = np.empty((n_steps + 1, len(observables)), dtype=complex)
@@ -602,11 +619,8 @@ def integrate(
         m = min(block, n_steps - start)
         y = coords[start:start + m + 1]
         if ladder is None:
-            # generators at the half steps t_n, t_n + h/2, ..., t_n+m
-            grid = np.empty(2 * m + 1)
-            grid[::2] = np.arange(start, start + m + 1) * h
-            grid[1::2] = grid[:-1:2] + 0.5 * h
-            gens = (assembler.weights(grid) @ terms).reshape(-1, dd, dd)
+            gens = weights[2 * start:2 * (start + m) + 1] @ terms
+            gens = gens.reshape(-1, dd, dd)
             if dd <= _STEP_MATRIX_MAX_DD:
                 _rk4_block(gens, y, h)
             else:

@@ -32,6 +32,7 @@ from loopnet.errors import (
 )
 from loopnet.lindblad import _GeneratorAssembler
 from loopnet.network import SIGMA_MINUS, SIGMA_Z, dag, embed_operator
+from loopnet.transfer import _bloch_generator
 
 from conftest import single_qubit_network, three_qubit_chain
 
@@ -93,6 +94,53 @@ def test_assembler_matches_build_generator():
                       - build_generator(model, controls, t)).max() < 1e-13
 
 
+def test_whole_run_weights_slice_into_block_weights():
+    """integrate evaluates the schedule weights once on the run's whole
+    half-step grid and hands each block its rows; every block then gets
+    the bits that weights gives on the block's own grid.  Constant,
+    sampled and callable kappa and phi schedules and sampled and callable
+    Hamiltonian terms, cut at 128-step and 5-step block boundaries.  The
+    sampled schedules have more knots than a 128-step block has half
+    steps and fewer than the run has, so np.interp takes its path without
+    precomputed slopes on a block and the one with them on the run."""
+    net = three_qubit_chain()
+    knots = np.sort(np.random.default_rng(3).uniform(0.0, 3.2, 400))
+
+    def make(kind, f):
+        if kind == "constant":
+            return Schedule.constant(f(0.3))
+        if kind == "sampled":
+            return Schedule.sampled(knots, f(knots))
+        return Schedule(f)
+
+    kinds = ("constant", "sampled", "callable")
+    controls = controls_from_network(
+        net,
+        kappa_schedules={port: make(kind, lambda t: 1.0 + 0.5 * np.sin(t))
+                         for port, kind in zip((9, 10, 11), kinds)},
+        phi_schedules={port: make(kind, lambda t: 0.7 * t - 0.2)
+                       for port, kind in zip((9, 10, 11), kinds[::-1])},
+        hamiltonian_terms=[
+            (0.4 * embed_operator(net, "qubit0", SIGMA_X),
+             make("sampled", lambda t: np.cos(2.0 * t))),
+            (0.3 * embed_operator(net, "qubit2", SIGMA_Z),
+             make("callable", lambda t: np.sin(3.0 * t))),
+        ],
+    )
+    assembler = _GeneratorAssembler(contract_network(net), controls)
+    n_steps, h = 700, 3.0 / 700
+    grid = np.empty(2 * n_steps + 1)
+    grid[::2] = np.arange(n_steps + 1) * h
+    grid[1::2] = grid[:-1:2] + 0.5 * h
+    whole = assembler.weights(grid)
+    assert whole.shape == (2 * n_steps + 1, 12)
+    for block in (128, 5):
+        for start in range(0, n_steps, block):
+            part = np.s_[2 * start:2 * min(start + block, n_steps) + 1]
+            assert np.array_equal(whole[part].view(np.uint64),
+                                  assembler.weights(grid[part]).view(np.uint64))
+
+
 def test_liouvillian_of_zero_ops_is_commutator():
     h = np.diag([1.0, -1.0]).astype(complex)
     gen = liouvillian(h, [])
@@ -108,25 +156,38 @@ def test_scheduled_control_requires_coupled_port():
     assert str(info.value) == "port 3 has no coupling to control"
 
 
-def test_negative_kappa_schedule_aborts():
+def test_negative_kappa_schedule_aborts(monkeypatch):
     """A negative kappa raises StepUnstable naming the port and the first
     half-step time where it is negative, at D = 2 (step matrices) and
-    D = 8 (RK4 stages per step): negative from t = 0, where the first block
-    stops before its only step, and from inside a block."""
+    D = 8 (RK4 stages per step): negative from t = 0, from inside the
+    first and the second of three 100-step blocks, and only in the last.
+    The weights of the whole run are evaluated before any step, so the
+    run raises before it steps or checks any block."""
     cases = [
         (Schedule.constant(-0.5), "0.0"),
         (Schedule(lambda t: 1.0 if t < 0.52 else -1.0), "0.52"),
         (Schedule(lambda t: 1.0 - t), "1.005"),
+        (Schedule(lambda t: 1.0 if t < 2.505 else -1.0), "2.505"),
     ]
+    check_block = lindblad._check_block
+
+    def counted(y, start, trace=None):
+        checks.append(start)
+        return check_block(y, start, trace)
+
+    monkeypatch.setattr(lindblad, "_check_block", counted)
     for net, port, rho0 in [(single_qubit_network(), 0, basis_state(2, 0)),
                             (three_qubit_chain(), 10, random_state(8, 9))]:
         model = contract_network(net)
+        monkeypatch.setattr(lindblad, "_BLOCK", 100 * 2 * rho0.size ** 2)
+        checks = []
         for kappa, t_bad in cases:
             controls = controls_from_network(net, kappa_schedules={port: kappa})
             message = f"negative kappa schedule on port {port} at t={t_bad}$"
             with pytest.raises(StepUnstable, match=message):
                 integrate(model, Controls(ports=controls.ports), rho0,
                           t_final=3.0, dt=1e-2)
+        assert checks == [], rho0.shape
 
 
 def test_step_halving_convergence():
@@ -392,6 +453,48 @@ def test_invalid_parameters_raise_typed_error():
                            ([0.0, 0.5, 0.5, 1.0], "strictly increasing")]:
         with pytest.raises(InvalidParameter, match=message):
             Schedule.sampled(times, np.zeros(len(times)))
+
+
+def dense_rk4_step_matrix(a_start, a_mid, a_end, h):
+    """Oracle: rk4_step_matrix as it was, adding a dense identity."""
+    eye = np.eye(a_start.shape[-1])
+    s1 = 0.5 * h * a_start + eye
+    k2 = a_mid @ s1
+    s2 = 0.5 * h * k2 + eye
+    k3 = a_mid @ s2
+    s3 = h * k3 + eye
+    p = 2.0 * k2
+    p += a_start
+    p += 2.0 * k3
+    p += a_end @ s3
+    p *= h / 6.0
+    p += eye
+    return p, (s1, s2, s3)
+
+
+def test_diagonal_identity_add_keeps_the_step_matrix_bits():
+    """rk4_step_matrix adds the identity on the diagonal only.  P keeps
+    every bit of the dense add, signed zeros included; the stage maps keep
+    their values (S1 may keep the -0.0 of -r_y/2 in the Bloch generator
+    where the dense add wrote +0.0).  Bloch generators with r_y = 0 in a
+    (1024, 4, 4) stack, random real 16 x 16 generators in a (128, 16, 16)
+    stack, and one 16 x 16 generator (the static case)."""
+    rng = np.random.default_rng(11)
+    r0, rx, rz, jx, jy, jz = rng.uniform(-2.0, 2.0, (6, 2049))
+    bloch = _bloch_generator(r0, rx, np.zeros(2049), rz, jx, jy, jz)
+    stack = rng.standard_normal((257, 16, 16))
+    static = rng.standard_normal((16, 16))
+    assert np.signbit(bloch[:, 2, 0]).all()  # -r_y/2 = -0.0
+    cases = [(bloch[:-1:2], bloch[1::2], bloch[2::2], 1e-3),
+             (stack[:-1:2], stack[1::2], stack[2::2], 5e-3),
+             (static, static, static, 0.1)]
+    for args in cases:
+        p_dense, stages_dense = dense_rk4_step_matrix(*args)
+        for out in (None, [np.empty(args[0].shape) for _ in range(5)]):
+            p, stages = lindblad.rk4_step_matrix(*args, out=out)
+            assert np.array_equal(p.view(np.uint64), p_dense.view(np.uint64))
+            for s, s_dense in zip(stages, stages_dense):
+                assert np.array_equal(s, s_dense)
 
 
 def test_schedule_on_matches_pointwise_calls():
