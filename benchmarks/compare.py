@@ -29,9 +29,12 @@ The report goes to BENCH_<W>.json (or FILE) and holds:
   the median, the mean and the per-request list;
 - with --scheduled, a scheduled Lindblad run on a chain of one, two and
   three imperfect circulators with a qubit on each (D^2 = 4, 16 and 64:
-  sampled kappa on every qubit port and a sampled Hamiltonian term,
-  T = 2, dt = 5e-3), best of 3, in us per RK4 step, each with the largest
-  difference between the two trees' stored density matrices.
+  sampled kappa on every qubit port and a sampled sigma_z term, T = 2,
+  dt = 5e-3), best of 3, in us per RK4 step, each with the number of real
+  coordinates integrated and the largest difference between the two
+  trees' stored density matrices.  Each chain starts from every qubit up,
+  where integrate steps only the few coordinates reachable from it, and
+  from a full-rank state, which keeps all D^2.
 
 Every child process runs with one BLAS thread.
 """
@@ -151,9 +154,10 @@ def minor_faults(trees: dict, workload: str) -> dict:
     return report
 
 
-def scheduled_worker(n_qubits: int, out_path: str) -> None:
-    """The scheduled run on a chain of n_qubits (D = 2^n_qubits); imports
-    loopnet from sys.path."""
+def scheduled_worker(n_qubits: int, full_rank: bool, out_path: str) -> None:
+    """The scheduled run on a chain of n_qubits (D = 2^n_qubits) from
+    every qubit up or from a full-rank state; imports loopnet from
+    sys.path."""
     import numpy as np
 
     import loopnet as lp
@@ -198,8 +202,13 @@ def scheduled_worker(n_qubits: int, out_path: str) -> None:
     )
     model = lp.contract_network(net)
     d = 2**n_qubits
-    rho0 = np.zeros((d, d), dtype=complex)
-    rho0[0, 0] = 1.0
+    if full_rank:
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0)
+    else:
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[0, 0] = 1.0
     best = float("inf")
     for _ in range(SCHEDULED_REPEATS):
         start = time.perf_counter()
@@ -207,7 +216,10 @@ def scheduled_worker(n_qubits: int, out_path: str) -> None:
                             dt=SCHEDULED_DT)
         best = min(best, time.perf_counter() - start)
     np.save(out_path, traj.rhos)
-    print(json.dumps({"steps": len(traj.times) - 1, "best_s": best}))
+    # a tree without Trajectory.reachable integrates all D^2 coordinates
+    coordinates = len(getattr(traj, "reachable", range(d * d)))
+    print(json.dumps({"steps": len(traj.times) - 1, "best_s": best,
+                      "coordinates": coordinates}))
 
 
 def scheduled(trees: dict) -> dict:
@@ -216,20 +228,24 @@ def scheduled(trees: dict) -> dict:
     here = str(Path(__file__).resolve().parent)
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
-        for i, n_qubits in enumerate(SCHEDULED_QUBITS):
-            result, rhos = {"D2": 4**n_qubits}, {}
+        cases = [(n, full) for n in SCHEDULED_QUBITS for full in (False, True)]
+        for i, (n_qubits, full_rank) in enumerate(cases):
+            result = {"D2": 4**n_qubits,
+                      "start": "full-rank" if full_rank else "excited"}
+            rhos = {}
             for side in list(trees) if i % 2 == 0 else list(trees)[::-1]:
                 out_path = str(Path(scratch) / f"{side}{n_qubits}.npy")
                 code = (f"import sys; sys.path[:0] = "
                         f"[{str(trees[side] / 'src')!r}, {here!r}]; "
-                        f"import compare; "
-                        f"compare.scheduled_worker({n_qubits}, {out_path!r})")
+                        f"import compare; compare.scheduled_worker("
+                        f"{n_qubits}, {full_rank}, {out_path!r})")
                 out = subprocess.run([sys.executable, "-c", code],
                                      env=child_env(), capture_output=True,
                                      text=True, check=True).stdout
                 run = json.loads(out.strip().splitlines()[-1])
                 result[side] = {
                     "steps": run["steps"],
+                    "coordinates": run["coordinates"],
                     "us_per_step": 1e6 * run["best_s"] / run["steps"],
                 }
                 rhos[side] = np.load(out_path)
@@ -252,7 +268,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS)
     parser.add_argument("--scheduled", action="store_true",
                         help="add the scheduled Lindblad chain runs at "
-                             "D^2 = 4, 16 and 64")
+                             "D^2 = 4, 16 and 64, from every qubit up and "
+                             "from a full-rank state")
     parser.add_argument("-o", "--output", type=Path, default=None)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": Path.cwd().resolve()}

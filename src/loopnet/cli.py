@@ -489,7 +489,8 @@ def cmd_simulate(args) -> int:
     )
     print(
         f"wrote {out} (max trace drift {traj.max_trace_drift:.3e}, "
-        f"generator herm residue {traj.max_herm_drift:.3e})"
+        f"generator herm residue {traj.max_herm_drift:.3e}, "
+        f"{len(traj.reachable)} of {rho0.size} coordinates integrated)"
     )
     return EXIT_OK
 

@@ -10,7 +10,11 @@ Superoperators use the column-major vectorization convention:
 vec(A rho B) = (B.T kron A) vec(rho).  integrate propagates the real
 coordinates of rho (rho_ii, Re rho_ij and Im rho_ij for i < j) under the
 real form T G T^-1 of each generator, so its states are Hermitian by
-construction.
+construction.  It steps only the coordinates reachable from rho0 through
+the generators' nonzero entries; every other one stays exactly 0.  With
+vacuum inputs, lowering-operator couplings and excitation-conserving
+Hamiltonians that is the block of rho0's excitation numbers, a few of the
+D^2 coordinates from a basis state.
 """
 
 from __future__ import annotations
@@ -267,8 +271,9 @@ class _GeneratorAssembler:
 
     def weights(self, times: np.ndarray) -> np.ndarray:
         """Real weights (len(times), terms) of the rows of `terms` at each
-        time.  If a kappa is negative or NaN at some time, StepUnstable
-        names its port and the earliest such time instead."""
+        time, written column by column into one array.  If a kappa is
+        negative or NaN at some time, StepUnstable names its port and the
+        earliest such time instead."""
         c, first_bad = {}, None
         for k in self.scheduled:
             ctl = self.controls.ports[k]
@@ -280,12 +285,18 @@ class _GeneratorAssembler:
                 c[k] = np.sqrt(kappa) * np.exp(1j * ctl.phi.on(times))
         if first_bad is not None:
             raise _negative_kappa(first_bad[1], times[first_bad[0]])
-        columns = [np.ones(len(times))]
-        columns += [s.on(times) for _, s in self.controls.hamiltonian]
+        out = np.empty((len(times), len(self.terms)))
+        out[:, 0] = 1.0
+        col = 1
+        for _, s in self.controls.hamiltonian:
+            out[:, col] = s.on(times)
+            col += 1
         for j, k in self.pairs:
             w = np.conj(c.get(j, 1.0)) * c.get(k, 1.0)
-            columns += [w.real] if k == j else [w.real, w.imag]
-        return np.stack(columns, axis=1)
+            for part in [w.real] if k == j else [w.real, w.imag]:
+                out[:, col] = part
+                col += 1
+        return out
 
 
 def rk4_step_matrix(a_start, a_mid, a_end, h: float, out=None):
@@ -358,6 +369,18 @@ def _rk4_block(gens, y, h: float, out=None):
     return stage_maps
 
 
+def _reachable(pattern: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Sorted indices of the coordinates reachable from the True entries of
+    start along the nonzero pattern of a generator, pattern[i, j] = A_ij
+    != 0 (coordinate j feeds i): the smallest set that holds start and that
+    y' = A y maps into itself, so every other coordinate stays exactly 0."""
+    reach, new = start.copy(), start
+    while new.any():
+        new = pattern[:, new].any(axis=1) & ~reach
+        reach |= new
+    return np.flatnonzero(reach)
+
+
 def _check_block(y, start: int, trace=None) -> float:
     """Raise StepUnstable at the first bad step of a block of states y[1:]
     after steps start, start + 1, ...: a coordinate not finite or above
@@ -393,7 +416,8 @@ class _Coordinates:
         n, dd = len(i), d * d
         # vec positions of rho_ii, rho_ij and rho_ji
         self._at = (np.arange(d) * (d + 1), i + d * j, j + d * i)
-        # Trajectory.rhos copies c into `width` columns followed by
+        # Trajectory.rhos scatters the integrated coordinates of c into
+        # the first D^2 of `width` zero-filled columns, followed by
         # -Im rho_ij and a 0, so that one gather (`take`) gives the
         # interleaved real and imaginary parts of the row-major rho.
         self.width = dd + n + 1
@@ -444,22 +468,26 @@ class Trajectory:
     max_trace_drift: float
     # the generator's discarded imaginary residue in real coordinates
     max_herm_drift: float
+    # sorted indices of the real coordinates integrated; the rest stay 0
+    reachable: np.ndarray
     _rho0: np.ndarray
-    _coords: np.ndarray | None  # (n_steps + 1, D^2) real coordinates
+    # (n_steps + 1, len(reachable)): the integrated real coordinates
+    _coords: np.ndarray | None
 
     @functools.cached_property
     def rhos(self) -> np.ndarray:
         """(n_steps + 1, D, D): rho0 as given, then the states gathered
         from the coordinates a block at a time on the first read, which
-        releases them."""
-        (n, dd), d = self._coords.shape, len(self._rho0)
+        releases them; the entries outside the reachable ones are 0."""
+        n, d = len(self._coords), len(self._rho0)
+        dd = d * d
         co, chunk = _Coordinates(d), max(1, _BLOCK // dd)
         rhos = np.empty((n, d, d), dtype=complex)
         rhos[0] = self._rho0
         new = np.zeros((min(chunk, n - 1), co.width))
         for s in range(1, n, chunk):
             b = new[:min(chunk, n - s)]
-            b[:, :dd] = self._coords[s:s + len(b)]
+            b[:, self.reachable] = self._coords[s:s + len(b)]
             np.negative(b[:, co.im_upper], out=b[:, co.im_lower])
             np.take(b, co.take, axis=1, mode="clip",
                     out=rhos[s:s + len(b)].reshape(-1, dd).view(float))
@@ -474,15 +502,19 @@ class Trajectory:
 _BLOCK = 2**16
 
 # With controls, a block forms its m RK4 step matrices at once (three
-# batched D^2 x D^2 products a step) and their prefix products by a scan
-# (fewer than two products a step), when the generator dimension D^2 is at
-# most this; above it, forming P (D^6 work a step) costs more than the four
-# stages per step it saves.  Measured in real coordinates on a 2-core
-# x86-64 host, one BLAS thread, a truncated oscillator with sampled kappa
-# and Hamiltonian schedules, 1,000 steps, medians of 15 alternating pairs,
-# us per step, stages -> matrices: D^2 = 4: 15.6 -> 1.7; 9: 17.2 -> 4.9;
-# 16: 18.7 -> 9.7 (faster in 15/15); 25: 29.8 -> 25.7 (11/15); 36: 41.4 ->
-# 58.8; 64: 59.2 -> 140.5 (slower in 15/15).
+# batched r x r products a step) and their prefix products by a scan
+# (fewer than two products a step), when the number r of integrated
+# coordinates (D^2 from a full-rank rho0) is at most this; above it,
+# forming P (r^3 work a step) costs more than the four stages per step it
+# saves.  Measured in real coordinates on a 2-core x86-64 host, one BLAS
+# thread, a truncated oscillator with sampled kappa and Hamiltonian
+# schedules from a full-rank state, 1,000 steps, medians of 15 alternating
+# pairs, us per step, stages -> matrices: r = D^2 = 4: 15.6 -> 1.7; 9:
+# 17.2 -> 4.9; 16: 18.7 -> 9.7 (faster in 15/15); 25: 29.8 -> 25.7
+# (11/15); 36: 41.4 -> 58.8; 64: 59.2 -> 140.5 (slower in 15/15).  The
+# three-qubit chain from every qubit up (r = 20 of 64, sampled kappa and
+# sigma_z term, 4,000 steps, best of 15, 10 alternating pairs): 14.1 ->
+# 11.1 (faster in 9/10).
 _STEP_MATRIX_MAX_DD = 25
 
 
@@ -545,6 +577,15 @@ def integrate(
     InvalidParameter before any step runs.  Every stored state is
     therefore Hermitian bit for bit.
 
+    Only the r coordinates reachable from rho0 are stepped: the closure of
+    the nonzero coordinates of rho0 under the nonzero pattern of T G T^-1,
+    the union over the terms of _GeneratorAssembler with controls.  No
+    other coordinate has a nonzero entry of the generator from one inside
+    the set, so it stays exactly 0 and is not stored;
+    Trajectory.reachable lists the set, all D^2 for a full-rank rho0.  The
+    generators, the observable weights and the trace (the populations in
+    the set) are restricted to it once per run.
+
     The steps run in blocks of about _BLOCK numbers.  Without controls the
     generator G is constant and a step applies one step matrix,
     P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24; a block of m steps takes
@@ -558,15 +599,16 @@ def integrate(
     half-step) before any step runs.  A block's generators are one real
     matrix product of its rows of the weights and the transformed terms of
     _GeneratorAssembler; the weights are elementwise in time, so they are
-    the bits a block would get from its own grid.  When D^2 <=
+    the bits a block would get from its own grid.  When r <=
     _STEP_MATRIX_MAX_DD the block runs through _rk4_block; for a larger
-    generator each step applies the four RK4 stages.
+    generator each step applies the four RK4 stages.  The block lengths
+    follow D^2, whatever r is.
 
     Every block, in each of the three branches, passes _check_block with
     its trace drift, or the run raises StepUnstable at its first bad step.
     The step count is rounded so the grid lands exactly on t_final;
     trajectories are bit-for-bit reproducible.  Every step is written
-    straight into one (n_steps + 1, D^2) array of coordinates; the complex
+    straight into one (n_steps + 1, r) array of coordinates; the complex
     rhos are gathered from it only when Trajectory.rhos is first read.
     Observables are Tr(rho O), one real product with the coordinates per
     block.
@@ -579,16 +621,15 @@ def integrate(
     _check_inputs(rho, observables, d)
     h = t_final / n_steps
     co = _Coordinates(d)
+    c0 = co.rows(rho.reshape(dd, 1, order="F"))[:, 0].real
 
-    if controls.ports or controls.hamiltonian:
+    scheduled = bool(controls.ports or controls.hamiltonian)
+    if scheduled:
         assembler = _GeneratorAssembler(model, controls)
         terms, herm = co.real_form(assembler.terms)
-        terms = terms.reshape(len(terms), dd * dd)
-        ladder = None
         block = max(1, _BLOCK // (2 * dd * dd))
-    else:
-        gen, herm = co.real_form(build_generator(model, controls, 0.0))
-        ladder = [rk4_step_matrix(gen, gen, gen, h)[0]]  # ladder[j] = P^(2^j)
+    else:  # one term of weight 1
+        terms, herm = co.real_form(build_generator(model, controls, 0.0)[None])
         block = max(1, _BLOCK // dd)
     if not herm <= 100 * TOL_HERM_STEP:
         raise InvalidParameter(
@@ -597,20 +638,28 @@ def integrate(
             f"above {100 * TOL_HERM_STEP:.0e}; is every Hamiltonian term "
             "Hermitian?"
         )
+    keep = _reachable((terms != 0).any(axis=0), c0 != 0)
+    r = len(keep)
+    flat = (keep[:, None] * dd + keep).ravel()  # the r x r block, row-major
+    terms = terms.reshape(len(terms), dd * dd).take(flat, axis=1)
+    n_pop = int(np.searchsorted(keep, d))  # the populations come first
 
     times = np.arange(n_steps + 1) * h
-    if ladder is None:
+    if scheduled:
         # schedule weights at the half steps t_0, t_0 + h/2, ..., t_N
         grid = np.empty(2 * n_steps + 1)
         grid[::2] = times
         grid[1::2] = grid[:-1:2] + 0.5 * h
         weights = assembler.weights(grid)
-    coords = np.empty((n_steps + 1, dd))
-    coords[0] = co.rows(rho.reshape(dd, 1, order="F"))[:, 0].real
+    else:
+        gen = terms[0].reshape(r, r)
+        ladder = [rk4_step_matrix(gen, gen, gen, h)[0]]  # ladder[j] = P^(2^j)
+    coords = np.empty((n_steps + 1, r))
+    coords[0] = c0[keep]
     obs = np.empty((n_steps + 1, len(observables)), dtype=complex)
     obs_f = obs.view(float)
     if observables:
-        weights_o = co.observable_weights(observables.values())
+        weights_o = co.observable_weights(observables.values())[keep]
         obs_f[0] = coords[0] @ weights_o
     max_trace_drift = abs(np.trace(rho).real - 1.0)
 
@@ -618,10 +667,10 @@ def integrate(
     while start < n_steps:
         m = min(block, n_steps - start)
         y = coords[start:start + m + 1]
-        if ladder is None:
+        if scheduled:
             gens = weights[2 * start:2 * (start + m) + 1] @ terms
-            gens = gens.reshape(-1, dd, dd)
-            if dd <= _STEP_MATRIX_MAX_DD:
+            gens = gens.reshape(-1, r, r)
+            if r <= _STEP_MATRIX_MAX_DD:
                 _rk4_block(gens, y, h)
             else:
                 for i in range(m):
@@ -641,7 +690,7 @@ def integrate(
                 np.matmul(y[:k], ladder[j].T, out=y[n:n + k])
                 n, j = n + k, j + 1
 
-        trace = np.abs(y[1:, :d] @ np.ones(d) - 1.0)
+        trace = np.abs(y[1:, :n_pop] @ np.ones(n_pop) - 1.0)
         max_trace_drift = max(max_trace_drift, _check_block(y, start, trace))
 
         if observables:
@@ -653,6 +702,7 @@ def integrate(
         observables={name: obs[:, k] for k, name in enumerate(observables)},
         max_trace_drift=max_trace_drift,
         max_herm_drift=herm,
+        reachable=keep,
         _rho0=rho,
         _coords=coords,
     )

@@ -515,13 +515,17 @@ def test_paths_beyond_max_order_is_schema_error(tmp_path, capsys):
 # -- simulate -----------------------------------------------------------------
 
 
-def test_simulate_trajectory(ideal_net_file, tmp_path):
+def test_simulate_trajectory(ideal_net_file, tmp_path, capsys):
     code = main([
         "simulate", str(ideal_net_file), "--t-final", "2.0",
         "--observables", "P1,ZI", "--initial", "up-down",
         "-o", str(tmp_path),
     ])
     assert code == 0
+    # |ud> decays into |dd> and feeds |du>: their populations and the
+    # real part of the ud-du coherence
+    assert capsys.readouterr().out.endswith(
+        ", 4 of 16 coordinates integrated)\n")
     header, rows = read_csv(tmp_path / "trajectory.csv")
     assert header == ["t", "re_P1", "im_P1", "re_ZI", "im_ZI"]
     t_last = float(rows[-1][0])

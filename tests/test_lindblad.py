@@ -277,11 +277,14 @@ def random_state(d: int, seed: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def _static_case(net, t_final=2.0, dt=1e-2):
+def _static_case(net, t_final=2.0, dt=1e-2, excited=False):
+    """A static run from a full-rank random state, or from the basis state
+    with every qubit up (a few of the D^2 coordinates reachable)."""
     def case():
         model = contract_network(net())
         d = model.h_sys.shape[0]
-        return model, Controls(), random_state(d, d), t_final, dt
+        rho0 = basis_state(d, 0) if excited else random_state(d, d)
+        return model, Controls(), rho0, t_final, dt
     return case
 
 
@@ -320,23 +323,29 @@ def _step_schedule_case():
     return contract_network(net), controls, random_state(4, 5), 2.0, 1e-2
 
 
-def _scheduled_d8_case():
-    """D^2 = 64, above _STEP_MATRIX_MAX_DD: the per-step RK4 stages."""
+def _scheduled_d8_case(drive=SIGMA_X, excited=False):
+    """D = 8 with a sampled kappa and a sampled drive on qubit 0, from a
+    full-rank state or from every qubit up.  A sigma_x drive reaches all
+    64 coordinates, above _STEP_MATRIX_MAX_DD: the per-step RK4 stages.
+    A sigma_z drive conserves excitations, so from every qubit up 20 of
+    the 64 coordinates are integrated, by the step matrices."""
     net = three_qubit_chain()
     grid = np.linspace(0.0, 1.0, 41)
     controls = controls_from_network(
         net,
         kappa_schedules={10: Schedule.sampled(grid, 1.0 + 0.5 * np.sin(3 * grid))},
-        hamiltonian_terms=[(0.4 * embed_operator(net, "qubit0", SIGMA_X),
+        hamiltonian_terms=[(0.4 * embed_operator(net, "qubit0", drive),
                             Schedule.sampled(grid, np.cos(2.0 * grid)))],
     )
-    return contract_network(net), controls, random_state(8, 9), 1.0, 1e-2
+    rho0 = basis_state(8, 0) if excited else random_state(8, 9)
+    return contract_network(net), controls, rho0, 1.0, 1e-2
 
 
 ORACLE_CASES = {
     "static-d2": _static_case(lambda: single_qubit_network(kappa=1.3)),
     "static-d4": _static_case(lambda: random_imperfect_network(0.1, 2.0, 7)),
     "static-d8": _static_case(three_qubit_chain),
+    "static-d8-excited": _static_case(three_qubit_chain, excited=True),
     # longer than one default block (16,384 steps at D = 2, 4,096 at D = 4),
     # so the static doubling runs to its deepest level
     "static-d2-long": _static_case(lambda: single_qubit_network(kappa=1.3),
@@ -349,6 +358,8 @@ ORACLE_CASES = {
     "criterion-08": _criterion_08_case,
     "step-schedule": _step_schedule_case,
     "scheduled-d8": _scheduled_d8_case,
+    "scheduled-d8-sz-excited": functools.partial(
+        _scheduled_d8_case, SIGMA_Z, excited=True),
 }
 
 
@@ -385,17 +396,58 @@ def test_integrate_matches_stepwise_rk4(case, stride, block_steps,
 
 
 @pytest.mark.parametrize("max_dd", [0, 64])
-@pytest.mark.parametrize("case", ["criterion-08", "scheduled-d8"])
+@pytest.mark.parametrize("case", ["criterion-08", "scheduled-d8",
+                                  "scheduled-d8-sz-excited"])
 def test_scheduled_branches_match_stepwise_rk4(case, max_dd, monkeypatch):
-    """Both scheduled branches on a D = 4 and a D = 8 case, whatever the
-    measured threshold picks for them: the RK4 stages per step
-    (_STEP_MATRIX_MAX_DD = 0) and the step matrices (64), <= 1e-12 from
-    the oracle on every step."""
+    """Both scheduled branches on a D = 4 and two D = 8 cases (all 64
+    coordinates, and 20 of them), whatever the measured threshold picks
+    for them: the RK4 stages per step (_STEP_MATRIX_MAX_DD = 0) and the
+    step matrices (64), <= 1e-12 from the oracle on every step."""
     model, controls, rho0, t_final, dt, (times, rhos) = oracle_run(case)
     monkeypatch.setattr(lindblad, "_STEP_MATRIX_MAX_DD", max_dd)
     traj = integrate(model, controls, rho0, t_final, dt)
     assert np.array_equal(traj.times, times)
     assert np.abs(traj.rhos - rhos).max() <= 1e-12
+
+
+def _kept_parts(d: int, reachable: np.ndarray) -> np.ndarray:
+    """(D, D, 2) mask of the real and imaginary parts of the entries of rho
+    that the coordinates `reachable` set (the columns of T^-1)."""
+    t_inv = lindblad._Coordinates(d).columns(np.eye(d * d))[:, reachable]
+    parts = np.stack([t_inv.real, t_inv.imag], axis=-1) != 0
+    return parts.any(axis=1).reshape(d, d, 2, order="F")
+
+
+@pytest.mark.parametrize("case, n_kept", [
+    ("static-d8-excited", 20), ("scheduled-d8-sz-excited", 20),
+    ("criterion-08", 5)])
+def test_entries_outside_the_reachable_block_stay_zero(case, n_kept):
+    """From a basis state only the coordinates reachable from rho0 are
+    integrated.  Every other real or imaginary part of rhos is exactly 0;
+    the oracle, which steps all D^2 of them, leaves the same parts at 0
+    and moves every reachable one off 0 at some step, so the closure is
+    neither cut short nor larger than the dynamics."""
+    model, controls, rho0, t_final, dt, (_, rhos) = oracle_run(case)
+    traj = integrate(model, controls, rho0, t_final, dt)
+    assert len(traj.reachable) == n_kept
+    kept = _kept_parts(len(rho0), traj.reachable)
+    parts = traj.rhos[1:].view(float).reshape(-1, *kept.shape)
+    assert not parts[:, ~kept].any()
+    oracle = rhos[1:].view(float).reshape(-1, *kept.shape)
+    assert np.array_equal((oracle != 0).any(axis=0), kept)
+
+
+@pytest.mark.parametrize("case, excited", [
+    ("static-d4", False), ("scheduled-d8", False), ("scheduled-d8", True)])
+def test_full_rank_or_driven_runs_keep_every_coordinate(case, excited):
+    """A full-rank rho0 starts on all D^2 coordinates, and a sigma_x drive
+    mixes excitation numbers, so from every qubit up it reaches all 64
+    too, several hops away."""
+    model, controls, rho0, t_final, dt = ORACLE_CASES[case]()
+    if excited:
+        rho0 = basis_state(len(rho0), 0)
+    traj = integrate(model, controls, rho0, t_final, dt)
+    assert np.array_equal(traj.reachable, np.arange(rho0.size))
 
 
 # the long cases share their models with static-d2 and static-d4
