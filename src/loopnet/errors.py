@@ -86,7 +86,7 @@ class InitialConditionMismatch(LoopnetError):
 
 
 class BoundViolated(LoopnetError):
-    """Population exceeded the subradiant decay bound; implementation bug."""
+    """b0 exceeded the subradiant bound exp(-int Gamma_d) by more than 1e-6."""
 
 
 class MismatchWithGenericGenerator(LoopnetError):

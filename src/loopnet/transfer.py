@@ -594,12 +594,10 @@ class _ReceiverFlow:
 
 
 def _receiver_schedule(coeffs, kappa0, ratio_db, T, dt):
-    """(protocol, its _ReceiverFlow): synthesize_controls without the
-    incomplete-pulse warning."""
+    """synthesize_controls' protocol without the incomplete-pulse warning."""
     cos_d, ratio, slope = _protocol_constants(coeffs)
     times = np.linspace(0.0, T, 2 * step_count(T, dt) + 1)
-    flow = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db)
-    kb = flow.at(times)
+    kb = _ReceiverFlow(coeffs, cos_d * ratio, kappa0, ratio_db).at(times)
     # the terminal dB needs a finite kappa_b(T) > 0
     if not 0.0 < kb[-1] < np.inf:
         raise StepUnstable(
@@ -607,9 +605,8 @@ def _receiver_schedule(coeffs, kappa0, ratio_db, T, dt):
         )
     h_bz = (kb * (coeffs.eta_b * slope - coeffs.t_bb.imag)
             - kappa0 * (coeffs.eta_a * slope - coeffs.t_aa.imag))
-    protocol = ControlProtocol(times, kb, h_bz, kappa_a=kappa0,
-                               phase_diff=-coeffs.delta_plus, h_az=0.0)
-    return protocol, flow
+    return ControlProtocol(times, kb, h_bz, kappa_a=kappa0,
+                           phase_diff=-coeffs.delta_plus, h_az=0.0)
 
 
 def synthesize_controls(
@@ -628,7 +625,7 @@ def synthesize_controls(
     Bloch equations finds exact midpoint values.  T >= 0 and dt > 0 are
     finite, and T/dt is at most lindblad.MAX_STEPS (InvalidParameter).
     """
-    protocol, _ = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt)
+    protocol = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt)
     terminal_db = 10.0 * np.log10(protocol.kappa_b[-1] / kappa0)
     if terminal_db > -15.0:
         warnings.warn(
@@ -652,7 +649,7 @@ class TransferResult:
     b0: np.ndarray
     bvec: np.ndarray  # (n, 3)
     success_traj: np.ndarray  # population of |du> over time
-    dark_bound: np.ndarray  # exp(-int Gamma_d)
+    dark_bound: np.ndarray  # exp(-int Gamma_d) of _bloch_blocks
     success: float
 
 
@@ -684,24 +681,33 @@ def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol,
                   workspace=None):
     """RK4 for the linear Bloch equations y' = A(t) y of one network under
     protocol, from |ud>, in blocks of m <= _BLOCK steps of lindblad's
-    _rk4_block, each passing _check_block before it is yielded.
+    _rk4_block, each checked by _check_block and the subradiant bound.
 
     A step spans two protocol samples (the midpoint is an exact protocol
-    value).  A block computes kappa_b and the R/J components (_rj_arrays)
-    from its own slices of the protocol.  Yields per block: those
-    components at its 2m + 1 samples, y_n..y_n+m (m + 1, 4) and the stage
+    value).  A block computes the R/J components (_rj_arrays) at its 2m + 1
+    samples from its own protocol slices, then int Gamma_d = int (R0 - |R|)/2
+    by Simpson's rule per step (dark_decay to roundoff on a synthesized
+    protocol); b0 above exp(-int Gamma_d) + 1e-6 raises BoundViolated.
+    Yields per block the components, y_n..y_n+m (m + 1, 4) and the stage
     maps (S1, S2, S3), each (m, 4, 4), in the arrays of workspace (new when
-    None), which the next block overwrites.
+    None), which the next block overwrites, then the bound after each of
+    the m steps and the run's largest b0 - bound so far.
 
-    Raises StepUnstable before stepping when kappa0 kappa_b overflows, or
-    when kappa_b eta_b is so large against kappa0 eta_a that
-    R0 + Rz = 2 kappa0 eta_a cancels to roundoff."""
-    times = protocol.times
-    if (len(times) - 1) % 2 != 0:
-        raise InvalidParameter("protocol must have an even number of intervals")
-    h = times[2] - times[0]
-    n_steps = (len(times) - 1) // 2
+    Before any step, raises InvalidParameter unless times, kappa_b and h_bz
+    are 1-d of one odd length >= 3, and StepUnstable when a kappa is
+    negative or NaN, when kappa0 kappa_b overflows, or when kappa_b eta_b
+    so exceeds kappa0 eta_a that R0 + Rz = 2 kappa0 eta_a cancels."""
+    n = np.size(protocol.times)
+    shapes = [np.shape(v) for v in (protocol.times, protocol.kappa_b, protocol.h_bz)]
+    if shapes != [(n,)] * 3 or n < 3 or n % 2 == 0:
+        raise InvalidParameter(f"protocol arrays of shapes {shapes} must be 1-d "
+                               "of one odd length >= 3: an even number of intervals")
+    h = protocol.times[2] - protocol.times[0]
+    n_steps = (n - 1) // 2
     kappa0, kb_max = protocol.kappa_a, float(protocol.kappa_b.max())
+    for name, kappa in (("kappa_a", kappa0), ("kappa_b", protocol.kappa_b.min())):
+        if not kappa >= 0.0:
+            raise StepUnstable(f"{name} = {kappa:.3g} is negative or NaN")
     if not math.isfinite(kappa0 * kb_max):
         raise StepUnstable(f"kappa0 * kappa_b = {kappa0:.3g} * {kb_max:.3g} "
                            "is not finite; lower kappa0")
@@ -712,56 +718,51 @@ def _bloch_blocks(coeffs: TransferCoefficients, protocol: ControlProtocol,
             "lower ratio_db")
     a, work, states = workspace or _bloch_workspace(n_steps)
     states[0] = (1.0, 0.0, 0.0, 1.0)  # (b0, bx, by, bz) for |ud>
+    decay, excess = 0.0, -math.inf  # int Gamma_d dt and b0 - bound so far
     for start in range(0, n_steps, _BLOCK):
         m = min(_BLOCK, n_steps - start)
         part = np.s_[2 * start:2 * (start + m) + 1]
-        kb = protocol.kappa_b[part]
-        block = kb, *_rj_arrays(coeffs, kappa0, protocol.phase_diff,
-                                protocol.h_az, kb, protocol.h_bz[part])
-        g = _bloch_generator(*block[1:], out=a[:2 * m + 1])
+        block = _rj_arrays(coeffs, kappa0, protocol.phase_diff, protocol.h_az,
+                           protocol.kappa_b[part], protocol.h_bz[part])
+        g = _bloch_generator(*block, out=a[:2 * m + 1])
         y = states[:m + 1]
         stage_maps = _rk4_block(g, y, h, out=[w[:m] for w in work])
         _check_block(y, start)
-        yield block, y, stage_maps
+        r0, rx, ry, rz = block[:4]
+        gamma = 0.5 * (r0 - np.sqrt(rx * rx + ry * ry + rz * rz))
+        decays = decay + np.cumsum(
+            (h / 6.0) * (gamma[:-1:2] + 4.0 * gamma[1::2] + gamma[2::2]))
+        bound = np.exp(-decays)
+        excess = max(float((y[1:, 0] - bound).max()), excess)  # NaN stays
+        if not excess <= 1e-6:
+            raise BoundViolated(
+                f"b0 exceeds the subradiant bound by {excess:.3e}")
+        yield block, y, stage_maps, bound, excess
         states[0] = states[m]
+        decay = decays[-1]
 
 
 def simulate_transfer(
     coeffs: TransferCoefficients,
     protocol: ControlProtocol,
 ) -> TransferResult:
-    """Integrate the Bloch equations from |ud> under a synthesized protocol.
+    """Integrate the Bloch equations from |ud> under a protocol.
 
     RK4 steps over pairs of protocol samples (midpoints are exact protocol
-    values, no interpolation), run and checked by _bloch_blocks.  Checks
-    the subradiant bound b0(t) <= exp(-int Gamma_d) + 1e-6 at every sample.
+    values, no interpolation), run and checked by _bloch_blocks, whose
+    subradiant bound b0(t) <= exp(-int Gamma_d) + 1e-6 it keeps.
     """
-    traj = np.empty((len(protocol.times) // 2 + 1, 4))
+    traj = np.empty((np.size(protocol.times) // 2 + 1, 4))
+    dark_bound = np.ones(len(traj))  # exp(-0) at t = 0
     start = 0
-    for _, y, _ in _bloch_blocks(coeffs, protocol):
+    for _, y, _, bound, _ in _bloch_blocks(coeffs, protocol):
         traj[start:start + len(y)] = y
+        dark_bound[start + 1:start + len(y)] = bound
         start += len(y) - 1
     b0_traj, bvec_traj = traj[:, 0], traj[:, 1:]
-
-    sample_times = protocol.times[::2]
-    r0_s, rx_s, ry_s, rz_s = _rj_arrays(
-        coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
-        protocol.kappa_b[::2], protocol.h_bz[::2],
-    )[:4]
-    gamma_d = 0.5 * (r0_s - np.sqrt(rx_s**2 + ry_s**2 + rz_s**2))
-    dts = np.diff(sample_times)
-    int_gd = np.cumsum(0.5 * (gamma_d[1:] + gamma_d[:-1]) * dts)
-    dark_bound = np.exp(-np.concatenate([[0.0], int_gd]))
-
-    excess = float((b0_traj - dark_bound).max())
-    if not excess <= 1e-6:
-        raise BoundViolated(
-            f"b0 exceeds the subradiant bound by {excess:.3e}"
-        )
-
     success_traj = 0.5 * (b0_traj - bvec_traj[:, 2])
     return TransferResult(
-        times=sample_times,
+        times=protocol.times[::2],
         b0=b0_traj,
         bvec=bvec_traj,
         success_traj=success_traj,
@@ -802,11 +803,11 @@ def transfer_sweep(
     Each network runs the scalar pipeline, the schedule of
     synthesize_controls (reporting the terminal dB instead of warning)
     through the checked blocks of simulate_transfer (_bloch_blocks), so
-    success, b0 and any StepUnstable equal theirs exactly; each block is
-    reduced to its largest bound excess and closed-form mismatch.  The
-    bound's int Gamma_d is exact (_ReceiverFlow.dark_decay); the closed
-    form's int (R0 + R.e_b) (over the RK4 stage states) is what RK4 gives
-    for it as an extra ODE state.
+    success, b0, the subradiant bound and any StepUnstable or BoundViolated
+    equal theirs exactly; max_bound_excess is the largest excess the blocks
+    report, and each block is reduced to its closed-form mismatch.  The
+    closed form's int (R0 + R.e_b) (over the RK4 stage states) is what RK4
+    gives for it as an extra ODE state.
 
     A start at or below -40 dB, which predict_transfer refuses, runs as any
     other: the flow lowers kappa_b further, and the result is the physical
@@ -817,12 +818,13 @@ def transfer_sweep(
     workspace = _bloch_workspace(step_count(T, dt))
     summaries = []
     for coeffs in coeffs_list:
-        protocol, flow = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt)
+        protocol = _receiver_schedule(coeffs, kappa0, ratio_db, T, dt)
         h = protocol.times[2] - protocol.times[0]
         q_f = 0.0  # quadrature int (R0 + R.e_b) dt up to the block start
-        excess, mismatch = [], []  # per block
-        for comps, y, stage_maps in _bloch_blocks(coeffs, protocol, workspace):
-            kb, r0, rx, ry, rz = comps[:5]
+        mismatch = []  # per block
+        for comps, y, stage_maps, _, excess in _bloch_blocks(coeffs, protocol,
+                                                             workspace):
+            r0, rx, ry, rz = comps[:4]
             stages = (y[:-1], *(np.einsum("...ij,...j->...i", s, y[:-1])
                                 for s in stage_maps))
             f1, f2, f3, f4 = (
@@ -830,14 +832,11 @@ def transfer_sweep(
                 for k, state in zip(np.s_[:-1:2, 1::2, 1::2, 2::2], stages)
             )
             q_f = q_f + np.cumsum((h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
-            bound = np.exp(-flow.dark_decay(kb[2::2] / kappa0))
-            excess.append((y[1:, 0] - bound).max())
             mismatch.append(np.abs(y[1:, 0] - np.exp(-0.5 * q_f)).max())
             q_f = q_f[-1]
 
         summaries.append(SweepSummary(
-            0.5 * float(y[-1, 0] - y[-1, 3]), float(np.max(excess)),
-            float(np.max(mismatch)),
+            0.5 * float(y[-1, 0] - y[-1, 3]), excess, float(np.max(mismatch)),
             float(10.0 * np.log10(protocol.kappa_b[-1] / kappa0)),
             float(y[-1, 0]),
         ))

@@ -788,21 +788,21 @@ def test_propagate_matches_sequential_steps(n_networks):
         )
         # a block's states live in an array that the next block overwrites
         blocks = [(comps, y.copy(), maps)
-                  for comps, y, maps in _bloch_blocks(coeffs, protocol)]
+                  for comps, y, maps, *_ in _bloch_blocks(coeffs, protocol)]
         assert len(blocks[0][1]) - 1 == 1024
         assert n_steps % 1024 != 0  # a partial last block
         y0 = np.array([1.0, 0.0, 0.0, 1.0])  # |ud>
         assert np.array_equal(blocks[0][1][0], y0)
         states = np.concatenate([y0[None]] + [y[1:] for _, y, _ in blocks])
 
-        comps = (protocol.kappa_b, *_rj_arrays(
+        comps = _rj_arrays(
             coeffs, protocol.kappa_a, protocol.phase_diff, protocol.h_az,
-            protocol.kappa_b, protocol.h_bz))
+            protocol.kappa_b, protocol.h_bz)
         for k, comp in enumerate(comps):
             joined = np.concatenate([blocks[0][0][k][:1]]
                                     + [b[k][1:] for b, _, _ in blocks])
             assert np.array_equal(joined, comp)
-        a = _bloch_generator(*comps[1:])
+        a = _bloch_generator(*comps)
         p = rk4_step_matrix(a[:-1:2], a[1::2], a[2::2], h)[0]
         expect = np.empty((n_steps + 1, 4))
         expect[0] = y0
@@ -822,6 +822,33 @@ def test_receiver_off_decay():
     result = simulate_transfer(c, off)
     assert result.success == pytest.approx(0.0, abs=1e-9)
     assert np.abs(result.b0 - np.exp(-c.eta_a * result.times)).max() < 1e-9
+    # kappa_b = 0 leaves Gamma_d = (R0 - |R|)/2 = 0: no decay to bound b0
+    assert np.all(result.dark_bound == 1.0)
+
+
+@pytest.mark.parametrize("ratio_db, dt, tol", [
+    (25.0, 1e-3, 1e-12),
+    (20.0, 5e-2, 2e-9),
+])
+def test_dark_bound_matches_closed_form(ratio_db, dt, tol):
+    """The subradiant bound of _bloch_blocks, Simpson's rule over the RK4
+    half-step samples, equals the closed form exp(-dark_decay) of the
+    synthesized flow on the ideal pair and class seeds 0-3 over T = 20.
+    A trapezoid over the step times misses it by 3e-10 to 1.2e-8 at
+    dt = 1e-3 and 8e-7 to 2.9e-5 at dt = 5e-2.  (At 25 dB, dt = 5e-2
+    takes every one of these networks past RK4's stability, so the coarse
+    step starts at 20 dB.)"""
+    cases = [perfect_coeffs()]
+    cases += [forward_coefficients(find_network_in_class(0.04, 0.15, s))
+              for s in range(4)]
+    for c in cases:
+        protocol = synthesize_controls(c, 1.0, ratio_db=ratio_db, T=20.0,
+                                       dt=dt)
+        cos_d, ratio, _ = _protocol_constants(c)
+        flow = _ReceiverFlow(c, cos_d * ratio, 1.0, ratio_db)
+        exact = np.exp(-flow.dark_decay(protocol.kappa_b[::2] / 1.0))
+        result = simulate_transfer(c, protocol)
+        assert np.abs(result.dark_bound - exact).max() <= tol
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -849,6 +876,31 @@ def test_simulate_transfer_odd_interval_count_is_invalid_parameter():
                               h_bz=protocol.h_bz[:-1])
     with pytest.raises(InvalidParameter, match="even number of intervals"):
         simulate_transfer(c, odd)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("change, error, match", [
+    (lambda p: dict(times=p.times[:1], kappa_b=p.kappa_b[:1],
+                    h_bz=p.h_bz[:1]), InvalidParameter, "length >= 3"),
+    (lambda p: dict(kappa_b=p.kappa_b[:-2]), InvalidParameter,
+     r"shapes \[\(2001,\), \(1999,\), \(2001,\)\]"),
+    (lambda p: dict(h_bz=p.h_bz[:, None]), InvalidParameter, "must be 1-d"),
+    (lambda p: dict(kappa_b=-p.kappa_b), StepUnstable,
+     "^kappa_b = -316 is negative or NaN"),
+    (lambda p: dict(kappa_b=np.append(p.kappa_b[:-1], np.nan)), StepUnstable,
+     "^kappa_b = nan is negative or NaN"),
+    (lambda p: dict(kappa_a=-1.0), StepUnstable,
+     "^kappa_a = -1 is negative or NaN"),
+], ids=["one-sample", "kappa_b-short", "h_bz-2d", "kappa_b-negative",
+        "kappa_b-nan", "kappa_a-negative"])
+def test_malformed_protocol_is_typed_error(change, error, match):
+    """A protocol whose arrays do not line up, or with a negative or NaN
+    decay rate, is refused before any step with a typed error, not an
+    IndexError, a broadcasting ValueError or a sqrt warning and NaN."""
+    c = perfect_coeffs()
+    protocol = synthesize_controls(c, 1.0, ratio_db=25.0, T=10.0, dt=1e-2)
+    with pytest.raises(error, match=match):
+        simulate_transfer(c, dataclasses.replace(protocol, **change(protocol)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -904,13 +956,23 @@ def test_bound_overshoot_is_bound_violated():
     """At 40 dB and dt = 1e-3, kappa_b(0) dt = 10 lies past RK4's real-axis
     stability limit of 2.785 on a reflectance-class network.  The growth is
     transient and no |y| passes 1 + 1e-6, so the block check passes; b0
-    then exceeds the subradiant bound by 2.4e-5 and simulate_transfer
-    raises BoundViolated."""
-    c = oriented(transfer_coefficients(find_network_in_class(0.04, 0.15, 0)))
-    protocol = synthesize_controls(c, 1.0, ratio_db=40.0, T=20.0, dt=1e-3)
-    with pytest.raises(BoundViolated) as excinfo:
-        simulate_transfer(c, protocol)
-    assert str(excinfo.value) == "b0 exceeds the subradiant bound by 2.402e-05"
+    then exceeds the subradiant bound by 2.4e-5, and simulate_transfer and
+    the sweep, which check the one bound of _bloch_blocks, raise the same
+    BoundViolated.  So do two coarse steps at 25 dB, where the sweep once
+    returned a success and only reported the excess."""
+    for seed, ratio_db, dt, excess in [(0, 40.0, 1e-3, "2.402e-05"),
+                                       (1, 25.0, 2e-2, "8.055e-04"),
+                                       (3, 25.0, 5e-2, "3.608e-03")]:
+        c = oriented(transfer_coefficients(
+            find_network_in_class(0.04, 0.15, seed)))
+        with pytest.raises(BoundViolated) as sweep:
+            transfer_sweep([c], 1.0, ratio_db=ratio_db, T=20.0, dt=dt)
+        protocol = synthesize_controls(c, 1.0, ratio_db=ratio_db, T=20.0,
+                                       dt=dt)
+        with pytest.raises(BoundViolated) as single:
+            simulate_transfer(c, protocol)
+        assert str(single.value) == str(sweep.value)
+        assert str(sweep.value) == f"b0 exceeds the subradiant bound by {excess}"
 
 
 def test_e_b_tracks_dark_direction():
