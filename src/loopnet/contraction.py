@@ -158,6 +158,15 @@ def accepted_routing(S: np.ndarray, W: np.ndarray) -> RoutingMatrices:
     return routing
 
 
+def _h_net(g: np.ndarray, l_arr: np.ndarray) -> np.ndarray:
+    """The network Hamiltonian (1/2i) sum_jk K_jk L_j^dag L_k, K = G - G^dag,
+    of the operators l_arr (N, D, D): the one formula of H_net."""
+    n, d = l_arr.shape[:2]
+    # sum_jk K_jk L_j^dag L_k = sum_j L_j^dag (sum_k K_jk L_k): two products
+    k_l = ((g - dag(g)) @ l_arr.reshape(n, d * d)).reshape(n * d, d)
+    return l_arr.reshape(n * d, d).conj().T @ k_l / 2j
+
+
 def contract(
     S: np.ndarray,
     W: np.ndarray,
@@ -172,13 +181,7 @@ def contract(
     l_eff_coeffs = x_o[ext_out] @ routing.G
     s_eff = l_eff_coeffs @ S @ x_i[:, ext_in]
 
-    l_arr = np.array(L)  # (N, D, D)
-    n, d = l_arr.shape[:2]
-    k_mat = routing.G - dag(routing.G)
-    # sum_jk K_jk L_j^dag L_k = sum_j L_j^dag (sum_k K_jk L_k): two products
-    k_l = (k_mat @ l_arr.reshape(n, d * d)).reshape(n * d, d)
-    h_net = l_arr.reshape(n * d, d).conj().T @ k_l / 2j
-    h_eff = np.asarray(H_sys, dtype=complex) + h_net
+    h_eff = np.asarray(H_sys, dtype=complex) + _h_net(routing.G, np.array(L))
 
     return EffectiveModel(
         s_eff=s_eff,

@@ -20,11 +20,11 @@ D^2 coordinates from a basis state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contraction import EffectiveModel
+from .contraction import EffectiveModel, _h_net
 from .errors import InvalidParameter, ScheduleMissing, StepUnstable
 from .network import Network, dag, embed_operator
 
@@ -156,39 +156,77 @@ def controls_from_network(
     return Controls(ports=ports, hamiltonian=list(hamiltonian_terms or []))
 
 
-def _negative_kappa(port, t) -> StepUnstable:
-    return StepUnstable(f"negative kappa schedule on port {port} at t={t}")
+def _control_values(controls: Controls, times: np.ndarray):
+    """({port: c_k}, [the weight of each Hamiltonian term]), arrays over
+    times, c_k = sqrt(kappa_k) e^{i phi_k}: every schedule of controls,
+    evaluated and checked in one place.  StepUnstable names the earliest
+    time where a kappa is negative or not finite, or a phi or a weight is
+    not finite, and its port or term."""
+    kappa = {k: ctl.kappa.on(times) for k, ctl in controls.ports.items()}
+    phi = {k: ctl.phi.on(times) for k, ctl in controls.ports.items()}
+    h_weights = [schedule.on(times) for _, schedule in controls.hamiltonian]
+    checks = [(f"kappa schedule on port {k}", v, (v >= 0) & (v < np.inf))
+              for k, v in kappa.items()]
+    checks += [(f"phi schedule on port {k}", v, np.isfinite(v))
+               for k, v in phi.items()]
+    checks += [(f"schedule of Hamiltonian term {i}", v, np.isfinite(v))
+               for i, v in enumerate(h_weights)]
+    bad = [(int(np.argmin(ok)), order, label, v)
+           for order, (label, v, ok) in enumerate(checks) if not ok.all()]
+    if bad:  # the earliest time, then the first schedule
+        i, _, label, v = min(bad)
+        kind = "negative" if -np.inf < v[i] < 0 else "non-finite"
+        raise StepUnstable(f"{kind} {label} at t={times[i]}")
+    c = {k: np.sqrt(kappa[k]) * np.exp(1j * phi[k]) for k in kappa}
+    return c, h_weights
+
+
+def _check_operators(model: EffectiveModel, controls: Controls) -> None:
+    """InvalidParameter unless every controlled port is one of the model's
+    and every bare operator and Hamiltonian term is a finite D x D matrix."""
+    d, n = model.h_sys.shape[0], len(model.base_L)
+    for port in controls.ports:
+        if port not in range(n):
+            raise InvalidParameter(f"controlled port {port} is not in 0..{n - 1}")
+    named = [(f"the operator of port {k}", c.bare_op)
+             for k, c in controls.ports.items()]
+    named += [(f"Hamiltonian term {i}", op)
+              for i, (op, _) in enumerate(controls.hamiltonian)]
+    for name, op in named:
+        if np.shape(op) != (d, d):
+            raise InvalidParameter(
+                f"{name} has shape {np.shape(op)}, expected ({d}, {d})")
+        if not np.isfinite(op).all():
+            raise InvalidParameter(f"{name} has a non-finite entry")
 
 
 def effective_operators_at(model: EffectiveModel, controls: Controls, t: float):
     """(H_eff(t), list of effective Lindblad operators at time t): a
-    controlled port's L is sqrt(kappa(t)) e^{i phi(t)} times its bare
-    operator (StepUnstable if kappa(t) < 0), and H_sys gains schedule(t)
-    times each control term."""
+    controlled port's L is c_k(t) = sqrt(kappa(t)) e^{i phi(t)} times its
+    bare operator, and H_sys gains schedule(t) times each control term, all
+    from _control_values (StepUnstable for a bad schedule value);
+    InvalidParameter from _check_operators for a malformed operator."""
+    _check_operators(model, controls)
+    c, h_weights = _control_values(controls, np.array([float(t)]))
     ops = list(model.base_L)
     for port, ctl in controls.ports.items():
-        kappa = ctl.kappa(t)
-        if not kappa >= 0:
-            raise _negative_kappa(port, t)
-        ops[port] = np.sqrt(kappa) * np.exp(1j * ctl.phi(t)) * ctl.bare_op
-    l_arr = np.array(ops)
-    l_dag = l_arr.conj().transpose(0, 2, 1)
-    g = model.routing.G
-    k_mat = g - dag(g)
+        ops[port] = c[port][0] * ctl.bare_op
     h_sys = model.h_sys
-    for op, schedule in controls.hamiltonian:
-        h_sys = h_sys + schedule(t) * op
-    h_eff = h_sys + np.einsum("jk,jab,kbc->ac", k_mat, l_dag, l_arr) / 2j
+    for (op, _), w in zip(controls.hamiltonian, h_weights):
+        h_sys = h_sys + w[0] * op
+    l_arr = np.array(ops)
+    h_eff = h_sys + _h_net(model.routing.G, l_arr)
     l_eff = np.einsum("jk,kab->jab", model.l_eff_coeffs, l_arr)
     return h_eff, list(l_eff)
 
 
 def liouvillian(h_eff: np.ndarray, l_eff_ops) -> np.ndarray:
-    """Vectorized Lindblad generator (column-major convention)."""
+    """Vectorized Lindblad generator (column-major convention); a zero
+    operator adds no dissipator."""
     d = h_eff.shape[0]
     eye = np.eye(d, dtype=complex)
     gen = -1j * (np.kron(eye, h_eff) - np.kron(h_eff.T, eye))
-    for op in l_eff_ops:
+    for op in filter(np.any, l_eff_ops):
         op_dag_op = dag(op) @ op
         gen += np.kron(op.conj(), op)
         gen -= 0.5 * np.kron(eye, op_dag_op)
@@ -199,9 +237,13 @@ def liouvillian(h_eff: np.ndarray, l_eff_ops) -> np.ndarray:
 def build_generator(
     model: EffectiveModel, controls: Controls, t: float
 ) -> np.ndarray:
-    """The D^2 x D^2 master-equation generator at time t."""
-    h_eff, l_eff = effective_operators_at(model, controls, t)
-    return liouvillian(h_eff, l_eff)
+    """The D^2 x D^2 master-equation generator at time t; StepUnstable if
+    it overflows (finite schedule values beyond double precision)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = liouvillian(*effective_operators_at(model, controls, t))
+    if not np.isfinite(gen).all():
+        raise StepUnstable(f"the generator at t={t} overflows double precision")
+    return gen
 
 
 class _GeneratorAssembler:
@@ -214,27 +256,28 @@ class _GeneratorAssembler:
     fixed superoperators T_jk weighted by w_jk = c_j^* c_k.  As w_kj is
     w_jk^*, a pair j < k contributes Re w_jk (T_jk + T_kj) + Im w_jk
     i (T_jk - T_kj), so every term has a real weight.  The terms are
-    `terms` (terms, D^2, D^2); the term of weight 1 holds every term without
-    a scheduled factor, the scheduled Hamiltonian terms follow.  Their sum
-    with the weights equals build_generator up to roundoff; integrate takes
-    each term to real coordinates once, so its generators at n times are
-    one real (n, terms) @ (terms, D^4) product.
+    `terms` (terms, D^2, D^2): first, of weight 1, build_generator of the
+    model with the scheduled ports' operators zeroed (the whole generator
+    without controls), then the scheduled Hamiltonian terms, then the pairs
+    with a scheduled port.  Their sum with the weights equals
+    build_generator up to roundoff; integrate takes each term to real
+    coordinates once, so its generators at n times are one real
+    (n, terms) @ (terms, D^4) product.
     """
 
     def __init__(self, model: EffectiveModel, controls: Controls):
         self.controls = controls
         d = model.h_sys.shape[0]
+        _check_operators(model, controls)
         eye = np.eye(d, dtype=complex)
 
         # coupled ports: bare operator without the rate or phase prefactor
         ports = [k for k, op in enumerate(model.base_L) if np.any(op != 0)]
         ports += [k for k in controls.ports if k not in ports]
-        bare = {
-            k: controls.ports[k].bare_op if k in controls.ports
-            else model.base_L[k]
-            for k in ports
-        }
-        self.scheduled = [k for k in ports if k in controls.ports]
+        bare = {k: model.base_L[k] for k in ports}
+        bare.update((k, ctl.bare_op) for k, ctl in controls.ports.items())
+        unscheduled = [np.zeros_like(op) if k in controls.ports else op
+                       for k, op in enumerate(model.base_L)]
 
         g = model.routing.G
         k_mat = g - dag(g)
@@ -253,44 +296,31 @@ class _GeneratorAssembler:
                 - 0.5 * np.kron(anti.T, eye)
             )
 
-        static = h_super(model.h_sys)
         rows = [h_super(op) for op, _ in controls.hamiltonian]
         self.pairs = []  # (j, k), j <= k in port order, with a scheduled port
         for a, j in enumerate(ports):
             for k in ports[a:]:
+                if j not in controls.ports and k not in controls.ports:
+                    continue
                 t_jk = pair_term(j, k)
                 t_kj = pair_term(k, j) if k != j else 0
-                if not (np.any(t_jk != 0) or np.any(t_kj != 0)):
-                    continue
-                if j not in controls.ports and k not in controls.ports:
-                    static = static + t_jk + t_kj
-                    continue
-                self.pairs.append((j, k))
-                rows += [t_jk] if k == j else [t_jk + t_kj, 1j * (t_jk - t_kj)]
+                if np.any(t_jk != 0) or np.any(t_kj != 0):
+                    self.pairs.append((j, k))
+                    rows += [t_jk] if k == j else [t_jk + t_kj, 1j * (t_jk - t_kj)]
+        static = build_generator(replace(model, base_L=unscheduled),
+                                 Controls(), 0.0)
         self.terms = np.array([static, *rows])
 
     def weights(self, times: np.ndarray) -> np.ndarray:
         """Real weights (len(times), terms) of the rows of `terms` at each
-        time, written column by column into one array.  If a kappa is
-        negative or NaN at some time, StepUnstable names its port and the
-        earliest such time instead."""
-        c, first_bad = {}, None
-        for k in self.scheduled:
-            ctl = self.controls.ports[k]
-            kappa = ctl.kappa.on(times)
-            bad = np.flatnonzero(~(kappa >= 0))
-            if bad.size and (first_bad is None or bad[0] < first_bad[0]):
-                first_bad = (int(bad[0]), k)
-            with np.errstate(invalid="ignore"):
-                c[k] = np.sqrt(kappa) * np.exp(1j * ctl.phi.on(times))
-        if first_bad is not None:
-            raise _negative_kappa(first_bad[1], times[first_bad[0]])
+        time, written column by column into one array, from
+        _control_values (StepUnstable for a bad schedule value)."""
+        c, h_weights = _control_values(self.controls, times)
         out = np.empty((len(times), len(self.terms)))
         out[:, 0] = 1.0
-        col = 1
-        for _, s in self.controls.hamiltonian:
-            out[:, col] = s.on(times)
-            col += 1
+        for col, w in enumerate(h_weights, 1):
+            out[:, col] = w
+        col = 1 + len(h_weights)
         for j, k in self.pairs:
             w = np.conj(c.get(j, 1.0)) * c.get(k, 1.0)
             for part in [w.real] if k == j else [w.real, w.imag]:
@@ -352,10 +382,10 @@ def _rk4_block(gens, y, h: float, out=None):
     most 2 log2(m) levels of batched products, fewer than 2m in all), and
     y_i+1 = Q_i y_0 is one batched product.  Returns the stage maps; an
     unstable step overflows quietly, for _check_block to find."""
-    q, stage_maps = rk4_step_matrix(gens[:-1:2], gens[1::2], gens[2::2], h,
-                                    out=out)
-    m = len(q)
     with np.errstate(over="ignore", invalid="ignore"):
+        q, stage_maps = rk4_step_matrix(gens[:-1:2], gens[1::2], gens[2::2], h,
+                                        out=out)
+        m = len(q)
         s = 1  # up-sweep: q[i] = P_i ... P_i-2s+1 where i = -1 mod 2s
         while 2 * s <= m:
             t = q[2 * s - 1::2 * s]
@@ -521,7 +551,8 @@ _STEP_MATRIX_MAX_DD = 25
 def _check_inputs(rho: np.ndarray, observables: dict, d: int) -> None:
     """Raise InvalidParameter unless rho is a finite D x D matrix that is
     Hermitian, of unit trace and with entries of modulus at most 1 within
-    the bounds every step is held to, and every observable is D x D."""
+    the bounds every step is held to, and every observable is a finite
+    D x D matrix."""
     if rho.shape != (d, d):
         raise InvalidParameter(
             f"rho0 has shape {rho.shape}, expected ({d}, {d}) for this model"
@@ -551,6 +582,8 @@ def _check_inputs(rho: np.ndarray, observables: dict, d: int) -> None:
                 f"observable {name!r} has shape {np.shape(op)}, "
                 f"expected ({d}, {d})"
             )
+        if not np.isfinite(op).all():
+            raise InvalidParameter(f"observable {name!r} has a non-finite entry")
 
 
 def integrate(
@@ -565,8 +598,9 @@ def integrate(
 
     rho0 must be a finite D x D matrix, Hermitian, of unit trace and with
     entries of modulus at most 1 within the bounds each step is held to,
-    and every observable D x D; otherwise InvalidParameter names the
-    defect before any step runs.
+    and every observable, bare operator and Hamiltonian term a finite
+    D x D matrix, on a port of the model; otherwise InvalidParameter names
+    the defect before any step runs.
 
     The state is propagated in real coordinates c (_Coordinates: rho_ii,
     Re rho_ij and Im rho_ij for i < j), from the Hermitian part of rho0,
@@ -579,7 +613,8 @@ def integrate(
 
     Only the r coordinates reachable from rho0 are stepped: the closure of
     the nonzero coordinates of rho0 under the nonzero pattern of T G T^-1,
-    the union over the terms of _GeneratorAssembler with controls.  No
+    the union over the terms of _GeneratorAssembler (one term without
+    controls), which gives every run its generator terms.  No
     other coordinate has a nonzero entry of the generator from one inside
     the set, so it stays exactly 0 and is not stored;
     Trajectory.reachable lists the set, all D^2 for a full-rank rho0.  The
@@ -594,15 +629,15 @@ def integrate(
     squared once per run, as deep as the longest block needs, and every
     block reuses it.  With controls the schedules are evaluated once per
     run, on the whole half-step grid t_0, t_0 + h/2, ..., t_N, into one
-    array of (2N + 1) x terms real weights; a kappa that is negative or NaN
-    anywhere on that grid raises StepUnstable (its port and earliest
-    half-step) before any step runs.  A block's generators are one real
-    matrix product of its rows of the weights and the transformed terms of
-    _GeneratorAssembler; the weights are elementwise in time, so they are
-    the bits a block would get from its own grid.  When r <=
-    _STEP_MATRIX_MAX_DD the block runs through _rk4_block; for a larger
-    generator each step applies the four RK4 stages.  The block lengths
-    follow D^2, whatever r is.
+    array of (2N + 1) x terms real weights by _control_values, which
+    raises StepUnstable (the port or term and the earliest half-step) for
+    a bad schedule value before any step runs.  A block's generators are
+    one real matrix product of its rows of the weights and the transformed
+    terms; the weights are elementwise in time, so they are the bits a
+    block would get from its own grid.  When r <= _STEP_MATRIX_MAX_DD the
+    block runs through _rk4_block; for a larger generator each step
+    applies the four RK4 stages.  The block lengths follow D^2, whatever r
+    is.
 
     Every block, in each of the three branches, passes _check_block with
     its trace drift, or the run raises StepUnstable at its first bad step.
@@ -623,14 +658,10 @@ def integrate(
     co = _Coordinates(d)
     c0 = co.rows(rho.reshape(dd, 1, order="F"))[:, 0].real
 
+    assembler = _GeneratorAssembler(model, controls)
+    terms, herm = co.real_form(assembler.terms)  # one term without controls
     scheduled = bool(controls.ports or controls.hamiltonian)
-    if scheduled:
-        assembler = _GeneratorAssembler(model, controls)
-        terms, herm = co.real_form(assembler.terms)
-        block = max(1, _BLOCK // (2 * dd * dd))
-    else:  # one term of weight 1
-        terms, herm = co.real_form(build_generator(model, controls, 0.0)[None])
-        block = max(1, _BLOCK // dd)
+    block = max(1, _BLOCK // (2 * dd * dd if scheduled else dd))
     if not herm <= 100 * TOL_HERM_STEP:
         raise InvalidParameter(
             "the generator does not preserve Hermiticity: its imaginary "
@@ -664,38 +695,41 @@ def integrate(
     max_trace_drift = abs(np.trace(rho).real - 1.0)
 
     start = 0
-    while start < n_steps:
-        m = min(block, n_steps - start)
-        y = coords[start:start + m + 1]
-        if scheduled:
-            gens = weights[2 * start:2 * (start + m) + 1] @ terms
-            gens = gens.reshape(-1, r, r)
-            if r <= _STEP_MATRIX_MAX_DD:
-                _rk4_block(gens, y, h)
+    # a generator or a step past the float range overflows quietly and
+    # _check_block names the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < n_steps:
+            m = min(block, n_steps - start)
+            y = coords[start:start + m + 1]
+            if scheduled:
+                gens = weights[2 * start:2 * (start + m) + 1] @ terms
+                gens = gens.reshape(-1, r, r)
+                if r <= _STEP_MATRIX_MAX_DD:
+                    _rk4_block(gens, y, h)
+                else:
+                    for i in range(m):
+                        v = y[i]
+                        g_mid = gens[2 * i + 1]
+                        k1 = gens[2 * i] @ v
+                        k2 = g_mid @ (v + 0.5 * h * k1)
+                        k3 = g_mid @ (v + 0.5 * h * k2)
+                        k4 = gens[2 * i + 2] @ (v + h * k3)
+                        y[i + 1] = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
-                for i in range(m):
-                    v = y[i]
-                    g_mid = gens[2 * i + 1]
-                    k1 = gens[2 * i] @ v
-                    k2 = g_mid @ (v + 0.5 * h * k1)
-                    k3 = g_mid @ (v + 0.5 * h * k2)
-                    k4 = gens[2 * i + 2] @ (v + h * k3)
-                    y[i + 1] = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            n, j = 1, 0  # y[:n] are known and n = 2^j
-            while n <= m:
-                if j == len(ladder):
-                    ladder.append(ladder[-1] @ ladder[-1])
-                k = min(n, m + 1 - n)
-                np.matmul(y[:k], ladder[j].T, out=y[n:n + k])
-                n, j = n + k, j + 1
+                n, j = 1, 0  # y[:n] are known and n = 2^j
+                while n <= m:
+                    if j == len(ladder):
+                        ladder.append(ladder[-1] @ ladder[-1])
+                    k = min(n, m + 1 - n)
+                    np.matmul(y[:k], ladder[j].T, out=y[n:n + k])
+                    n, j = n + k, j + 1
 
-        trace = np.abs(y[1:, :n_pop] @ np.ones(n_pop) - 1.0)
-        max_trace_drift = max(max_trace_drift, _check_block(y, start, trace))
+            trace = np.abs(y[1:, :n_pop] @ np.ones(n_pop) - 1.0)
+            max_trace_drift = max(max_trace_drift, _check_block(y, start, trace))
 
-        if observables:
-            np.matmul(y[1:], weights_o, out=obs_f[start + 1:start + m + 1])
-        start += m
+            if observables:
+                np.matmul(y[1:], weights_o, out=obs_f[start + 1:start + m + 1])
+            start += m
 
     return Trajectory(
         times=times,

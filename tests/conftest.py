@@ -114,24 +114,38 @@ def three_qubit_chain() -> Network:
     return Network(ports, blocks, systems, connections)
 
 
-def circulator_chain(seed: int, n_circ: int, kappa: float = 1e6,
-                     v_p: float = 3e8) -> Network:
+def scaled_circulator(rng: np.random.Generator) -> np.ndarray:
+    """A perturbed (eps 0.1) circulator whose Hermitian perturbation, drawn
+    from rng, is scaled to spectral radius 1, as perfbench draws them."""
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h = 0.5 * (a + a.conj().T)
+    return perturbed_circulator(0.1, h / np.abs(np.linalg.eigvalsh(h)).max())
+
+
+def circulator_chain(seed, n_circ: int, kappa: float = 1e6,
+                     v_p: float = 3e8, qubit_at=None,
+                     scaled: bool = False) -> Network:
     """Seeded perturbed (eps 0.1) 3-port circulators in a line, with a qubit
-    on the first and the last, laid out as perfbench's network-design
-    chains: circulator k owns ports 3k..3k+2 at z = k, its port 3k+1 is
-    linked both ways to port 3k+3, and qubit i (port 3 n_circ + i) both
-    ways to port 3k+2 of its circulator k."""
+    on each circulator of qubit_at (the first and the last by default),
+    laid out as perfbench's network-design chains: circulator k owns ports
+    3k..3k+2 at z = k, its port 3k+1 is linked both ways to port 3k+3, and
+    qubit i (port 3 n_circ + i) both ways to port 3k+2 of its circulator k.
+    seed is an int or a Generator to draw from; scaled draws the
+    circulators as scaled_circulator does."""
     rng = np.random.default_rng(seed)
     ports, blocks, systems, connections = [], [], [], []
     for k in range(n_circ):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        if scaled:
+            circ = scaled_circulator(rng)
+        else:
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            circ = perturbed_circulator(0.1, 0.5 * (a + a.conj().T))
         ports += [Port(3 * k + j, f"circ{k}", float(k)) for j in range(3)]
-        blocks.append(ScatteringBlock(
-            f"circ{k}", perturbed_circulator(0.1, 0.5 * (a + a.conj().T))))
+        blocks.append(ScatteringBlock(f"circ{k}", circ))
         if k < n_circ - 1:
             connections += [Connection(3 * k + 1, 3 * k + 3),
                             Connection(3 * k + 3, 3 * k + 1)]
-    for i, k in enumerate((0, n_circ - 1)):
+    for i, k in enumerate(qubit_at or (0, n_circ - 1)):
         port, name = 3 * n_circ + i, f"qubit{i}"
         ports.append(Port(port, name, float(k)))
         blocks.append(ScatteringBlock(name, np.array([[1.0 + 0.0j]])))

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from loopnet import (
+    Geometry,
     contract,
     contract_network,
     contraction,
+    datasheet_circulator,
     effective_operators_at,
     ideal_circulator,
+    random_imperfect_network,
     routing_matrices,
     truncated_series_oracle,
     two_qubit_network,
@@ -38,6 +41,7 @@ from conftest import (
     permute_network,
     random_sw_pair,
     random_unitary,
+    scaled_circulator,
 )
 
 
@@ -187,6 +191,44 @@ def test_h_net_matches_the_einsum_form(rng):
     want, _ = _einsum_h_eff(model)
     ulp = np.spacing(np.abs(want).max())
     assert np.abs(model.h_eff - want).max() <= 4 * ulp
+
+
+def h_eff_networks() -> list:
+    """37 networks.  From default_rng(0): four kappa = 1e6 pairs of scaled
+    circulators and chains of 2, 4, ..., 16 with a qubit on each end
+    (perfbench's network-design shapes); from a new default_rng(0): chains
+    of 1, 2 and 3 with a qubit on each circulator (its master-equation
+    shapes).  Then random_imperfect_network(0.2, 1 + s, s) for s < 20, and
+    the datasheet pair in unit and in fast (kappa = 1e6) geometry."""
+    rng = np.random.default_rng(0)
+    fast = Geometry(k0=0.0, v_p=3e8, kappa0=1e6)
+    nets = [two_qubit_network(scaled_circulator(rng), scaled_circulator(rng),
+                              kappa_a=1e6, kappa_b=1e6, geometry=fast)
+            for _ in range(4)]
+    nets += [circulator_chain(rng, n, scaled=True) for n in range(2, 17, 2)]
+    rng = np.random.default_rng(0)
+    nets += [circulator_chain(rng, n, 1.0, 1.0, list(range(n)), scaled=True)
+             for n in (1, 2, 3)]
+    nets += [random_imperfect_network(0.2, 1.0 + s, s) for s in range(20)]
+    c = datasheet_circulator()
+    return nets + [two_qubit_network(c, c),
+                   two_qubit_network(c, c, kappa_a=1e6, kappa_b=1e6,
+                                     geometry=fast)]
+
+
+def test_generator_h_eff_is_contracts_bit_for_bit():
+    """H_net has one formula: without controls, the H_eff of
+    effective_operators_at (and so of build_generator and of every
+    integrate run) is contract's h_eff bit for bit.  A three-operand
+    einsum there once differed on 5 of these 37 networks, by up to 3.6e-12
+    at kappa = 1e6."""
+    nets = h_eff_networks()
+    assert len(nets) == 37
+    for net in nets:
+        model = contract_network(net)
+        h_eff = effective_operators_at(model, Controls(), 0.0)[0]
+        assert np.array_equal(h_eff.view(np.uint64),
+                              model.h_eff.view(np.uint64))
 
 
 def test_s_eff_isometry(rng):

@@ -1,5 +1,6 @@
 """Master-equation generator construction and RK4 propagation."""
 
+import dataclasses
 import functools
 import tracemalloc
 import warnings
@@ -30,11 +31,11 @@ from loopnet.errors import (
     ScheduleMissing,
     StepUnstable,
 )
-from loopnet.lindblad import _GeneratorAssembler
+from loopnet.lindblad import PortControl, _GeneratorAssembler
 from loopnet.network import SIGMA_MINUS, SIGMA_Z, dag, embed_operator
 from loopnet.transfer import _bloch_generator
 
-from conftest import single_qubit_network, three_qubit_chain
+from conftest import circulator_chain, single_qubit_network, three_qubit_chain
 
 
 def test_single_qubit_decay():
@@ -713,3 +714,244 @@ def test_rho0_within_the_step_bounds_is_accepted():
     rho[0, 0] += 0.5 * 100 * lindblad.TOL_TRACE
     traj = integrate(model, Controls(), rho, 1.0, 1e-2)
     assert np.isfinite(traj.rhos).all()
+
+
+def _zeroed(model, ports):
+    """model with the operators of ports zeroed."""
+    return dataclasses.replace(model, base_L=[
+        np.zeros_like(op) if k in ports else op
+        for k, op in enumerate(model.base_L)])
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("net", [
+    lambda: random_imperfect_network(0.1, 2.0, 7),
+    three_qubit_chain,
+    lambda: circulator_chain(0, 16, kappa=1.0, v_p=1.0),
+], ids=["d4", "three-qubit-chain", "16-circulator-chain"])
+def test_static_assembler_term_is_build_generator(net):
+    """Without controls the assembler's one term is build_generator bit for
+    bit, so a static integrate run steps the oracle's generator."""
+    model = contract_network(net())
+    terms = _GeneratorAssembler(model, Controls()).terms
+    assert terms.shape[0] == 1
+    assert np.array_equal(_bits(terms[0]),
+                          _bits(build_generator(model, Controls(), 0.0)))
+
+
+@pytest.mark.parametrize("case, port", [("chain", 9), ("chain", 10),
+                                        ("chain", 11), ("step-schedule", 7)])
+def test_weight_one_term_is_the_unscheduled_generator(case, port):
+    """With one scheduled port, the term of weight 1 is build_generator of
+    the model with that port's operator zeroed, bit for bit: H_sys and the
+    unscheduled couplings as one Liouvillian."""
+    if case == "chain":
+        net = three_qubit_chain()
+        model = contract_network(net)
+        controls = controls_from_network(
+            net, kappa_schedules={port: Schedule.constant(1.5)})
+    else:
+        model, controls = _step_schedule_case()[:2]
+    terms = _GeneratorAssembler(model, controls).terms
+    want = build_generator(_zeroed(model, [port]), Controls(), 0.0)
+    assert np.array_equal(_bits(terms[0]), _bits(want))
+
+
+def _kron_calls(monkeypatch, build):
+    calls = []
+    kron = np.kron
+
+    def counted(a, b):
+        calls.append(1)
+        return kron(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "kron", counted)
+        build()
+    return len(calls)
+
+
+def test_assembler_forms_no_pair_of_unscheduled_ports(monkeypatch):
+    """The assembler forms a superoperator (np.kron) only for the term of
+    weight 1, the Hamiltonian terms and the pairs with a scheduled port.
+    Without controls it forms build_generator's and no more; with one
+    scheduled port of the chain's three it adds at most five for each of
+    the five ordered pairs that hold the scheduled port, not the 3 x 3.
+    With every port scheduled, the weight-1 term is the commutator with
+    H_sys alone: a zero operator adds no dissipator."""
+    net = three_qubit_chain()
+    model = contract_network(net)
+    static = _kron_calls(monkeypatch,
+                         lambda: build_generator(model, Controls(), 0.0))
+    assert _kron_calls(
+        monkeypatch, lambda: _GeneratorAssembler(model, Controls())) == static
+    unscheduled = _zeroed(model, [9, 10, 11])
+    assert _kron_calls(monkeypatch, lambda: build_generator(
+        unscheduled, Controls(), 0.0)) == 2
+    controls = controls_from_network(
+        net, kappa_schedules={10: Schedule.constant(1.5)})
+    one = _kron_calls(monkeypatch,
+                      lambda: _GeneratorAssembler(model, controls))
+    assert static < one <= static + 5 * 5
+
+
+def test_integrate_takes_every_generator_from_the_assembler(monkeypatch):
+    """A static and a scheduled run each build one _GeneratorAssembler and
+    call build_generator only through it (for its term of weight 1)."""
+    built, generated = [], []
+    assembler, generator = lindblad._GeneratorAssembler, lindblad.build_generator
+
+    def spy_assembler(model, controls):
+        built.append(controls)
+        return assembler(model, controls)
+
+    def spy_generator(model, controls, t):
+        generated.append((len(built), controls))
+        return generator(model, controls, t)
+
+    monkeypatch.setattr(lindblad, "_GeneratorAssembler", spy_assembler)
+    monkeypatch.setattr(lindblad, "build_generator", spy_generator)
+    for case in ("static-d4", "step-schedule"):
+        built.clear()
+        generated.clear()
+        model, controls, rho0, t_final, dt = ORACLE_CASES[case]()
+        integrate(model, controls, rho0, t_final, dt)
+        assert built == [controls]
+        assert len(generated) == 1
+        assert not (generated[0][1].ports or generated[0][1].hamiltonian)
+
+
+def test_one_control_evaluation(monkeypatch):
+    """_control_values evaluates a run's schedules for both the pointwise
+    generator (at its one time) and integrate (once, on the whole
+    half-step grid)."""
+    seen = []
+    control_values = lindblad._control_values
+
+    def spy(controls, times):
+        if controls.ports or controls.hamiltonian:
+            seen.append(np.array(times))
+        return control_values(controls, times)
+
+    monkeypatch.setattr(lindblad, "_control_values", spy)
+    model, controls, rho0, _, _ = _step_schedule_case()
+    build_generator(model, controls, 0.25)
+    assert [t.tolist() for t in seen] == [[0.25]]
+    seen.clear()
+    integrate(model, controls, rho0, 0.5, 0.1)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.arange(11) * 0.05)
+
+
+def _typed_error_case(kappa=None, phi=None, term=None, observable=None,
+                      both=False, bare=None, port=7):
+    """random_imperfect_network(0.1, 1.0, 3) with one bad input (kappa on
+    port 7, or on ports 0 and 7 when both; or a bare operator on port),
+    run from basis_state(4, 1) to T = 1 at dt = 1e-2."""
+    net = random_imperfect_network(0.1, 1.0, 3)
+    controls = controls_from_network(
+        net,
+        kappa_schedules={} if kappa is None else dict.fromkeys(
+            [0, 7] if both else [7], kappa),
+        phi_schedules={} if phi is None else {7: phi},
+        hamiltonian_terms=[] if term is None else [term],
+    )
+    if bare is not None:
+        controls.ports[port] = PortControl(bare, Schedule.constant(1.0),
+                                           Schedule.constant(0.0))
+    observables = {"P1": basis_state(4, 1)}
+    if observable is not None:
+        observables["bad"] = observable
+    return contract_network(net), controls, observables
+
+
+SZ4 = 0.5 * np.kron(np.eye(2), SIGMA_Z)
+NAN_OBSERVABLE = basis_state(4, 2)  # also a Hamiltonian term
+NAN_OBSERVABLE[3, 3] = np.nan
+# a controlled port's bare operator of the wrong shape, with a NaN, or on a
+# port the model does not have
+BAD_OPERATORS = [
+    ({"bare": SIGMA_MINUS}, InvalidParameter,
+     r"^the operator of port 7 has shape \(2, 2\), expected \(4, 4\)$"),
+    ({"bare": NAN_OBSERVABLE}, InvalidParameter,
+     "^the operator of port 7 has a non-finite entry$"),
+    ({"bare": SZ4, "port": 8}, InvalidParameter,
+     r"^controlled port 8 is not in 0\.\.7$"),
+]
+BAD_OPERATOR_IDS = ["bare-shape", "bare-nan-entry", "port-out-of-range"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case, error, message", [
+    ({"kappa": Schedule.constant(np.inf)}, StepUnstable,
+     "^non-finite kappa schedule on port 7 at t=0.0$"),
+    ({"kappa": Schedule(lambda t: np.inf if t > 0.5 else 1.0)}, StepUnstable,
+     "^non-finite kappa schedule on port 7 at t=0.505$"),
+    ({"kappa": Schedule.constant(-np.inf)}, StepUnstable,
+     "^non-finite kappa schedule on port 7 at t=0.0$"),
+    ({"phi": Schedule.constant(np.inf)}, StepUnstable,
+     "^non-finite phi schedule on port 7 at t=0.0$"),
+    ({"term": (SZ4, Schedule.constant(np.inf))}, StepUnstable,
+     "^non-finite schedule of Hamiltonian term 0 at t=0.0$"),
+    ({"term": (SZ4, Schedule(lambda t: np.nan if t > 0.25 else 1.0))},
+     StepUnstable, "^non-finite schedule of Hamiltonian term 0 at t=0.255$"),
+    ({"kappa": Schedule.constant(1e300)}, StepUnstable, "^drift at step 0: "),
+    ({"kappa": Schedule.constant(np.finfo(float).max), "both": True},
+     StepUnstable, "^drift at step 0: "),
+    ({"term": (SIGMA_Z, Schedule.constant(1.0))}, InvalidParameter,
+     r"^Hamiltonian term 0 has shape \(2, 2\), expected \(4, 4\)$"),
+    ({"term": (NAN_OBSERVABLE, Schedule.constant(1.0))}, InvalidParameter,
+     "^Hamiltonian term 0 has a non-finite entry$"),
+    ({"observable": NAN_OBSERVABLE}, InvalidParameter,
+     "^observable 'bad' has a non-finite entry$"),
+] + BAD_OPERATORS, ids=[
+    "kappa-inf", "kappa-inf-late", "kappa-minus-inf", "phi-inf", "term-inf",
+    "term-nan-late", "kappa-1e300", "kappa-max-on-both-ports", "term-shape",
+    "term-nan-entry", "observable-nan", *BAD_OPERATOR_IDS])
+def test_bad_control_or_observable_is_typed_error(case, error, message):
+    """Each bad schedule value, Hamiltonian term or observable raises its
+    typed error, naming the port or term and the earliest half step,
+    before any step and without a RuntimeWarning.  A huge finite kappa
+    overflows the step matrices (1e300) or the generators (the largest
+    float on both ports) quietly, and _check_block names the step."""
+    model, controls, observables = _typed_error_case(**case)
+    with pytest.raises(error, match=message):
+        integrate(model, controls, basis_state(4, 1), 1.0, 1e-2, observables)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case, error, message", [
+    ({"kappa": Schedule.constant(np.inf)}, StepUnstable,
+     "^non-finite kappa schedule on port 7 at t=0.0$"),
+    ({"kappa": Schedule.constant(np.nan)}, StepUnstable,
+     "^non-finite kappa schedule on port 7 at t=0.0$"),
+    ({"term": (SIGMA_Z, Schedule.constant(1.0))}, InvalidParameter,
+     r"^Hamiltonian term 0 has shape \(2, 2\), expected \(4, 4\)$"),
+    ({"term": (NAN_OBSERVABLE, Schedule.constant(1.0))}, InvalidParameter,
+     "^Hamiltonian term 0 has a non-finite entry$"),
+    ({"kappa": Schedule.constant(np.finfo(float).max), "both": True},
+     StepUnstable, "^the generator at t=0.0 overflows double precision$"),
+] + BAD_OPERATORS, ids=["kappa-inf", "kappa-nan", "term-shape",
+                        "term-nan-entry", "kappa-max-on-both-ports",
+                        *BAD_OPERATOR_IDS])
+def test_build_generator_bad_control_is_typed_error(case, error, message):
+    """build_generator checks its controls as integrate does, instead of
+    returning a non-finite generator, and raises where finite schedule
+    values (the largest kappa on both qubit ports) overflow it."""
+    model, controls, _ = _typed_error_case(**case)
+    with pytest.raises(error, match=message):
+        build_generator(model, controls, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_static_run_raises_quietly():
+    """Far past the stability edge (kappa dt = 1e4) the static ladder's
+    powers of P overflow within 100 steps: quietly, and _check_block names
+    the first bad step."""
+    net = random_imperfect_network(0.1, 1.0, 3, kappa_a=1e3, kappa_b=1e3)
+    with pytest.raises(StepUnstable, match="^drift at step 0: "):
+        integrate(contract_network(net), Controls(), basis_state(4, 0),
+                  1000.0, 10.0)
